@@ -11,6 +11,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/capture"
+	"repro/internal/mem"
+	"repro/internal/prng"
 	"repro/tm"
 	"repro/tm/bench"
 
@@ -459,6 +462,63 @@ func BenchmarkBarrierWriteElided(b *testing.B) {
 				base.Word(i&63).Store(tx, uint64(i))
 			})
 		})
+	}
+}
+
+// BenchmarkCaptureProbeScattered prices one is_captured() probe the way
+// a served transaction pays for it: pre-drawn random addresses, about
+// half inside one of `ranges` small blocks scattered over a 1 Mi-word
+// heap and half anywhere else, so neither the outcome nor the path to
+// it repeats. BenchmarkBarrierReadMiss and the rig's capture.*_ns probes
+// repeat one address; the branch predictor learns that walk, which is
+// how a search tree whose probe cost 5–7 ns there cost several times
+// that in the workload. The logs are probed through capture.Log (the
+// engines inline the concrete type, saving the same dispatch for every
+// kind) at their default sizing, so the array tracks only its first
+// four ranges and the hit-share metric shows what each kind finds.
+func BenchmarkCaptureProbeScattered(b *testing.B) {
+	const (
+		heapWords = 1 << 20
+		cell      = 64 // one block per cell keeps ranges disjoint
+		probes    = 1 << 12
+	)
+	for _, k := range []capture.Kind{capture.KindTree, capture.KindArray, capture.KindFilter} {
+		for _, ranges := range []int{1, 16, 64} {
+			b.Run(fmt.Sprintf("%v/ranges=%d", k, ranges), func(b *testing.B) {
+				rng := prng.New(uint64(ranges))
+				log := capture.New(k)
+				var blocks [][2]mem.Addr
+				taken := map[int]bool{}
+				for len(blocks) < ranges {
+					c := rng.Intn(heapWords / cell)
+					if taken[c] {
+						continue
+					}
+					taken[c] = true
+					start := mem.Addr(c*cell + 1 + rng.Intn(cell/2))
+					end := start + mem.Addr(1+rng.Intn(16))
+					log.Insert(start, end)
+					blocks = append(blocks, [2]mem.Addr{start, end})
+				}
+				addrs := make([]mem.Addr, probes)
+				for i := range addrs {
+					if i%2 == 0 {
+						blk := blocks[rng.Intn(ranges)]
+						addrs[i] = blk[0] + mem.Addr(rng.Uint64n(uint64(blk[1]-blk[0])))
+					} else {
+						addrs[i] = mem.Addr(1 + rng.Intn(heapWords)) // a miss but for luck
+					}
+				}
+				hits := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if log.Contains(addrs[i%probes], 1) {
+						hits++
+					}
+				}
+				b.ReportMetric(float64(hits)/float64(b.N), "hit-share")
+			})
+		}
 	}
 }
 

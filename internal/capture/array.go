@@ -65,17 +65,16 @@ func (a *Array) Contains(addr mem.Addr, size int) bool {
 	return false
 }
 
-// Remove forgets the range that starts at start, if tracked.
+// Remove forgets the range [start, end), if tracked.
 func (a *Array) Remove(start, end mem.Addr) {
 	for i := 0; i < a.n; i++ {
-		if a.start[i] == start {
+		if a.start[i] == start && a.end[i] == end {
 			a.n--
 			a.start[i] = a.start[a.n]
 			a.end[i] = a.end[a.n]
 			return
 		}
 	}
-	_ = end
 }
 
 // Clear empties the log.

@@ -4,14 +4,19 @@
 // accessed address is captured (transaction-local), and the persistent
 // per-thread log behind the thread-local/read-only annotation APIs.
 //
-// Three interchangeable implementations are provided, matching the
-// paper's Section 3.1.2:
+// Three interchangeable implementations are provided, filling the
+// roles of the paper's Section 3.1.2:
 //
-//   - Tree: a balanced search tree of ranges (precise; Fig. 5)
+//   - Tree: the precise log — a granule-hashed table of ranges with an
+//     O(1) probe for hits and misses alike. It stands where the paper
+//     has the search tree of Fig. 5, whose O(log n) miss cost more than
+//     the barriers it elided once merged transactions held a dozen
+//     ranges (see the Tree type).
 //   - Array: a cache-line-sized unsorted array of ranges (bounded,
 //     drops on overflow; Fig. 6)
 //   - Filter: a hash table marking exact addresses (false negatives on
-//     collision, never false positives)
+//     collision, never false positives; insert and remove cost one
+//     slot per word where the precise log pays one per 16)
 //
 // All implementations are conservative: Contains may under-report
 // (missing an elision opportunity) but never over-reports, which is
@@ -26,9 +31,12 @@ import "repro/internal/mem"
 type Log interface {
 	// Insert records the range [start, end).
 	Insert(start, end mem.Addr)
-	// Remove forgets the range [start, end). Removing a range that was
-	// never recorded (e.g. dropped by a bounded implementation) is a
-	// no-op.
+	// Remove forgets the range [start, end). The pair must be exactly
+	// as inserted: a range that was never recorded (e.g. dropped by a
+	// bounded implementation), or a recorded start with a different
+	// end, is a no-op for Tree and Array. The word-granular Filter
+	// unmarks whichever of the words it still holds, which can only
+	// lose elisions.
 	Remove(start, end mem.Addr)
 	// Contains reports whether the whole access [addr, addr+size) lies
 	// inside some recorded range. It must never return true for memory
@@ -36,7 +44,7 @@ type Log interface {
 	Contains(addr mem.Addr, size int) bool
 	// Clear empties the log (called at transaction end).
 	Clear()
-	// Len reports how many ranges (tree, array) or marked words
+	// Len reports how many ranges (precise log, array) or marked words
 	// (filter) are currently recorded.
 	Len() int
 }
@@ -45,7 +53,8 @@ type Log interface {
 type Kind int
 
 const (
-	// KindTree is the precise balanced search tree of ranges.
+	// KindTree is the precise log, a granule-hashed table of ranges
+	// (the name is the paper's, and the engines' and reports').
 	KindTree Kind = iota
 	// KindArray is the bounded unsorted range array.
 	KindArray

@@ -11,7 +11,7 @@ import "repro/internal/mem"
 //
 // As the paper notes, probes are fast but insertion/removal cost is
 // proportional to the block size, which is what makes the filter
-// slightly slower than the tree and array on allocation-heavy
+// slightly slower than the precise log and array on allocation-heavy
 // workloads (Fig. 11b).
 type Filter struct {
 	slots []mem.Addr // slot holds the marked address + 1, or 0 if empty
@@ -34,7 +34,7 @@ func NewFilter(bits int) *Filter {
 
 func (f *Filter) slot(a mem.Addr) uint32 {
 	// Fibonacci hashing spreads consecutive addresses across slots.
-	return uint32((uint64(a) * 0x9E3779B97F4A7C15 >> 33) & f.mask)
+	return uint32((uint64(a) * hashMul >> 33) & f.mask)
 }
 
 // Len reports the number of currently marked words.

@@ -62,78 +62,122 @@ func (o *oracle) wordsLive(addr mem.Addr, size int) bool {
 	return true
 }
 
+// The fuzz universe and block sizes are large enough that the precise
+// log grows past its initial table and enters ranges under hundreds of
+// granules; "near" addressing keeps small blocks adjacent so they also
+// share granules (and collide in the filter, and overflow the array).
+const (
+	fuzzBase     = 64
+	fuzzUniverse = 1 << 16
+	fuzzMaxSize  = 4096
+	fuzzOpBytes  = 5
+	fuzzMaxOps   = 256
+)
+
 // fuzzLog interprets data as an op sequence over a fresh log of the
-// given kind. precise asserts the no-false-negative direction too
-// (only the tree guarantees it).
+// given kind, five bytes per op: opcode, two address bytes, two size
+// bytes. precise asserts the no-false-negative direction too (only the
+// tree guarantees it) and checks the table's invariants after every
+// mutation.
 func fuzzLog(t *testing.T, k Kind, data []byte, precise bool) {
 	t.Helper()
 	l := New(k)
 	var o oracle
-	// Small address universe and sizes force collisions (filter),
-	// overflow (array), and rebalancing (tree).
-	const universe = 512
-	next := func(i int) uint64 {
-		if i >= len(data) {
-			return 0
+	check := func() {
+		if tr, ok := l.(*Tree); ok {
+			if err := tr.checkInvariants(); err != nil {
+				t.Fatalf("%v: %v (live %v)", k, err, o.sorted())
+			}
 		}
-		return uint64(data[i])
 	}
-	for i := 0; i+2 < len(data); i += 3 {
-		op := next(i) % 8
-		addr := mem.Addr(next(i+1) * 2 % universe)
-		size := int(next(i+2)%48) + 1
+	probe := func(where string, addr mem.Addr, size int) {
+		got := l.Contains(addr, size)
+		if got && !o.wordsLive(addr, size) {
+			t.Fatalf("%v: %s Contains(%d,%d) = true for unrecorded memory (live %v)",
+				k, where, addr, size, o.sorted())
+		}
+		if want := o.contains(addr, size); precise && got != want {
+			t.Fatalf("%v: %s Contains(%d,%d) = %v, oracle says %v (live %v)",
+				k, where, addr, size, got, want, o.sorted())
+		}
+	}
+	// The oracle and the invariant check are linear in the live ranges
+	// and the table, so an input is worth its first fuzzMaxOps ops only;
+	// longer ones the mutator grows would stall the fuzzing loop.
+	data = data[:min(len(data), fuzzMaxOps*fuzzOpBytes)]
+	var last mem.Addr // end of the most recent insert
+	for i := 0; i+fuzzOpBytes <= len(data); i += fuzzOpBytes {
+		b := data[i : i+fuzzOpBytes]
+		op := b[0] % 8
+		// Word 0 is mem.Nil and never allocated; starting above it
+		// also keeps the edge probes below from wrapping.
+		addr := fuzzBase + (mem.Addr(b[1]) | mem.Addr(b[2])<<8)
+		if b[0]&0x80 != 0 && last != 0 { // near: just past the last block
+			addr = fuzzBase + (last-fuzzBase+mem.Addr(b[1]%4))%fuzzUniverse
+		}
+		size := int(b[3]%48) + 1
+		if b[4]&3 == 0 { // a quarter of the ops use multi-granule blocks
+			size = (int(b[3])|int(b[4])<<8)%fuzzMaxSize + 1
+		}
+		end := addr + mem.Addr(size)
 		switch {
 		case op <= 2: // insert a fresh disjoint range
-			if o.overlaps(addr, addr+mem.Addr(size)) {
+			if o.overlaps(addr, end) {
 				continue // allocator never produces overlapping blocks
 			}
-			l.Insert(addr, addr+mem.Addr(size))
-			o.insert(addr, addr+mem.Addr(size))
+			l.Insert(addr, end)
+			o.insert(addr, end)
+			last = end
+			check()
 		case op == 3: // remove a live range, chosen by the input
 			if len(o.ranges) == 0 {
 				continue
 			}
-			j := int(next(i+1)) % len(o.ranges)
+			j := int(b[1]) % len(o.ranges)
 			r := o.ranges[j]
+			if b[3]&1 == 0 { // first with the wrong end: must be a no-op
+				l.Remove(r.start, r.end+1)
+				check()
+				probe("after mismatched Remove", r.start, int(r.end-r.start))
+			}
 			l.Remove(r.start, r.end)
 			o.remove(j)
+			check()
 		case op == 4: // remove an absent range: must be a no-op
-			if o.overlaps(addr, addr+mem.Addr(size)) {
+			if o.overlaps(addr, end) {
 				continue
 			}
-			l.Remove(addr, addr+mem.Addr(size))
-		case op == 5 && next(i+1)%16 == 0: // transaction end
+			l.Remove(addr, end)
+			check()
+		case op == 5 && b[1]%16 == 0: // transaction end
 			l.Clear()
 			o.ranges = o.ranges[:0]
+			check()
 		default: // containment probe
-			got := l.Contains(addr, size)
-			if got && !o.wordsLive(addr, size) {
-				t.Fatalf("%v: Contains(%d,%d) = true for unrecorded memory (live %v)",
-					k, addr, size, o.sorted())
-			}
-			if precise {
-				if want := o.contains(addr, size); got != want {
-					t.Fatalf("%v: Contains(%d,%d) = %v, oracle says %v (live %v)",
-						k, addr, size, got, want, o.sorted())
-				}
-			}
+			probe("op", addr, size)
 		}
 	}
-	// Epilogue: sweep the whole universe at the final state — every
-	// positive answer must cover only live words (all kinds), and the
-	// precise tree must also still find each live range.
-	for a := mem.Addr(0); a < universe; a += 5 {
-		for _, size := range []int{1, 3} {
-			if l.Contains(a, size) && !o.wordsLive(a, size) {
-				t.Fatalf("%v: epilogue Contains(%d,%d) = true for unrecorded memory (live %v)",
-					k, a, size, o.sorted())
-			}
-		}
-	}
+	// Epilogue at the final state: every positive answer must cover
+	// only live words (all kinds) and the precise log must agree with
+	// the oracle — at both edges of every live range, at each granule
+	// boundary inside it, and on a sparse sweep of the universe.
 	for _, r := range o.ranges {
+		for _, size := range []int{1, 3} {
+			probe("edge", r.start-1, size)
+			probe("edge", r.start, size)
+			probe("edge", r.end-mem.Addr(size), size) // may start before r
+			probe("edge", r.end-1, size)
+			probe("edge", r.end, size)
+		}
+		for a := r.start | 15; a < r.end; a += 16 {
+			probe("granule boundary", a, 2)
+		}
 		if precise && !l.Contains(r.start, int(r.end-r.start)) {
 			t.Fatalf("%v: epilogue false negative on [%d,%d)", k, r.start, r.end)
 		}
+	}
+	for a := mem.Addr(0); a < fuzzBase+fuzzUniverse+fuzzMaxSize; a += 131 {
+		probe("sweep", a, 1)
 	}
 	if precise {
 		if want := len(o.ranges); l.Len() != want {
@@ -142,9 +186,10 @@ func fuzzLog(t *testing.T, k Kind, data []byte, precise bool) {
 	}
 	// Clear must empty the log: no probe may hit afterwards.
 	l.Clear()
-	for a := mem.Addr(0); a < universe; a += 7 {
-		if l.Contains(a, 1) {
-			t.Fatalf("%v: Contains(%d,1) = true after Clear", k, a)
+	check()
+	for _, r := range o.ranges {
+		if l.Contains(r.start, 1) || l.Contains(r.end-1, 1) {
+			t.Fatalf("%v: [%d,%d) still contained after Clear", k, r.start, r.end)
 		}
 	}
 }
@@ -155,25 +200,46 @@ func (o *oracle) sorted() []oracleRange {
 	return rs
 }
 
-// seedCorpus feeds each target inputs that reach every op: dense
-// inserts, remove/probe interleavings, clears, and empty/short inputs.
+// seedCorpus feeds each target inputs that reach every op and every
+// shape the table distinguishes: dense near-inserts sharing granules,
+// multi-granule blocks, remove/probe interleavings, remove-reinsert,
+// clears, tombstone churn long enough to rehash, and short inputs.
 func seedCorpus(f *testing.F) {
+	const near = 0x80
 	f.Add([]byte{})
-	f.Add([]byte{0, 10, 5})
-	f.Add([]byte{0, 10, 5, 7, 10, 5, 3, 0, 0})
-	f.Add([]byte{0, 1, 8, 1, 40, 8, 2, 80, 8, 7, 1, 8, 3, 1, 0, 7, 1, 8})
-	f.Add([]byte{0, 0, 48, 0, 60, 48, 0, 120, 48, 0, 180, 48, 0, 240, 48, 7, 60, 24})
-	f.Add([]byte{5, 0, 1, 0, 9, 9, 5, 16, 2, 7, 9, 9})
-	f.Add([]byte{4, 33, 12, 7, 33, 12, 0, 33, 12, 7, 33, 12})
-	longer := make([]byte, 240)
+	f.Add([]byte{0, 10, 0, 5, 1})
+	f.Add([]byte{0, 10, 0, 5, 1, 7, 10, 0, 5, 1, 3, 0, 0, 0, 1})
+	// A block straddling a granule boundary, probed across it.
+	f.Add([]byte{0, 12, 0, 7, 1, 7, 14, 0, 3, 1, 7, 15, 0, 4, 1, 7, 19, 0, 1, 1})
+	// A 4096-word block and a 1000-word block: growth, then edges.
+	f.Add([]byte{0, 0, 1, 255, 15 << 2, 0, 0, 32, 231, 3 << 2, 7, 255, 16, 1, 1, 3, 0, 0, 1, 1})
+	// Clear between inserts, then a probe.
+	f.Add([]byte{0, 9, 0, 9, 1, 5, 16, 0, 2, 1, 0, 9, 0, 9, 1, 7, 9, 0, 9, 1})
+	// Remove an absent range, insert it, remove it, reinsert it.
+	f.Add([]byte{4, 33, 0, 12, 1, 0, 33, 0, 12, 1, 3, 0, 0, 1, 1, 0, 33, 0, 12, 1, 7, 33, 0, 12, 1})
+	// Forty 1–3-word blocks packed end to end, so most share a granule.
+	var packed []byte
+	for i := 0; i < 40; i++ {
+		packed = append(packed, near, 0, 0, byte(i%3), 1)
+	}
+	f.Add(append(packed, 7, 20, 0, 2, 1))
+	// The priv pattern: insert/remove churn with no Clear, enough
+	// tombstones to force a rehash at the initial table size.
+	var churn []byte
+	for i := 0; i < 60; i++ {
+		churn = append(churn, near|1, byte(i), 0, byte(i*7), 1, 3, 0, 0, byte(i), 1)
+	}
+	f.Add(churn)
+	longer := make([]byte, 400)
 	for i := range longer {
 		longer[i] = byte(i*37 + 11)
 	}
 	f.Add(longer)
 }
 
-// FuzzTree fuzzes the precise balanced-tree log; the tree must agree
-// with the oracle exactly, and its internal invariants must hold.
+// FuzzTree fuzzes the precise log (the granule-hashed range table; the
+// target keeps the name CI's fuzz-smoke job runs): it must agree with
+// the oracle exactly, and its internal invariants must hold.
 func FuzzTree(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,105 +2,83 @@ package capture
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 )
 
-// Tree is the precise allocation log: a height-balanced (AVL) search
-// tree over disjoint ranges keyed by start address.
+// Tree is the precise allocation log: an open-addressed table of
+// disjoint ranges keyed by 16-word granule. A range [start, end) is
+// entered once per granule it touches as {granule+1, start, end}, so a
+// probe is one multiply-shift hash of the address's granule plus a
+// linear scan that stops at the first empty slot — expected O(1) for a
+// hit and for a miss, and exact for both.
 //
-// The paper's Fig. 5 stores ranges at the leaves with min/max bounds
-// at internal nodes so misses terminate high in the tree. Over
-// *disjoint* ranges an ordered balanced tree gives the same O(log n)
-// hit and miss cost with one node per range, so this implementation
-// keeps ranges directly in the nodes. Nodes are recycled through a
-// free list so steady-state transactions allocate nothing.
+// The paper's Fig. 5 is a search tree with min/max bounds at internal
+// nodes so that misses terminate high in the tree, and this type was
+// one (hence the name, which the engine and report identifiers keep).
+// On the served workloads misses are the common case and most of them
+// fall between two captured blocks, inside [min, max], where the bounds
+// do not help: every such probe walked to a leaf, mispredicting on the
+// way, in front of the shared read it could not elide. Hashing the
+// granule makes the miss as cheap as the hit and keeps the table a few
+// cache lines for the handful of small blocks a transaction allocates;
+// the price is one slot per 16 words on Insert and Remove.
 type Tree struct {
-	root *treeNode
-	free *treeNode // recycled nodes, chained through left
-	n    int
+	slots []slot
+	mask  uint64
+	shift uint     // 64 - log2(len(slots))
+	dirty []uint32 // every non-empty slot (live or tombstone), for Clear and rehash
+	n     int      // recorded ranges
+	heads []slot   // rehash scratch
 }
 
-type treeNode struct {
-	start, end  mem.Addr // [start, end)
-	left, right *treeNode
-	h           int8
-}
+// slot is one table entry. g is the granule number plus one; 0 marks an
+// empty slot and tombstone a removed one, which keeps probe chains that
+// pass through it intact until the next Clear or rehash.
+type slot struct{ g, start, end mem.Addr }
+
+const (
+	granuleShift = 4 // 16-word granules
+	minSlots     = 64
+	tombstone    = ^mem.Addr(0)
+	hashMul      = 0x9E3779B97F4A7C15
+)
+
+func granule(a mem.Addr) mem.Addr { return a>>granuleShift + 1 }
+
+// home is the slot where granule g's probe chain starts.
+func (t *Tree) home(g mem.Addr) uint64 { return uint64(g) * hashMul >> t.shift }
 
 // NewTree creates an empty precise allocation log.
-func NewTree() *Tree { return &Tree{} }
+func NewTree() *Tree {
+	t := &Tree{}
+	t.resize(minSlots)
+	return t
+}
+
+func (t *Tree) resize(size int) {
+	t.slots = make([]slot, size)
+	t.mask = uint64(size - 1)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+}
 
 // Len reports the number of recorded ranges.
 func (t *Tree) Len() int { return t.n }
 
-func (t *Tree) newNode(start, end mem.Addr) *treeNode {
-	if f := t.free; f != nil {
-		t.free = f.left
-		*f = treeNode{start: start, end: end, h: 1}
-		return f
-	}
-	return &treeNode{start: start, end: end, h: 1}
-}
-
-func (t *Tree) release(n *treeNode) {
-	n.left = t.free
-	n.right = nil
-	t.free = n
-}
-
-func height(n *treeNode) int8 {
-	if n == nil {
-		return 0
-	}
-	return n.h
-}
-
-func fix(n *treeNode) *treeNode {
-	hl, hr := height(n.left), height(n.right)
-	if hl >= hr {
-		n.h = hl + 1
-	} else {
-		n.h = hr + 1
-	}
-	switch bal := hl - hr; {
-	case bal > 1:
-		if height(n.left.left) < height(n.left.right) {
-			n.left = rotL(n.left)
+// Contains reports whether [addr, addr+size) lies inside one recorded
+// range. The table is precise: it finds every captured access and
+// nothing else.
+func (t *Tree) Contains(addr mem.Addr, size int) bool {
+	g := granule(addr)
+	for i := t.home(g); ; i = (i + 1) & t.mask {
+		s := &t.slots[i]
+		if s.g == g && s.start <= addr && addr < s.end {
+			return addr+mem.Addr(size) <= s.end
 		}
-		return rotR(n)
-	case bal < -1:
-		if height(n.right.right) < height(n.right.left) {
-			n.right = rotR(n.right)
+		if s.g == 0 {
+			return false
 		}
-		return rotL(n)
-	}
-	return n
-}
-
-func rotR(n *treeNode) *treeNode {
-	l := n.left
-	n.left = l.right
-	l.right = n
-	refresh(n)
-	refresh(l)
-	return l
-}
-
-func rotL(n *treeNode) *treeNode {
-	r := n.right
-	n.right = r.left
-	r.left = n
-	refresh(n)
-	refresh(r)
-	return r
-}
-
-func refresh(n *treeNode) {
-	hl, hr := height(n.left), height(n.right)
-	if hl >= hr {
-		n.h = hl + 1
-	} else {
-		n.h = hr + 1
 	}
 }
 
@@ -111,141 +89,124 @@ func (t *Tree) Insert(start, end mem.Addr) {
 	if start >= end {
 		panic(fmt.Sprintf("capture: Tree.Insert(%d, %d): empty range", start, end))
 	}
-	t.root = t.insert(t.root, start, end)
+	need := int(granule(end-1) - granule(start) + 1)
+	if (len(t.dirty)+need)*2 > len(t.slots) {
+		t.rehash(need)
+	}
+	t.place(start, end)
 	t.n++
 }
 
-func (t *Tree) insert(n *treeNode, start, end mem.Addr) *treeNode {
-	if n == nil {
-		return t.newNode(start, end)
-	}
-	switch {
-	case end <= n.start:
-		n.left = t.insert(n.left, start, end)
-	case start >= n.end:
-		n.right = t.insert(n.right, start, end)
-	default:
-		panic(fmt.Sprintf("capture: Tree.Insert(%d, %d): overlaps [%d, %d)", start, end, n.start, n.end))
-	}
-	return fix(n)
-}
-
-// Contains reports whether [addr, addr+size) lies inside one recorded
-// range. The tree is precise: it finds every captured access.
-func (t *Tree) Contains(addr mem.Addr, size int) bool {
-	n := t.root
-	for n != nil {
-		switch {
-		case addr < n.start:
-			n = n.left
-		case addr >= n.end:
-			n = n.right
-		default:
-			return addr+mem.Addr(size) <= n.end
+// place enters [start, end) under each granule it touches. Two ranges
+// that overlap share a word and so a granule, which is where the walk
+// to the first empty slot finds the other one.
+func (t *Tree) place(start, end mem.Addr) {
+	for g := granule(start); g <= granule(end-1); g++ {
+		i := t.home(g)
+		for ; t.slots[i].g != 0; i = (i + 1) & t.mask {
+			if s := &t.slots[i]; s.g == g && start < s.end && s.start < end {
+				panic(fmt.Sprintf("capture: Tree.Insert(%d, %d): overlaps [%d, %d)", start, end, s.start, s.end))
+			}
 		}
+		t.slots[i] = slot{g, start, end}
+		t.dirty = append(t.dirty, uint32(i))
 	}
-	return false
 }
 
-// Remove forgets the range starting at start. The (start, end) pair
-// must match a recorded range exactly or be absent.
+// Remove forgets the range [start, end), tombstoning its slots. A pair
+// that does not match a recorded range exactly is a no-op.
 func (t *Tree) Remove(start, end mem.Addr) {
-	var removed bool
-	t.root, removed = t.remove(t.root, start)
-	if removed {
-		t.n--
+	if start >= end {
+		return
 	}
-	_ = end
+	for g := granule(start); g <= granule(end-1); g++ {
+		i := t.home(g)
+		for ; t.slots[i] != (slot{g, start, end}); i = (i + 1) & t.mask {
+			if t.slots[i].g == 0 {
+				return // absent; only ever on the first granule
+			}
+		}
+		t.slots[i] = slot{g: tombstone}
+	}
+	t.n--
 }
 
-func (t *Tree) remove(n *treeNode, start mem.Addr) (*treeNode, bool) {
-	if n == nil {
-		return nil, false
-	}
-	var removed bool
-	switch {
-	case start < n.start:
-		n.left, removed = t.remove(n.left, start)
-	case start > n.start:
-		n.right, removed = t.remove(n.right, start)
-	default:
-		removed = true
-		if n.left == nil {
-			r := n.right
-			t.release(n)
-			return r, true
-		}
-		if n.right == nil {
-			l := n.left
-			t.release(n)
-			return l, true
-		}
-		// Replace with the successor (leftmost of the right subtree).
-		succ := n.right
-		for succ.left != nil {
-			succ = succ.left
-		}
-		n.start, n.end = succ.start, succ.end
-		n.right, _ = t.remove(n.right, succ.start)
-	}
-	return fix(n), removed
-}
-
-// Clear empties the log, recycling all nodes.
+// Clear empties the log, zeroing only the slots touched since the last
+// Clear.
 func (t *Tree) Clear() {
-	t.clear(t.root)
-	t.root = nil
+	for _, i := range t.dirty {
+		t.slots[i] = slot{}
+	}
+	t.dirty = t.dirty[:0]
 	t.n = 0
 }
 
-func (t *Tree) clear(n *treeNode) {
-	if n == nil {
-		return
+// rehash drops the tombstones and doubles the table until the live
+// slots plus need more stay under load ½. The persistent per-thread
+// log never clears, so this is what bounds its probe chains.
+func (t *Tree) rehash(need int) {
+	heads, live := t.heads[:0], need
+	for _, i := range t.dirty {
+		s := t.slots[i]
+		if s.g != tombstone {
+			live++
+		}
+		// A range's head is its entry under the granule of start.
+		if s.g == granule(s.start) {
+			heads = append(heads, s)
+		}
 	}
-	t.clear(n.left)
-	t.clear(n.right)
-	t.release(n)
+	size := len(t.slots)
+	for live*2 > size {
+		size *= 2
+	}
+	t.Clear()
+	if size != len(t.slots) {
+		t.resize(size)
+	}
+	for _, h := range heads {
+		t.place(h.start, h.end)
+	}
+	t.n, t.heads = len(heads), heads[:0]
 }
 
-// checkInvariants validates ordering, balance and disjointness; used
-// by the property tests.
+// checkInvariants validates the table against its own contents; used
+// by the property tests. Every live range is reachable from each of its
+// granules, Len counts the live ranges, the dirty list is exactly the
+// non-empty slots, and no live slot sits past an empty one in its
+// probe chain.
 func (t *Tree) checkInvariants() error {
-	var prevEnd mem.Addr
-	var walk func(n *treeNode) error
-	count := 0
-	walk = func(n *treeNode) error {
-		if n == nil {
-			return nil
+	nonEmpty, heads := 0, 0
+	for i, s := range t.slots {
+		if s.g == 0 {
+			continue
 		}
-		if err := walk(n.left); err != nil {
-			return err
+		nonEmpty++
+		if s.g == tombstone {
+			continue
 		}
-		if n.start < prevEnd {
-			return fmt.Errorf("ranges not disjoint/ordered at [%d,%d) after end %d", n.start, n.end, prevEnd)
+		if s.start >= s.end || s.g < granule(s.start) || s.g > granule(s.end-1) {
+			return fmt.Errorf("slot %d: granule %d outside [%d,%d)", i, s.g-1, s.start, s.end)
 		}
-		if n.start >= n.end {
-			return fmt.Errorf("empty range [%d,%d)", n.start, n.end)
+		if s.g == granule(s.start) {
+			heads++
+			for g := s.g; g <= granule(s.end-1); g++ {
+				if a := max(s.start, (g-1)<<granuleShift); !t.Contains(a, 1) {
+					return fmt.Errorf("range [%d,%d) unreachable from granule %d", s.start, s.end, g-1)
+				}
+			}
 		}
-		prevEnd = n.end
-		count++
-		hl, hr := height(n.left), height(n.right)
-		if bal := hl - hr; bal < -1 || bal > 1 {
-			return fmt.Errorf("unbalanced node [%d,%d): %d vs %d", n.start, n.end, hl, hr)
+		for j := t.home(s.g); j != uint64(i); j = (j + 1) & t.mask {
+			if t.slots[j].g == 0 {
+				return fmt.Errorf("slot %d [%d,%d) lies past empty slot %d in its chain", i, s.start, s.end, j)
+			}
 		}
-		exp := hl
-		if hr > exp {
-			exp = hr
-		}
-		if n.h != exp+1 {
-			return fmt.Errorf("bad height at [%d,%d)", n.start, n.end)
-		}
-		return walk(n.right)
 	}
-	if err := walk(t.root); err != nil {
-		return err
+	if heads != t.n || nonEmpty != len(t.dirty) {
+		return fmt.Errorf("Len=%d dirty=%d but %d ranges, %d non-empty slots", t.n, len(t.dirty), heads, nonEmpty)
 	}
-	if count != t.n {
-		return fmt.Errorf("Len=%d but %d nodes", t.n, count)
+	if len(t.dirty)*2 > len(t.slots) {
+		return fmt.Errorf("load %d/%d above ½", len(t.dirty), len(t.slots))
 	}
 	return nil
 }

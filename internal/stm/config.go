@@ -130,8 +130,8 @@ type OptConfig struct {
 	// filtering (on by default; its presence explains yada, Sec. 4.2).
 	NoWAWFilter bool
 
-	// Counting additionally classifies every barrier with a precise
-	// tree log and stack check without changing execution, to
+	// Counting additionally classifies every barrier with the precise
+	// log and stack check without changing execution, to
 	// regenerate the Fig. 8 breakdown.
 	Counting bool
 

@@ -1,7 +1,9 @@
 package stm
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/capture"
@@ -286,4 +288,129 @@ func TestLimboSnapshotsOnlyOddThreads(t *testing.T) {
 		t.Errorf("quiescent snapshot ids = %v, want empty", ids)
 	}
 	th.drainLimbo()
+}
+
+// TestAllocationLogPreciseAtTheEngine pins "precise" where elision is
+// decided, not only inside internal/capture: through random Tx.Alloc /
+// Tx.Free / nested commit / nested abort sequences, the probe the
+// engine consults answers true for every payload word of every live
+// block of the transaction and false for each block's header word
+// (addr-1), the word past its end (addr+size), and every word of a
+// block already freed or rolled back. The blocks span one word to many
+// granules, so ranges share granules, straddle them, and grow the table.
+func TestAllocationLogPreciseAtTheEngine(t *testing.T) {
+	counting := RuntimeAll(capture.KindTree)
+	counting.Counting = true
+	rm := RuntimeAll(capture.KindTree).Perf()
+	rm.ReadMostly = true
+	for _, c := range []struct {
+		cfg    OptConfig
+		engine string
+	}{
+		{RuntimeAll(capture.KindTree).Perf(), "perf-rw-stack-heap-tree"},
+		{counting, "counting"},
+		{rm, "perf-readmostly"},
+	} {
+		t.Run(c.engine, func(t *testing.T) {
+			rt := newRT(c.cfg)
+			th := rt.Thread(0)
+			rng := rand.New(rand.NewSource(13))
+			for round := 0; round < 12; round++ {
+				th.Atomic(func(tx *Tx) {
+					if tx.eng.name != c.engine {
+						t.Fatalf("running on engine %q, want %q", tx.eng.name, c.engine)
+					}
+					allocLogChurn(t, tx, rng, 48)
+					// Hand everything back so the rounds share the heap.
+					for _, a := range tx.allocs {
+						if !a.dead && !slices.Contains(tx.frees, a.addr) {
+							tx.Free(a.addr)
+						}
+					}
+					checkAllocLogPrecise(t, tx, nil)
+				})
+				if tx := &th.tx; tx.allocLive != 0 || tx.alog.Len() != 0 || (tx.clog != nil && tx.clog.Len() != 0) {
+					t.Fatalf("round %d: allocation log not empty after commit", round)
+				}
+			}
+			rt.Validate()
+		})
+	}
+}
+
+// allocLogChurn performs steps random allocation-log operations at the
+// transaction's current depth, checking the probe after each.
+func allocLogChurn(t *testing.T, tx *Tx, rng *rand.Rand, steps int) {
+	for i := 0; i < steps; i++ {
+		switch op := rng.Intn(10); {
+		case op < 5:
+			n := 1 + rng.Intn(3)
+			if rng.Intn(6) == 0 {
+				n = 1 + rng.Intn(400)
+			}
+			tx.Alloc(n)
+		case op < 7 && len(tx.allocs) > 0:
+			// Immediate when the block is this depth's, deferred to
+			// commit (so still captured) when it is an outer depth's.
+			if a := tx.allocs[rng.Intn(len(tx.allocs))]; !a.dead && !slices.Contains(tx.frees, a.addr) {
+				tx.Free(a.addr)
+			}
+		case op < 9 && tx.Depth() < 4:
+			abort := rng.Intn(2) == 0
+			base := len(tx.allocs)
+			var undone []allocRec // the scope's blocks, gone after a partial abort
+			tx.th.Atomic(func(tx *Tx) {
+				allocLogChurn(t, tx, rng, steps/4)
+				if abort {
+					undone = slices.Clone(tx.allocs[base:])
+					tx.UserAbort()
+				}
+			})
+			for i := range undone {
+				undone[i].dead = true
+			}
+			checkAllocLogPrecise(t, tx, undone)
+		}
+		checkAllocLogPrecise(t, tx, nil)
+	}
+}
+
+// checkAllocLogPrecise checks the probe against tx.allocs, plus gone:
+// records of blocks no longer in tx.allocs that must not be captured.
+func checkAllocLogPrecise(t *testing.T, tx *Tx, gone []allocRec) {
+	t.Helper()
+	captured := func(a mem.Addr) bool {
+		got := tx.alogContains(a)
+		if tx.clog != nil && tx.clog.Contains(a, 1) != got {
+			t.Fatalf("word %d: allocation log says %v, counting log disagrees", a, got)
+		}
+		return got
+	}
+	live := map[mem.Addr]bool{}
+	for _, a := range tx.allocs {
+		if a.dead {
+			continue
+		}
+		for w := a.addr; w < a.addr+mem.Addr(a.size); w++ {
+			live[w] = true
+			if !captured(w) {
+				t.Fatalf("word %d of live block [%d,+%d) not captured", w, a.addr, a.size)
+			}
+		}
+	}
+	for _, a := range append(gone, tx.allocs...) {
+		// Headers and the word after a block are never payload; a dead
+		// block's words are captured only where a later block reuses them.
+		words := []mem.Addr{a.addr - 1, a.addr + mem.Addr(a.size)}
+		if a.dead {
+			for w := a.addr; w < a.addr+mem.Addr(a.size); w++ {
+				words = append(words, w)
+			}
+		}
+		for _, w := range words {
+			if !live[w] && captured(w) {
+				t.Fatalf("word %d by block [%d,+%d) (dead=%v) captured but not allocated", w, a.addr, a.size, a.dead)
+			}
+		}
+	}
 }

@@ -70,6 +70,7 @@ type Log struct {
 
 	mu      sync.Mutex
 	segs    []*segBuf // oldest first; tail = segs[len-1]
+	spare   []byte    // buffer of the last released segment, for newSeg
 	nextSeq uint64
 	doneCh  chan struct{} // closed when the current batch is durable
 	err     error         // sticky I/O error
@@ -113,8 +114,23 @@ func OpenLog(dir string, startSeg, startSeq uint64, opts Options) (*Log, error) 
 	return l, nil
 }
 
+// segSlack is the room a segment buffer has past SegmentBytes: rotation
+// happens after the append that crosses the limit, so the last record
+// overshoots it. A larger record still fits; append then grows the
+// buffer.
+const segSlack = 4 << 10
+
+// newSeg starts segment idx in a buffer sized for the whole segment, so
+// appends under the mutex never reallocate it: the one flushOnce
+// released at the last rotation if there is one, else a fresh one.
+// Callers hold l.mu (or own l exclusively).
 func (l *Log) newSeg(idx uint64) *segBuf {
-	data := make([]byte, segHdrLen, 64<<10)
+	data := l.spare
+	l.spare = nil
+	if data == nil {
+		data = make([]byte, 0, l.opts.SegmentBytes+segSlack)
+	}
+	data = data[:segHdrLen]
 	copy(data, segMagic)
 	binary.LittleEndian.PutUint64(data[8:], idx)
 	l.segments.Add(1)
@@ -387,7 +403,7 @@ func (l *Log) flushOnce() {
 			// buffer and file handle.
 			if c.seg != tail && c.seg.flushed == len(c.seg.data) {
 				c.seg.size = len(c.seg.data)
-				c.seg.data = nil
+				l.spare, c.seg.data = c.seg.data, nil
 				if c.seg.file != nil {
 					c.seg.file.Close()
 					c.seg.file = nil

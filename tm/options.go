@@ -12,7 +12,8 @@ type LogKind = capture.Kind
 
 // The three allocation-log implementations the paper compares.
 const (
-	// LogTree is the precise balanced search tree of ranges.
+	// LogTree is the precise log: a granule-hashed table of ranges with
+	// an O(1) probe (it stands where the paper has a search tree).
 	LogTree = capture.KindTree
 	// LogArray is the bounded unsorted range array (one cache line of
 	// ranges by default).
