@@ -46,7 +46,7 @@ func runBench(b *testing.B, name string, p tm.Profile, threads int) {
 		if err := app.Validate(rt); err != nil {
 			b.Fatal(err)
 		}
-		stats = rt.Stats()
+		stats = rt.Snapshot().Stats
 		b.StartTimer()
 	}
 	b.ReportMetric(stats.AbortRatio(), "aborts/commit")
@@ -340,10 +340,20 @@ func batched(b *testing.B, th *tm.Thread, prep func(tx *tm.Tx) tm.Struct, op fun
 	}
 }
 
-// BenchmarkBarrierReadFull is the cost of one full (shared) read
-// barrier inside a transaction.
-func BenchmarkBarrierReadFull(b *testing.B) {
-	_, th, g := barrierRT(tm.Baseline())
+// perChain runs one barrier micro-benchmark on the two chains a profile
+// can compile to: "perf", the stats-free engine — what the paper's
+// timing builds ran and what the rig's stm.*_ns probes price — and
+// "counting", the instrumented interpreting chain behind every reported
+// statistic.
+func perChain(b *testing.B, p tm.Profile, run func(b *testing.B, p tm.Profile)) {
+	b.Run("perf", func(b *testing.B) { run(b, p.Perf()) })
+	b.Run("counting", func(b *testing.B) { run(b, p) })
+}
+
+// readGlobals is the shared-read loop: 64 global words, so every load
+// takes the full barrier (after missing whatever checks p enables).
+func readGlobals(b *testing.B, p tm.Profile) {
+	_, th, g := barrierRT(p)
 	var sink uint64
 	batched(b, th, func(tx *tm.Tx) tm.Struct { return g },
 		func(tx *tm.Tx, base tm.Struct, i int) {
@@ -352,62 +362,80 @@ func BenchmarkBarrierReadFull(b *testing.B) {
 	_ = sink
 }
 
+// freshBlock returns a batched prep that hands each transaction a newly
+// allocated (captured) 64-word block, freeing the previous transaction's
+// so the arena never grows.
+func freshBlock() func(tx *tm.Tx) tm.Struct {
+	var cur tm.Struct
+	return func(tx *tm.Tx) tm.Struct {
+		if !cur.IsNil() {
+			tx.Free(cur)
+		}
+		cur = tx.Alloc(64)
+		return cur
+	}
+}
+
+// readFreshBlock is the captured-read loop: each transaction reads back
+// the block it just allocated.
+func readFreshBlock(b *testing.B, p tm.Profile) {
+	_, th, _ := barrierRT(p)
+	var sink uint64
+	batched(b, th, freshBlock(), func(tx *tm.Tx, base tm.Struct, i int) {
+		sink += base.Word(i & 63).Load(tx)
+	})
+	_ = sink
+}
+
+// BenchmarkBarrierReadFull is the cost of one full (shared) read
+// barrier inside a transaction. "unlogged" is the same read in
+// read-mostly mode — validated against the snapshot, never appended to
+// the read set — so the logged and unlogged full read sit side by side.
+func BenchmarkBarrierReadFull(b *testing.B) {
+	perChain(b, tm.Baseline(), readGlobals)
+	b.Run("unlogged", func(b *testing.B) {
+		readGlobals(b, tm.Baseline().Perf().With(tm.WithReadMostly()))
+	})
+}
+
 // BenchmarkBarrierWriteFull is the cost of one full write barrier
 // (distinct addresses, so each pays undo logging; the lock acquisition
 // amortizes over the 8 words of a cache line, as in a real workload).
 func BenchmarkBarrierWriteFull(b *testing.B) {
-	_, th, g := barrierRT(tm.Baseline().With(tm.WithoutWAWFilter()))
-	batched(b, th, func(tx *tm.Tx) tm.Struct { return g },
-		func(tx *tm.Tx, base tm.Struct, i int) {
-			base.Word(i&63).Store(tx, uint64(i))
-		})
+	perChain(b, tm.Baseline().With(tm.WithoutWAWFilter()), func(b *testing.B, p tm.Profile) {
+		_, th, g := barrierRT(p)
+		batched(b, th, func(tx *tm.Tx) tm.Struct { return g },
+			func(tx *tm.Tx, base tm.Struct, i int) {
+				base.Word(i&63).Store(tx, uint64(i))
+			})
+	})
 }
 
 // BenchmarkBarrierReadElided measures reads that hit the runtime
 // capture analysis, per mechanism and log kind. (The freshly allocated
-// block's provenance is ignored here: the profiles enable only runtime
-// checks, so elision happens dynamically, as in the paper's Fig. 2.)
+// block's provenance is ignored in the heap runs: the profiles enable
+// only runtime checks, so elision happens dynamically, as in the
+// paper's Fig. 2.)
 func BenchmarkBarrierReadElided(b *testing.B) {
 	for _, k := range []tm.LogKind{tm.LogTree, tm.LogArray, tm.LogFilter} {
 		b.Run("heap-"+k.String(), func(b *testing.B) {
-			_, th, _ := barrierRT(tm.RuntimeAll(k))
-			var sink uint64
-			var cur tm.Struct
-			batched(b, th, func(tx *tm.Tx) tm.Struct {
-				if !cur.IsNil() {
-					tx.Free(cur) // recycle the previous tx's block
-				}
-				cur = tx.Alloc(64)
-				return cur
-			}, func(tx *tm.Tx, base tm.Struct, i int) {
-				sink += base.Word(i & 63).Load(tx)
-			})
-			_ = sink
+			perChain(b, tm.RuntimeAll(k), readFreshBlock)
 		})
 	}
 	b.Run("stack", func(b *testing.B) {
-		_, th, _ := barrierRT(tm.RuntimeAll(tm.LogTree))
-		var sink uint64
-		batched(b, th, func(tx *tm.Tx) tm.Struct { return tx.StackAlloc(64) },
-			func(tx *tm.Tx, base tm.Struct, i int) {
-				sink += base.Word(i & 63).Load(tx)
-			})
-		_ = sink
+		perChain(b, tm.RuntimeAll(tm.LogTree), func(b *testing.B, p tm.Profile) {
+			_, th, _ := barrierRT(p)
+			var sink uint64
+			batched(b, th, func(tx *tm.Tx) tm.Struct { return tx.StackAlloc(64) },
+				func(tx *tm.Tx, base tm.Struct, i int) {
+					sink += base.Word(i & 63).Load(tx)
+				})
+			_ = sink
+		})
 	})
 	b.Run("static", func(b *testing.B) {
-		_, th, _ := barrierRT(tm.CompilerElision())
-		var sink uint64
-		var cur tm.Struct
-		batched(b, th, func(tx *tm.Tx) tm.Struct {
-			if !cur.IsNil() {
-				tx.Free(cur)
-			}
-			cur = tx.Alloc(64) // fresh provenance: statically elided
-			return cur
-		}, func(tx *tm.Tx, base tm.Struct, i int) {
-			sink += base.Word(i & 63).Load(tx)
-		})
-		_ = sink
+		// Fresh provenance: statically elided.
+		perChain(b, tm.CompilerElision(), readFreshBlock)
 	})
 }
 
@@ -417,30 +445,26 @@ func BenchmarkBarrierReadElided(b *testing.B) {
 func BenchmarkBarrierReadMiss(b *testing.B) {
 	for _, k := range []tm.LogKind{tm.LogTree, tm.LogArray, tm.LogFilter} {
 		b.Run(k.String()+"-empty-log", func(b *testing.B) {
-			_, th, g := barrierRT(tm.RuntimeAll(k))
-			var sink uint64
-			batched(b, th, func(tx *tm.Tx) tm.Struct { return g },
-				func(tx *tm.Tx, base tm.Struct, i int) {
-					sink += base.Word(i & 63).Load(tx)
-				})
-			_ = sink
+			perChain(b, tm.RuntimeAll(k), readGlobals)
 		})
 		b.Run(k.String()+"-loaded-log", func(b *testing.B) {
-			_, th, g := barrierRT(tm.RuntimeAll(k))
-			var sink uint64
-			var scratch [4]tm.Struct
-			batched(b, th, func(tx *tm.Tx) tm.Struct {
-				for j := 0; j < 4; j++ {
-					if !scratch[j].IsNil() {
-						tx.Free(scratch[j])
+			perChain(b, tm.RuntimeAll(k), func(b *testing.B, p tm.Profile) {
+				_, th, g := barrierRT(p)
+				var sink uint64
+				var scratch [4]tm.Struct
+				batched(b, th, func(tx *tm.Tx) tm.Struct {
+					for j := 0; j < 4; j++ {
+						if !scratch[j].IsNil() {
+							tx.Free(scratch[j])
+						}
+						scratch[j] = tx.Alloc(8)
 					}
-					scratch[j] = tx.Alloc(8)
-				}
-				return g
-			}, func(tx *tm.Tx, base tm.Struct, i int) {
-				sink += base.Word(i & 63).Load(tx)
+					return g
+				}, func(tx *tm.Tx, base tm.Struct, i int) {
+					sink += base.Word(i & 63).Load(tx)
+				})
+				_ = sink
 			})
-			_ = sink
 		})
 	}
 }
@@ -450,16 +474,11 @@ func BenchmarkBarrierReadMiss(b *testing.B) {
 func BenchmarkBarrierWriteElided(b *testing.B) {
 	for _, k := range []tm.LogKind{tm.LogTree, tm.LogArray, tm.LogFilter} {
 		b.Run("heap-"+k.String(), func(b *testing.B) {
-			_, th, _ := barrierRT(tm.RuntimeAll(k))
-			var cur tm.Struct
-			batched(b, th, func(tx *tm.Tx) tm.Struct {
-				if !cur.IsNil() {
-					tx.Free(cur)
-				}
-				cur = tx.Alloc(64)
-				return cur
-			}, func(tx *tm.Tx, base tm.Struct, i int) {
-				base.Word(i&63).Store(tx, uint64(i))
+			perChain(b, tm.RuntimeAll(k), func(b *testing.B, p tm.Profile) {
+				_, th, _ := barrierRT(p)
+				batched(b, th, freshBlock(), func(tx *tm.Tx, base tm.Struct, i int) {
+					base.Word(i&63).Store(tx, uint64(i))
+				})
 			})
 		})
 	}

@@ -85,7 +85,7 @@ func main() {
 	for _, v := range in.Output() {
 		fmt.Println(v)
 	}
-	s := rt.Stats()
+	s := rt.Snapshot().Stats
 	fmt.Printf("main() = %d\n", ret)
 	fmt.Printf("barriers: %d reads (%d elided), %d writes (%d elided); %d commits, %d aborts\n",
 		s.ReadTotal, s.ReadElided(), s.WriteTotal, s.WriteElided(), s.Commits, s.Aborts)

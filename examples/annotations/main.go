@@ -58,7 +58,7 @@ func run(annotate bool) tm.Stats {
 			})
 		}
 	})
-	return rt.Stats()
+	return rt.Snapshot().Stats
 }
 
 func main() {

@@ -166,7 +166,7 @@ func main() {
 	// The per-phase breakdown attributes each regime's barriers to the
 	// engine that ran them — no ResetStats between phases needed.
 	var pub, cur, scan tm.Stats
-	for _, ps := range rt.PhaseStats() {
+	for _, ps := range rt.Snapshot().Phases {
 		switch ps.Kind {
 		case tm.PhasePublish:
 			pub = ps.Stats

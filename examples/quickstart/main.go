@@ -80,7 +80,7 @@ func main() {
 	for p := auditHead.Peek(rt); !p.IsNil(); p = p.Ptr(2).Peek(rt) {
 		records++
 	}
-	s := rt.Stats()
+	s := rt.Snapshot().Stats
 	fmt.Printf("total money: %d (expected %d)\n", total, accounts*initial)
 	fmt.Printf("audit records: %d\n", records)
 	fmt.Printf("commits: %d, conflict aborts: %d\n", s.Commits, s.Aborts)

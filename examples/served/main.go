@@ -137,7 +137,7 @@ func main() {
 	lat := append([]int64(nil), res.LatenciesNs...)
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	p95 := time.Duration(lat[(len(lat)*95+99)/100-1])
-	s := srv.Runtime().Stats()
+	s := srv.Runtime().Snapshot().Stats
 	total := s.ReadTotal + s.WriteTotal
 	elided := s.ReadElided() + s.WriteElided()
 

@@ -89,7 +89,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		s := rt.Stats()
+		s := rt.Snapshot().Stats
 		fmt.Printf("\n[%s] main() = %d; reads: %d (%d elided), writes: %d (%d elided)\n",
 			p.Name(), ret, s.ReadTotal, s.ReadElided(), s.WriteTotal, s.WriteElided())
 		rt.Close()

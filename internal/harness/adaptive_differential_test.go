@@ -60,7 +60,7 @@ func TestAdaptiveConvergesToHintedEngines(t *testing.T) {
 		tm.PhaseCursor:  tm.VariantSkipShared,
 		tm.PhaseScan:    tm.VariantReadMostly,
 	}
-	sels := adaptSrv.Runtime().AdaptiveSelections()
+	sels := adaptSrv.Runtime().Snapshot().Adaptive
 	if len(sels) != 3 {
 		t.Fatalf("adaptive selections = %+v, want publish, cursor, and scan rows", sels)
 	}
@@ -93,7 +93,7 @@ func TestAdaptiveConvergesToHintedEngines(t *testing.T) {
 	// The trajectory is real: some publish work ran on the probe before
 	// promotion, and the promoted variant carried the bulk.
 	var probe, fast uint64
-	for _, row := range adaptSrv.Runtime().PhaseStats() {
+	for _, row := range adaptSrv.Runtime().Snapshot().Phases {
 		if row.Kind != tm.PhasePublish {
 			continue
 		}

@@ -160,7 +160,7 @@ func TestCMLivelockProfiles(t *testing.T) {
 			if want := uint64(2 * 2 * iters); sum != want {
 				t.Errorf("counter sum = %d, want %d", sum, want)
 			}
-			s := rt.Stats()
+			s := rt.Snapshot().Stats
 			if s.Aborts > 50*s.Commits {
 				t.Errorf("abort ratio %.1f: none-manager escalation failed to break the livelock", s.AbortRatio())
 			}
@@ -194,7 +194,7 @@ func TestAdaptiveCMOnMsg(t *testing.T) {
 	}
 
 	_, solo := runServedCfg(t, newBackend(), cfg(1), adaptiveDiffRequests, seed)
-	sels := solo.Runtime().AdaptiveSelections()
+	sels := solo.Runtime().Snapshot().Adaptive
 	if len(sels) == 0 {
 		t.Fatal("no adaptive selections on the tmmsg run")
 	}
@@ -205,7 +205,7 @@ func TestAdaptiveCMOnMsg(t *testing.T) {
 	}
 
 	_, quad := runServedCfg(t, newBackend(), cfg(4), adaptiveDiffRequests, seed)
-	for _, sel := range quad.Runtime().AdaptiveSelections() {
+	for _, sel := range quad.Runtime().Snapshot().Adaptive {
 		switch sel.CM {
 		case tm.CMBackoff, tm.CMNone, tm.CMQueue:
 		default:

@@ -29,7 +29,7 @@ func runEngine(t *testing.T, bench string, p tm.Profile, threads int) (uint64, t
 	w.Setup(rt)
 	rt.ResetStats()
 	w.Run(rt, threads)
-	stats := rt.Stats()
+	stats := rt.Snapshot().Stats
 	if err := w.Validate(rt); err != nil {
 		t.Fatalf("%s [%s, engine %s, %d threads]: %v", bench, p.Name(), rt.Engine(), threads, err)
 	}

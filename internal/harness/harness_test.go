@@ -273,7 +273,7 @@ func (c *valTxCounter) Run(rt *tm.Runtime, nthreads int) {
 }
 
 func (c *valTxCounter) Validate(rt *tm.Runtime) error {
-	c.preValidate = rt.Stats()
+	c.preValidate = rt.Snapshot().Stats
 	c.validated = true
 	var got uint64
 	th := rt.Thread(0)

@@ -40,7 +40,7 @@ func runPhased(t *testing.T, bench string, p tm.Profile, threads int) (uint64, [
 	rt.ResetStats()
 	w.Run(rt, threads)
 	rows := make([]phaseRow, 0, 3)
-	for _, ps := range rt.PhaseStats() {
+	for _, ps := range rt.Snapshot().Phases {
 		rows = append(rows, phaseRow{kind: ps.Kind, stats: ps.Stats})
 	}
 	if err := w.Validate(rt); err != nil {

@@ -54,7 +54,7 @@ func measure(bench string, p tm.Profile) (tm.Stats, error) {
 	w.Setup(rt)
 	rt.ResetStats() // count the timed phase only, as in Sec. 4.1
 	w.Run(rt, 1)
-	s := rt.Stats()
+	s := rt.Snapshot().Stats
 	if err := w.Validate(rt); err != nil {
 		return tm.Stats{}, fmt.Errorf("%s [%s]: %w", bench, p.Name(), err)
 	}

@@ -96,7 +96,7 @@ func TestCaptureMechanismsLightUp(t *testing.T) {
 	cfg := Small()
 
 	_, rt := runOnce(t, cfg, tm.RuntimeAll(tm.LogTree), 1)
-	s := rt.Stats()
+	s := rt.Snapshot().Stats
 	if s.ReadElHeap == 0 || s.WriteElHeap == 0 {
 		t.Errorf("runtime capture elided no heap barriers: reads %d, writes %d", s.ReadElHeap, s.WriteElHeap)
 	}
@@ -105,14 +105,14 @@ func TestCaptureMechanismsLightUp(t *testing.T) {
 	}
 
 	_, rt = runOnce(t, cfg, tm.CompilerElision(), 1)
-	s = rt.Stats()
+	s = rt.Snapshot().Stats
 	if s.ReadElStatic == 0 || s.WriteElStatic == 0 {
 		t.Errorf("compiler elided no barriers statically: reads %d, writes %d", s.ReadElStatic, s.WriteElStatic)
 	}
 
 	skip := tm.RuntimeAll(tm.LogTree).With(tm.WithSkipSharedChecks()).Named("runtime+skipshared")
 	_, rt = runOnce(t, cfg, skip, 1)
-	s = rt.Stats()
+	s = rt.Snapshot().Stats
 	if s.ReadSkipShared == 0 || s.WriteSkipShared == 0 {
 		t.Errorf("definitely-shared extension bypassed no checks: reads %d, writes %d", s.ReadSkipShared, s.WriteSkipShared)
 	}

@@ -194,7 +194,7 @@ func TestCaptureRegimesSeparate(t *testing.T) {
 	}
 
 	_, rt := runOnce(t, pubOnly(), tm.RuntimeAll(tm.LogTree), 1)
-	pub := rt.Stats()
+	pub := rt.Snapshot().Stats
 	if pub.ReadElHeap == 0 || pub.WriteElHeap == 0 {
 		t.Errorf("publish path elided no captured-heap barriers: reads %d, writes %d",
 			pub.ReadElHeap, pub.WriteElHeap)
@@ -205,14 +205,14 @@ func TestCaptureRegimesSeparate(t *testing.T) {
 	}
 
 	_, rt = runOnce(t, pubOnly(), tm.CompilerElision(), 1)
-	pubStatic := rt.Stats()
+	pubStatic := rt.Snapshot().Stats
 	if pubStatic.ReadElStatic == 0 || pubStatic.WriteElStatic == 0 {
 		t.Errorf("publish path elided no barriers statically: reads %d, writes %d",
 			pubStatic.ReadElStatic, pubStatic.WriteElStatic)
 	}
 
 	_, rt = runOnce(t, subOnly(), tm.RuntimeAll(tm.LogTree), 1)
-	sub := rt.Stats()
+	sub := rt.Snapshot().Stats
 	if sub.ReadElHeap != 0 || sub.WriteElHeap != 0 {
 		t.Errorf("cursor path should allocate nothing, yet elided heap barriers: reads %d, writes %d",
 			sub.ReadElHeap, sub.WriteElHeap)
@@ -223,7 +223,7 @@ func TestCaptureRegimesSeparate(t *testing.T) {
 
 	skip := tm.RuntimeAll(tm.LogTree).With(tm.WithSkipSharedChecks()).Named("runtime+skipshared")
 	_, rt = runOnce(t, subOnly(), skip, 1)
-	s := rt.Stats()
+	s := rt.Snapshot().Stats
 	if s.ReadSkipShared == 0 || s.WriteSkipShared == 0 {
 		t.Errorf("definitely-shared extension bypassed no cursor-path checks: reads %d, writes %d",
 			s.ReadSkipShared, s.WriteSkipShared)

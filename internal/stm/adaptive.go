@@ -12,9 +12,9 @@ package stm
 //	            precise tree log), the paper's publish regime
 //	skipshared  the definitely-shared bypass prologue, the paper's
 //	            cursor regime
-//	readmostly  the read-mostly engine (zero write-path setup,
-//	            in-flight upgrade on first shared store), the scan
-//	            regime
+//	readmostly  the capture variant in read-mostly mode (zero
+//	            write-path setup, in-flight upgrade on first shared
+//	            store), the scan regime
 //
 // The fast variants are compiled from exactly the same fragments the
 // canonical manual declaration (harness.PhaseRegimeSpecs) overlays on
@@ -86,7 +86,7 @@ const (
 	// below which a probe epoch selects the read-mostly variant. ~0
 	// rather than exactly 0 so a scan regime with a stray shared write
 	// per thousand accesses (a hit counter, a sampled touch) still
-	// qualifies — the occasional upgrade costs two pointer swaps. The
+	// qualifies — the occasional upgrade costs one clock load. The
 	// promotion additionally requires the epoch's shared-write *count*
 	// to stay at or below UpgradePct per commit: the share is per
 	// access, the upgrade toll is per transaction, and a regime whose

@@ -91,8 +91,8 @@ func TestAdaptiveCompilation(t *testing.T) {
 	if got := rt.phases[st.rm].eng.name; got != "perf-readmostly" {
 		t.Errorf("readmostly variant engine = %q", got)
 	}
-	if up := rt.phases[st.rm].eng.up; up == nil || up.name != "perf-rw-stack-heap-tree" {
-		t.Errorf("readmostly upgrade target = %+v, want perf-rw-stack-heap-tree", up)
+	if rm := rt.phases[st.rm].eng; !rm.rm || !samePair(rm, rt.phases[st.capture].eng) {
+		t.Errorf("readmostly variant = %+v, want the capture variant's pair in read-mostly mode", rm)
 	}
 
 	// A kind declared manually is ground truth: no variants for it.

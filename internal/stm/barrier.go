@@ -7,10 +7,12 @@ import (
 )
 
 // This file is the barrier layer: the Load/Store entry points that
-// dispatch into the engine compiled for the Runtime's profile
-// (engine.go), the two instrumented reference chains (generic and
-// counting), and the full-barrier slow paths every engine bottoms out
-// in. The fast paths of the performance engines live in engine.go.
+// dispatch into the engine compiled for the phase's profile (engine.go),
+// the interpreting chain — the one chain that keeps statistics, serving
+// as both the "generic" reference and the "counting" engine — and the
+// full-barrier slow paths every engine bottoms out in, which is also
+// where read-mostly mode lives. The fast paths of the performance
+// engines live in engine.go.
 
 // Load performs a transactional read of the word at a. ac carries the
 // access-site metadata (provenance for compiler elision; whether the
@@ -26,13 +28,16 @@ func (tx *Tx) Store(a mem.Addr, val uint64, ac Acc) {
 	tx.store(tx, a, val, ac)
 }
 
-// --- The generic reference chain ---
+// --- The interpreting chain ---
 //
 // loadGeneric/storeGeneric interpret the whole optimization profile at
-// runtime: every cached configuration boolean is re-tested per access.
-// This is the original barrier implementation, kept verbatim as the
-// reference engine — differential tests force it with WithEngine and
-// compare the specialized engines against it bit for bit.
+// runtime: every cached configuration boolean is re-tested per access,
+// and every statistics update is guarded by keepStats. Engine "counting"
+// runs it with keepStats on (barrier totals, the Fig. 8 classification,
+// per-mechanism elision counters); engine "generic" is the same pair
+// forced with WithEngine, so the differentials compare each perf
+// specialization against the chain that also produces the reported
+// counters.
 
 func (tx *Tx) loadGeneric(a mem.Addr, ac Acc) uint64 {
 	th := tx.th
@@ -130,301 +135,8 @@ func (tx *Tx) storeGeneric(a mem.Addr, val uint64, ac Acc) {
 	tx.writeFull(a, val)
 }
 
-// --- The counting (instrumented) chain ---
-//
-// loadCounting/storeCounting carry the full statistics accounting:
-// barrier totals, the Fig. 8 classification, and per-mechanism elision
-// counters. The engine selector picks this chain for every profile that
-// keeps statistics (i.e. whenever PerfMode is off), so the accounting
-// lives here and nowhere near the performance fast paths.
-
-func (tx *Tx) loadCounting(a mem.Addr, ac Acc) uint64 {
-	th := tx.th
-	st := th.stats
-	st.ReadTotal++
-	if ac.Manual {
-		st.ReadManual++
-	}
-	if tx.counting {
-		if tx.onTxStack(a) {
-			st.ReadCapStack++
-		} else if tx.clog.Contains(a, 1) {
-			st.ReadCapHeap++
-		}
-	}
-	if tx.compiler && StaticElide(ac.Prov) {
-		if tx.verify {
-			tx.verifyCaptured(a)
-		}
-		st.ReadElStatic++
-		return th.rt.space.Load(a)
-	}
-	if tx.skipShared && ac.Prov == ProvShared {
-		st.ReadSkipShared++
-		st.ReadFull++
-		return tx.readFull(a)
-	}
-	if tx.readStack && tx.onTxStack(a) {
-		st.ReadElStack++
-		return th.rt.space.Load(a)
-	}
-	if tx.readHeap && tx.alogContains(a) {
-		st.ReadElHeap++
-		return th.rt.space.Load(a)
-	}
-	if tx.annotations && th.priv.Contains(a, 1) {
-		st.ReadElPriv++
-		return th.rt.space.Load(a)
-	}
-	st.ReadFull++
-	return tx.readFull(a)
-}
-
-func (tx *Tx) storeCounting(a mem.Addr, val uint64, ac Acc) {
-	th := tx.th
-	st := th.stats
-	st.WriteTotal++
-	if ac.Manual {
-		st.WriteManual++
-	}
-	if tx.counting {
-		if tx.onTxStack(a) {
-			st.WriteCapStack++
-		} else if tx.clog.Contains(a, 1) {
-			st.WriteCapHeap++
-		}
-	}
-	if tx.compiler && StaticElide(ac.Prov) {
-		if tx.verify {
-			tx.verifyCaptured(a)
-		}
-		st.WriteElStatic++
-		tx.storeCaptured(a, val)
-		return
-	}
-	if tx.skipShared && ac.Prov == ProvShared {
-		st.WriteSkipShared++
-		st.WriteFull++
-		tx.writeFull(a, val)
-		return
-	}
-	if tx.writeStack && tx.onTxStack(a) {
-		st.WriteElStack++
-		tx.storeCaptured(a, val)
-		return
-	}
-	if tx.writeHeap && tx.alogContains(a) {
-		st.WriteElHeap++
-		tx.storeCaptured(a, val)
-		return
-	}
-	if tx.annotations && th.priv.Contains(a, 1) {
-		// Annotated thread-local data can hold live-in values, so it
-		// keeps undo logging but skips locking (Sec. 2.2.2).
-		st.WriteElPriv++
-		tx.logUndo(a)
-		th.rt.space.Store(a, val)
-		return
-	}
-	st.WriteFull++
-	tx.writeFull(a, val)
-}
-
-// --- The read-mostly instrumented chain ---
-//
-// loadReadMostly/storeReadMostly are the statistics-keeping chain of
-// the read-mostly engine (engine.go). Loads keep the profile's full
-// capture-elision dispatch (an elided read is cheaper than any
-// barrier), but the fallback is rmReadFull — validation against the
-// attempt's snapshot with NO read-set entry — instead of readFull.
-// Stores keep the capture dispatch, and the first store that falls
-// through upgrades onto the full engine — whose own chain then
-// accounts for every later access, so nothing is double-counted.
-
-func (tx *Tx) loadReadMostly(a mem.Addr, ac Acc) uint64 {
-	th := tx.th
-	st := th.stats
-	st.ReadTotal++
-	if ac.Manual {
-		st.ReadManual++
-	}
-	if tx.compiler && StaticElide(ac.Prov) {
-		st.ReadElStatic++
-		return th.rt.space.Load(a)
-	}
-	if tx.skipShared && ac.Prov == ProvShared {
-		st.ReadSkipShared++
-		st.ReadFull++
-		return tx.rmReadFull(a)
-	}
-	if tx.readStack && tx.onTxStack(a) {
-		st.ReadElStack++
-		return th.rt.space.Load(a)
-	}
-	if tx.readHeap && tx.alogContains(a) {
-		st.ReadElHeap++
-		return th.rt.space.Load(a)
-	}
-	if tx.annotations && th.priv.Contains(a, 1) {
-		st.ReadElPriv++
-		return th.rt.space.Load(a)
-	}
-	st.ReadFull++
-	return tx.rmReadFull(a)
-}
-
-func (tx *Tx) storeReadMostly(a mem.Addr, val uint64, ac Acc) {
-	st := tx.th.stats
-	if tx.compiler && StaticElide(ac.Prov) {
-		st.WriteTotal++
-		if ac.Manual {
-			st.WriteManual++
-		}
-		st.WriteElStatic++
-		tx.storeCaptured(a, val)
-		return
-	}
-	if tx.writeStack && tx.onTxStack(a) {
-		st.WriteTotal++
-		if ac.Manual {
-			st.WriteManual++
-		}
-		st.WriteElStack++
-		tx.storeCaptured(a, val)
-		return
-	}
-	if tx.writeHeap && tx.alogContains(a) {
-		st.WriteTotal++
-		if ac.Manual {
-			st.WriteManual++
-		}
-		st.WriteElHeap++
-		tx.storeCaptured(a, val)
-		return
-	}
-	// The upgrade target's chain counts this store (and all later
-	// accesses) itself.
-	tx.upgradeWrite(a, val, ac)
-}
-
-// loadGenericRM/storeGenericRM are the forced-generic reference chain
-// for a read-mostly profile (engine.go): the same chain shapes as
-// loadReadMostly/storeReadMostly — the profile's capture dispatch with
-// the rmReadFull fallback on loads and upgradeWrite on the first
-// shared store — with the generic chain's keepStats guards, and the
-// plain generic chain as the upgrade target. Differential runs against
-// the specialized read-mostly engines must produce identical counters
-// and identical upgrade decisions, so the reference interprets the
-// same specification.
-
-func (tx *Tx) loadGenericRM(a mem.Addr, ac Acc) uint64 {
-	th := tx.th
-	if tx.keepStats {
-		st := th.stats
-		st.ReadTotal++
-		if ac.Manual {
-			st.ReadManual++
-		}
-	}
-	if tx.compiler && StaticElide(ac.Prov) {
-		th.stats.ReadElStatic += tx.statInc()
-		return th.rt.space.Load(a)
-	}
-	if tx.skipShared && ac.Prov == ProvShared {
-		th.stats.ReadSkipShared += tx.statInc()
-		th.stats.ReadFull += tx.statInc()
-		return tx.rmReadFull(a)
-	}
-	if tx.readStack && tx.onTxStack(a) {
-		th.stats.ReadElStack += tx.statInc()
-		return th.rt.space.Load(a)
-	}
-	if tx.readHeap && tx.alogContains(a) {
-		th.stats.ReadElHeap += tx.statInc()
-		return th.rt.space.Load(a)
-	}
-	if tx.annotations && th.priv.Contains(a, 1) {
-		th.stats.ReadElPriv += tx.statInc()
-		return th.rt.space.Load(a)
-	}
-	th.stats.ReadFull += tx.statInc()
-	return tx.rmReadFull(a)
-}
-
-func (tx *Tx) storeGenericRM(a mem.Addr, val uint64, ac Acc) {
-	th := tx.th
-	if tx.compiler && StaticElide(ac.Prov) {
-		if tx.keepStats {
-			st := th.stats
-			st.WriteTotal++
-			if ac.Manual {
-				st.WriteManual++
-			}
-			st.WriteElStatic++
-		}
-		tx.storeCaptured(a, val)
-		return
-	}
-	if tx.writeStack && tx.onTxStack(a) {
-		if tx.keepStats {
-			st := th.stats
-			st.WriteTotal++
-			if ac.Manual {
-				st.WriteManual++
-			}
-			st.WriteElStack++
-		}
-		tx.storeCaptured(a, val)
-		return
-	}
-	if tx.writeHeap && tx.alogContains(a) {
-		if tx.keepStats {
-			st := th.stats
-			st.WriteTotal++
-			if ac.Manual {
-				st.WriteManual++
-			}
-			st.WriteElHeap++
-		}
-		tx.storeCaptured(a, val)
-		return
-	}
-	// The upgrade target's chain counts this store (and all later
-	// accesses) itself.
-	tx.upgradeWrite(a, val, ac)
-}
-
-// upgradeWrite is the read-mostly engine's one-time in-flight upgrade:
-// the first store that needs the full write barrier re-points the
-// descriptor's barrier pair at the full engine compiled from the same
-// profile and re-dispatches the store through it. The write machinery
-// (write/undo logs, lockedPrev) then materializes lazily as the full
-// paths touch it.
-//
-// The read-mostly loads before this point were never logged (rmReadFull
-// validates against rv and keeps no read set), so continuing in-flight
-// is sound only when nothing has committed since the attempt's
-// snapshot: then every unlogged read is provably still valid. The
-// clock==rv test proves exactly that. Otherwise the attempt restarts
-// with upNext set, and beginTop runs the retry on the full engine from
-// the start so every read is logged and normal validation applies.
-// finish() undoes the swap at the end of the attempt, so a later
-// transaction starts read-mostly again; that keeps the upgrade correct
-// under retry by construction.
-func (tx *Tx) upgradeWrite(a mem.Addr, val uint64, ac Acc) {
-	tx.th.stats.Upgrades++
-	if tx.th.rt.clock.Load() != tx.rv {
-		tx.upNext = true
-		tx.conflict()
-	}
-	up := tx.eng.up
-	tx.load, tx.store = up.load, up.store
-	tx.upgraded = true
-	tx.store(tx, a, val, ac)
-}
-
 // statInc returns 1 when statistics are kept, else 0, letting the
-// generic reference chain stay branch-light under PerfMode.
+// interpreting chain stay branch-light under PerfMode.
 func (tx *Tx) statInc() uint64 {
 	if tx.keepStats {
 		return 1
@@ -434,6 +146,16 @@ func (tx *Tx) statInc() uint64 {
 
 // --- Full-barrier slow paths (shared by every engine) ---
 
+// readFull is the full read barrier. In read-mostly mode (tx.unlogged)
+// it is the TL2 read-only load: the orec is validated against the
+// attempt's snapshot rv at read time and NO read-set entry is appended,
+// so a transaction that never upgrades commits with no validation loop,
+// no clock bump, and no log traffic at all. The price is that the read
+// set cannot vouch for these reads later: extension and commit-time
+// validation for attempts containing unlogged reads are gated in
+// lifecycle.go (extend/commitTop) on proof that no other thread's
+// commit intervened. (An unlogged attempt holds no orecs, so the owner
+// check below cannot fire for it.)
 func (tx *Tx) readFull(a mem.Addr) uint64 {
 	rt := tx.th.rt
 	oi := rt.orecIndex(a)
@@ -453,39 +175,42 @@ func (tx *Tx) readFull(a mem.Addr) uint64 {
 		if v2 := rt.orecs[oi].Load(); v2 != v1 {
 			tx.conflictAt(oi, v2)
 		}
-		tx.readset = append(tx.readset, readEntry{oi, v1})
+		if !tx.unlogged {
+			tx.readset = append(tx.readset, readEntry{oi, v1})
+		}
 		return val
 	}
 }
 
-// rmReadFull is the read-mostly full read barrier: the TL2 read-only
-// load. The orec is validated against the attempt's snapshot rv at read
-// time and NO read-set entry is appended — a transaction that never
-// upgrades therefore commits with no validation loop, no clock bump,
-// and no log traffic at all. The price is that the read set cannot
-// vouch for these reads later: extension and commit-time validation for
-// attempts containing unlogged reads are gated in lifecycle.go
-// (extend/commitTop) on proof that no other thread's commit intervened.
-// No owner check is needed: pre-upgrade the transaction holds no orecs
-// (post-upgrade loads run the full engine's readFull).
-func (tx *Tx) rmReadFull(a mem.Addr) uint64 {
-	rt := tx.th.rt
-	oi := rt.orecIndex(a)
-	for {
-		v1 := rt.orecs[oi].Load()
-		if orecLocked(v1) {
-			tx.conflictAt(oi, v1)
-		}
-		if orecVersion(v1) > tx.rv {
-			tx.extend()
-			continue
-		}
-		val := rt.space.Load(a)
-		if v2 := rt.orecs[oi].Load(); v2 != v1 {
-			tx.conflictAt(oi, v2)
-		}
-		return val
+// upgrade is the read-mostly mode's one-time in-flight upgrade, taken by
+// the first store that needs the full write barrier: the attempt leaves
+// unlogged mode, and the write machinery (write/undo logs, lockedPrev)
+// then materializes lazily as writeFull touches it. Stores the chain
+// resolves without an orec — captured memory, annotated private blocks —
+// never get here, so they leave the attempt unlogged.
+//
+// The loads before this point were never logged, so continuing in-flight
+// is sound only when nothing has committed since the attempt's snapshot:
+// then every unlogged read is provably still valid. The clock==rv test
+// proves exactly that. Otherwise the attempt restarts with upNext set,
+// and beginTop runs the retry logged from its first access so normal
+// validation applies. finish() clears the mode bits, so a later
+// transaction starts unlogged again; that keeps the upgrade correct
+// under retry by construction.
+//
+// Kept out of line: inlined into writeFull, this once-per-transaction
+// body made every full write pay for it (BenchmarkBarrierWriteFull/perf
+// 16.0 → 17.7 ns, 6 interleaved pairs; 16.1 ns out of line).
+//
+//go:noinline
+func (tx *Tx) upgrade() {
+	tx.th.stats.Upgrades++
+	if tx.th.rt.clock.Load() != tx.rv {
+		tx.upNext = true
+		tx.conflict()
 	}
+	tx.unlogged = false
+	tx.upgraded = true
 }
 
 // storeCaptured writes captured memory directly. At nesting depth > 1
@@ -501,6 +226,9 @@ func (tx *Tx) storeCaptured(a mem.Addr, val uint64) {
 }
 
 func (tx *Tx) writeFull(a mem.Addr, val uint64) {
+	if tx.unlogged {
+		tx.upgrade()
+	}
 	rt := tx.th.rt
 	oi := rt.orecIndex(a)
 	for {

@@ -156,21 +156,21 @@ type OptConfig struct {
 	// barrier, removing check overhead where elision cannot happen.
 	SkipSharedChecks bool
 
-	// ReadMostly compiles the read-mostly engine family (engine.go):
-	// captured reads keep the profile's elisions, full-barrier reads
-	// are validated against the attempt's snapshot at read time and
-	// never logged (no read set), stores to captured memory stay plain
-	// stores, and the first store that needs the full write barrier
-	// triggers a one-time in-flight upgrade onto the full engine
-	// compiled from the same profile (minus this knob) — or, when
-	// writers have committed past the snapshot, a restart of the
-	// attempt on that engine. A transaction that never upgrades never
-	// touches the read set, write log, undo log, or lockedPrev map,
-	// and commits without a validation loop or clock bump. The
-	// write-side capture dispatch still honors Write/Compiler, so
-	// incidental captured stores (stack probe keys, scan scratch) do
-	// not force the upgrade. Ignored under the Counting/VerifyElision
-	// debug oracles, whose instrumented chains are ground truth.
+	// ReadMostly runs the profile's engine in read-mostly mode
+	// (barrier.go): captured reads keep the profile's elisions,
+	// full-barrier reads are validated against the attempt's snapshot
+	// at read time and never logged (no read set), stores that take no
+	// orec stay plain stores, and the first store that needs the full
+	// write barrier triggers a one-time in-flight upgrade to logged
+	// mode — or, when writers have committed past the snapshot, a
+	// restart of the attempt logged from its first access. A
+	// transaction that never upgrades never touches the read set,
+	// write log, undo log, or lockedPrev map, and commits without a
+	// validation loop or clock bump. The capture dispatch is the
+	// profile's own, so incidental captured stores (stack probe keys,
+	// scan scratch) do not force the upgrade. Ignored under the
+	// Counting/VerifyElision debug oracles, which must see every
+	// access logged.
 	ReadMostly bool
 
 	// CM names the contention manager compiled for this configuration

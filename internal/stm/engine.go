@@ -9,14 +9,45 @@ import (
 
 // This file is the barrier engine: the per-profile "compiled" Load and
 // Store implementations the paper's Sec. 3.2 compiler would emit. The
-// generic chain (barrier.go) interprets the optimization profile by
-// re-testing eight cached configuration booleans on every access; the
-// engine selector runs that decision procedure ONCE per Runtime and
-// hands every Tx a pair of function pointers whose bodies contain only
-// the checks the profile enables. The performance engines carry zero
-// statistics code and probe the allocation log through its concrete
-// type for the configured capture.Kind — no capture.Log interface
-// dispatch and no stats branches on the fast path.
+// paper's barrier is one decision procedure — Fig. 2's is_captured()
+// fast path in front of one full barrier — and this package spells it
+// out in exactly two chains:
+//
+//   - the interpreting chain (loadGeneric/storeGeneric, barrier.go)
+//     re-tests the cached configuration booleans on every access and is
+//     the only chain that keeps statistics. It is both the reference
+//     the differentials compare against ("generic") and the engine of
+//     every instrumented profile ("counting").
+//   - the perf chain in this file: stats-free functions whose bodies
+//     contain only the checks the profile enables, with the allocation-
+//     log probe called through its concrete type for the configured
+//     capture.Kind (no capture.Log interface dispatch).
+//
+// Read-mostly is NOT a chain. It is a mode of the two slow paths every
+// chain bottoms out in (readFull skips the read-set append while the
+// attempt is unlogged, writeFull upgrades first; barrier.go), so a
+// read-mostly engine is the full engine's own function pair plus
+// rm: true.
+//
+// Why the perf chain is sixteen flat functions and not one closure or
+// one generic instantiation — measured on benchmark/run.sh's stm-closed
+// workload, 4 interleaved parent/change rounds, go1.24:
+//
+//   - Routing every perf profile through the one-closure perfLoadChain/
+//     perfStoreChain drops capture_speedup from 1.046/1.043/1.038/1.001
+//     to 0.937/0.932/0.923/0.944 (0.940/0.948/0.939/0.963 with the
+//     allocLive > 0 test kept inline): the elision stops paying for
+//     itself.
+//   - A chain[P probe, M mode] type-parameterized engine is worse still:
+//     a method call on a type parameter compiles to a dictionary-
+//     indirect call even when the shape is unique, the instantiation
+//     handed out as a func value is a wrapper around the shape function,
+//     and the probe method wrapping Tree.Contains costs 81 against the
+//     inliner's budget of 80.
+//
+// The flat functions depend on onTxStack, storeCaptured, the three
+// Contains probes and Space.Load/Store being inlined; CI's check job
+// pins that (storeCaptured sits at cost 80 of 80).
 
 // loadFn and storeFn are the barrier entry points an engine provides.
 // They receive the Tx explicitly so engines can be plain functions
@@ -24,64 +55,62 @@ import (
 type loadFn func(tx *Tx, a mem.Addr, ac Acc) uint64
 type storeFn func(tx *Tx, a mem.Addr, val uint64, ac Acc)
 
-// engine is one compiled barrier implementation, selected per Runtime.
+// engine is one compiled barrier implementation, selected per phase.
 type engine struct {
 	name  string
 	load  loadFn
 	store storeFn
 
-	// up is the in-flight upgrade target of a read-mostly engine: the
-	// full engine compiled from the same profile with ReadMostly off.
-	// upgradeWrite re-points the Tx's barrier pair at it on the first
-	// store that needs the full write barrier; nil for every other
-	// engine family.
-	up *engine
+	// rm marks a read-mostly engine: attempts begin in unlogged mode
+	// (beginTop) and the first store that needs the full write barrier
+	// upgrades them (writeFull). The function pair is the one the same
+	// profile compiles to with ReadMostly off.
+	rm bool
 }
 
-// genericEngine is the reference chain: the original interpreting
-// barrier, forced via OptConfig.ForceGeneric (tm.WithEngine) for
-// differential testing and selected automatically for debug
-// configurations the specialized engines do not model.
+// genericEngine is the reference chain under its own name: forced via
+// OptConfig.ForceGeneric (tm.WithEngine) for differential testing and
+// selected automatically for debug configurations the perf engines do
+// not model.
 func genericEngine() *engine {
 	return &engine{name: "generic", load: (*Tx).loadGeneric, store: (*Tx).storeGeneric}
 }
 
 // newEngine compiles the optimization profile into a barrier engine:
 //
-//   - "generic"   — the reference chain (forced, or rare debug combos)
-//   - "counting"  — full instrumentation, for every profile that keeps
+//   - "generic"   — the interpreting chain (forced, or rare debug combos)
+//   - "counting"  — the same chain, for every profile that keeps
 //     statistics (PerfMode off)
-//   - "readmostly" / "perf-readmostly" — the read-mostly family:
-//     unlogged snapshot-validated loads (no read set), shared stores
-//     upgrade in-flight onto the full engine (newReadMostlyEngine)
 //   - "perf-*"    — specialized fast paths with no statistics code and
 //     the capture probe inlined for the configured log kind
+//   - "readmostly" / "perf-readmostly" — the counting / perf engine of
+//     the same profile, run in read-mostly mode
 func newEngine(cfg OptConfig) *engine {
-	if cfg.ForceGeneric {
-		if cfg.ReadMostly && !cfg.Counting && !cfg.VerifyElision {
-			// The reference for a read-mostly profile must interpret the
-			// same semantics — the generic capture dispatch with unlogged
-			// rmReadFull loads and in-flight upgrade onto the plain
-			// generic chain — or the differentials would compare two
-			// different specifications. Same selection condition as the
-			// specialized family below.
-			full := cfg
-			full.ReadMostly = false
-			return &engine{name: "generic",
-				load: (*Tx).loadGenericRM, store: (*Tx).storeGenericRM,
-				up: newEngine(full)}
+	if cfg.ReadMostly && !cfg.Counting && !cfg.VerifyElision {
+		// The counting/verification oracles must observe every access
+		// logged, so they win over ReadMostly. A forced-generic
+		// read-mostly profile keeps the "generic" name and interprets the
+		// same mode, so the differentials compare one specification.
+		full := cfg
+		full.ReadMostly = false
+		e := newEngine(full)
+		e.rm = true
+		switch {
+		case cfg.ForceGeneric: // stays "generic"
+		case cfg.PerfMode:
+			e.name = "perf-readmostly"
+		default:
+			e.name = "readmostly"
 		}
+		return e
+	}
+	if cfg.ForceGeneric {
 		return genericEngine()
 	}
-	if cfg.ReadMostly && !cfg.Counting && !cfg.VerifyElision {
-		// The counting/verification oracles need their instrumented
-		// chains to observe every access, so they win over ReadMostly.
-		return newReadMostlyEngine(cfg)
-	}
 	if !cfg.PerfMode {
-		// Statistics are on: the instrumented chain carries all the
+		// Statistics are on: the interpreting chain carries all the
 		// accounting, so the perf engines never need a stats branch.
-		return &engine{name: "counting", load: (*Tx).loadCounting, store: (*Tx).storeCounting}
+		return &engine{name: "counting", load: (*Tx).loadGeneric, store: (*Tx).storeGeneric}
 	}
 	if cfg.Counting || cfg.VerifyElision {
 		// PerfMode combined with the counting/verification oracles is a
@@ -93,8 +122,8 @@ func newEngine(cfg OptConfig) *engine {
 
 // newPerfEngine builds the specialized performance engine for cfg. The
 // common profile shapes (the paper's evaluated configurations) map to
-// flat hand-specialized functions; annotations and other long-tail
-// combinations fall back to a stats-free closure chain.
+// flat hand-specialized functions; annotations fall back to a
+// stats-free closure chain.
 func newPerfEngine(cfg OptConfig) *engine {
 	if cfg.Annotations {
 		// The private-log probe sits between the capture checks and the
@@ -117,81 +146,6 @@ func newPerfEngine(cfg OptConfig) *engine {
 		load, store = withStaticElide(load, store)
 	}
 	return &engine{name: name, load: load, store: store}
-}
-
-// newReadMostlyEngine builds the read-mostly family for cfg: a barrier
-// pair specialized for transactions that read shared data and write
-// (at most) captured memory. The Load chain keeps every capture
-// elision the profile compiles — even "read" operations load back
-// reply staging and scan scratch from captured memory, and an elided
-// captured read is strictly cheaper than any barrier — but the
-// full-barrier fallback is rmReadFull (barrier.go): the read is
-// validated against the attempt's snapshot at read time and NEVER
-// logged. A transaction that stays on this engine therefore commits
-// with no read-set traffic, no validation loop, and no clock bump at
-// all. The Store chain keeps the profile's capture dispatch; only a
-// store that would need the full write barrier falls through to
-// upgradeWrite (barrier.go), which continues in-flight on the full
-// engine when no writer has committed since the snapshot and restarts
-// the attempt on the full engine otherwise. Until that happens the
-// write log, undo log, and lockedPrev map are never touched.
-func newReadMostlyEngine(cfg OptConfig) *engine {
-	full := cfg
-	full.ReadMostly = false
-	e := &engine{up: newEngine(full)}
-	if !cfg.PerfMode {
-		// Statistics on: the instrumented read-mostly chain accounts for
-		// the elisions; post-upgrade accesses are counted by the upgrade
-		// target's own chain.
-		e.name = "readmostly"
-		e.load = (*Tx).loadReadMostly
-		e.store = (*Tx).storeReadMostly
-		return e
-	}
-	e.name = "perf-readmostly"
-	e.load = rmLoadPerf(cfg)
-	e.store = rmStorePerf(cfg)
-	return e
-}
-
-// rmLoadPerf is the stats-free read-mostly load: the profile's capture
-// dispatch with the full-barrier fallback replaced by the unlogged
-// snapshot-validated read. The composition mirrors newPerfEngine.
-func rmLoadPerf(cfg OptConfig) loadFn {
-	if cfg.Annotations {
-		return rmLoadChain(cfg)
-	}
-	load := rmLoadCore(cfg.Read, cfg.LogKind)
-	if cfg.SkipSharedChecks {
-		load = rmLoadSkipShared(load)
-	}
-	if cfg.Compiler {
-		load = rmLoadStaticElide(load)
-	}
-	return load
-}
-
-// rmStorePerf is the stats-free read-mostly store: the profile's
-// capture dispatch with the full-barrier fallback replaced by the
-// one-time in-flight upgrade.
-func rmStorePerf(cfg OptConfig) storeFn {
-	compiler := cfg.Compiler
-	wStack, wHeap := cfg.Write.Stack, cfg.Write.Heap
-	return func(tx *Tx, a mem.Addr, val uint64, ac Acc) {
-		if compiler && StaticElide(ac.Prov) {
-			tx.storeCaptured(a, val)
-			return
-		}
-		if wStack && tx.onTxStack(a) {
-			tx.storeCaptured(a, val)
-			return
-		}
-		if wHeap && tx.alogContains(a) {
-			tx.storeCaptured(a, val)
-			return
-		}
-		tx.upgradeWrite(a, val, ac)
-	}
 }
 
 // perfName derives the engine label from the profile shape.
@@ -319,137 +273,6 @@ func perfLoadCore(b BarrierOpt, k capture.Kind) loadFn {
 		return perfLoadStack
 	}
 	return perfLoadFull
-}
-
-// --- Read-mostly flat load fast paths ---
-//
-// Mirrors of the perfLoad* specializations with readFull replaced by
-// rmReadFull: the capture checks are identical, the full-barrier
-// fallback validates against the snapshot and keeps no read set.
-
-func rmLoadFull(tx *Tx, a mem.Addr, _ Acc) uint64 { return tx.rmReadFull(a) }
-
-func rmLoadStack(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.onTxStack(a) {
-		return tx.th.rt.space.Load(a)
-	}
-	return tx.rmReadFull(a)
-}
-
-func rmLoadStackHeapTree(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.onTxStack(a) || (tx.allocLive > 0 && tx.alogTree.Contains(a, 1)) {
-		return tx.th.rt.space.Load(a)
-	}
-	return tx.rmReadFull(a)
-}
-
-func rmLoadStackHeapArray(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.onTxStack(a) || (tx.allocLive > 0 && tx.alogArr.Contains(a, 1)) {
-		return tx.th.rt.space.Load(a)
-	}
-	return tx.rmReadFull(a)
-}
-
-func rmLoadStackHeapFilter(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.onTxStack(a) || (tx.allocLive > 0 && tx.alogFil.Contains(a, 1)) {
-		return tx.th.rt.space.Load(a)
-	}
-	return tx.rmReadFull(a)
-}
-
-func rmLoadHeapTree(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.allocLive > 0 && tx.alogTree.Contains(a, 1) {
-		return tx.th.rt.space.Load(a)
-	}
-	return tx.rmReadFull(a)
-}
-
-func rmLoadHeapArray(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.allocLive > 0 && tx.alogArr.Contains(a, 1) {
-		return tx.th.rt.space.Load(a)
-	}
-	return tx.rmReadFull(a)
-}
-
-func rmLoadHeapFilter(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.allocLive > 0 && tx.alogFil.Contains(a, 1) {
-		return tx.th.rt.space.Load(a)
-	}
-	return tx.rmReadFull(a)
-}
-
-func rmLoadCore(b BarrierOpt, k capture.Kind) loadFn {
-	switch {
-	case b.Stack && b.Heap:
-		switch k {
-		case capture.KindArray:
-			return rmLoadStackHeapArray
-		case capture.KindFilter:
-			return rmLoadStackHeapFilter
-		default:
-			return rmLoadStackHeapTree
-		}
-	case b.Heap:
-		switch k {
-		case capture.KindArray:
-			return rmLoadHeapArray
-		case capture.KindFilter:
-			return rmLoadHeapFilter
-		default:
-			return rmLoadHeapTree
-		}
-	case b.Stack:
-		return rmLoadStack
-	}
-	return rmLoadFull
-}
-
-// rmLoadSkipShared and rmLoadStaticElide are the load halves of the
-// composable prologues below, with the definitely-shared fast path
-// routed to the unlogged read.
-func rmLoadSkipShared(load loadFn) loadFn {
-	return func(tx *Tx, a mem.Addr, ac Acc) uint64 {
-		if ac.Prov == ProvShared {
-			return tx.rmReadFull(a)
-		}
-		return load(tx, a, ac)
-	}
-}
-
-func rmLoadStaticElide(load loadFn) loadFn {
-	return func(tx *Tx, a mem.Addr, ac Acc) uint64 {
-		if StaticElide(ac.Prov) {
-			return tx.th.rt.space.Load(a)
-		}
-		return load(tx, a, ac)
-	}
-}
-
-// rmLoadChain is the stats-free interpreting read-mostly load for
-// long-tail profiles (annotations): perfLoadChain with the unlogged
-// fallback.
-func rmLoadChain(cfg OptConfig) loadFn {
-	compiler, skipShared := cfg.Compiler, cfg.SkipSharedChecks
-	readStack, readHeap := cfg.Read.Stack, cfg.Read.Heap
-	annotations := cfg.Annotations
-	return func(tx *Tx, a mem.Addr, ac Acc) uint64 {
-		if compiler && StaticElide(ac.Prov) {
-			return tx.th.rt.space.Load(a)
-		}
-		if skipShared && ac.Prov == ProvShared {
-			return tx.rmReadFull(a)
-		}
-		if readStack && tx.onTxStack(a) {
-			return tx.th.rt.space.Load(a)
-		}
-		if readHeap && tx.alogContains(a) {
-			return tx.th.rt.space.Load(a)
-		}
-		if annotations && tx.th.priv.Contains(a, 1) {
-			return tx.th.rt.space.Load(a)
-		}
-		return tx.rmReadFull(a)
-	}
 }
 
 // --- Flat store fast paths ---

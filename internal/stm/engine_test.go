@@ -63,17 +63,18 @@ func TestEngineSelection(t *testing.T) {
 		t.Errorf("annotations: engine %q, want perf-mixed", got)
 	}
 
-	// The read-mostly family: one name per statistics mode, the upgrade
-	// target compiled from the same profile with the knob off, and the
-	// debug oracles (forced generic, counting) winning over the knob.
-	rm := RuntimeAll(capture.KindTree).Perf()
+	// Read-mostly: one name per statistics mode, the function pair of the
+	// same profile compiled with the knob off run in read-mostly mode, and
+	// the debug oracles (forced generic, counting) winning over the knob.
+	full := RuntimeAll(capture.KindTree).Perf()
+	rm := full
 	rm.ReadMostly = true
 	e := newEngine(rm)
 	if e.name != "perf-readmostly" {
 		t.Errorf("readmostly-perf: engine %q, want perf-readmostly", e.name)
 	}
-	if e.up == nil || e.up.name != "perf-rw-stack-heap-tree" {
-		t.Errorf("readmostly-perf upgrade target = %+v", e.up)
+	if off := newEngine(full); !e.rm || off.rm || off.name != "perf-rw-stack-heap-tree" || !samePair(e, off) {
+		t.Errorf("readmostly-perf = %+v, want the pair of %+v in read-mostly mode", e, off)
 	}
 	rmStats := rm
 	rmStats.PerfMode = false
@@ -81,8 +82,9 @@ func TestEngineSelection(t *testing.T) {
 	if e.name != "readmostly" {
 		t.Errorf("readmostly: engine %q, want readmostly", e.name)
 	}
-	if e.up == nil || e.up.name != "counting" {
-		t.Errorf("readmostly upgrade target = %+v", e.up)
+	full.PerfMode = false
+	if off := newEngine(full); !e.rm || off.rm || off.name != "counting" || !samePair(e, off) {
+		t.Errorf("readmostly = %+v, want the pair of %+v in read-mostly mode", e, off)
 	}
 	rmForced := rm
 	rmForced.ForceGeneric = true
@@ -94,6 +96,14 @@ func TestEngineSelection(t *testing.T) {
 	if got := newEngine(rmCount).name; got != "counting" {
 		t.Errorf("readmostly+counting: engine %q, want counting", got)
 	}
+}
+
+// samePair reports whether two engines run the same Load/Store code.
+// Func values only compare to nil, so compare code pointers; closures
+// built from one literal share theirs, which is the identity wanted.
+func samePair(a, b *engine) bool {
+	return reflect.ValueOf(a.load).Pointer() == reflect.ValueOf(b.load).Pointer() &&
+		reflect.ValueOf(a.store).Pointer() == reflect.ValueOf(b.store).Pointer()
 }
 
 // engineScenario drives one deterministic transaction mix touching
@@ -164,6 +174,112 @@ func TestEnginesAgreeWithGeneric(t *testing.T) {
 					newEngine(cfg).name, gotStats, wantStats)
 			}
 		})
+	}
+}
+
+// shapeStep is what one scripted access left observable: the value a
+// load returned (0 for stores) and the log lengths and read-mostly state
+// after it.
+type shapeStep struct {
+	val                uint64
+	reads, writes, und int
+	upgraded           bool
+	upgrades           uint64
+}
+
+// shapeTrace runs the shape differential's script on cfg: every address
+// class (transaction stack, fresh heap block, block freed in the
+// transaction, annotated private block, shared global) is loaded,
+// stored and loaded again under every Prov, once at top level and once
+// inside a nested transaction (where captured stores undo-log). Loads
+// come first so a read-mostly attempt is observed unlogged before its
+// first shared store upgrades it. A Prov that lies about its address is
+// fine here: one thread, and both engines must take the same wrong arm.
+func shapeTrace(cfg OptConfig) (trace []shapeStep, final []uint64) {
+	cfg.OrecBits = 8
+	rt := New(mem.Config{GlobalWords: 64, HeapWords: 1 << 14, StackWords: 1 << 8, MaxThreads: 1}, cfg)
+	th := rt.Thread(0)
+	g := rt.Space().AllocGlobal(2)
+	rt.Space().Store(g, 3)
+	priv := th.Alloc(2)
+	th.Store(priv, 4)
+	th.AddPrivateBlock(priv, 2)
+	provs := []Prov{ProvUnknown, ProvFresh, ProvLocal, ProvStack, ProvShared}
+	next := uint64(100)
+	script := func(tx *Tx) {
+		freed := tx.Alloc(2)
+		addrs := []mem.Addr{tx.StackAlloc(2), tx.Alloc(2), freed, priv, g}
+		tx.Free(freed)
+		observe := func(val uint64) {
+			trace = append(trace, shapeStep{val, len(tx.readset), len(tx.writes), len(tx.undo),
+				tx.upgraded, th.stats.Upgrades})
+		}
+		for _, store := range []bool{false, true, false} {
+			for _, a := range addrs {
+				for _, pv := range provs {
+					if store {
+						next++
+						tx.Store(a, next, Acc{Prov: pv})
+						observe(0)
+					} else {
+						observe(tx.Load(a, Acc{Prov: pv}))
+					}
+				}
+			}
+		}
+	}
+	th.Atomic(script)
+	th.Atomic(func(tx *Tx) { th.Atomic(script) })
+	rt.Validate()
+	return trace, []uint64{rt.Space().Load(g), rt.Space().Load(priv), rt.clock.Load()}
+}
+
+// TestEveryShapeAgreesWithGeneric is the exhaustive differential the
+// named profiles cannot give: they never compile perfLoadStack, the
+// heap-only loads, perfStoreStack or most prologue combinations, and
+// "counting" is the reference chain itself. Every perf engine shape —
+// 2⁶ check mixes × annotations × log kind × read-mostly — must match
+// the forced interpreting chain access by access, not just in its final
+// memory: same values, same log growth, same upgrade point.
+func TestEveryShapeAgreesWithGeneric(t *testing.T) {
+	kinds := []capture.Kind{capture.KindTree, capture.KindArray, capture.KindFilter}
+	names := map[string]bool{}
+	for bits := 0; bits < 1<<8; bits++ {
+		on := func(i int) bool { return bits>>i&1 == 1 }
+		for _, kind := range kinds {
+			cfg := OptConfig{
+				PerfMode: true, LogKind: kind,
+				Compiler: on(0), SkipSharedChecks: on(1),
+				Read:        BarrierOpt{Stack: on(2), Heap: on(3)},
+				Write:       BarrierOpt{Stack: on(4), Heap: on(5)},
+				Annotations: on(6), ReadMostly: on(7),
+			}
+			e := newEngine(cfg)
+			if e.name == "generic" || e.name == "counting" {
+				t.Fatalf("%+v compiled to %q, want a perf engine", cfg, e.name)
+			}
+			names[e.name] = true
+			gen := cfg
+			gen.ForceGeneric = true
+			want, wantFinal := shapeTrace(gen)
+			got, gotFinal := shapeTrace(cfg)
+			if len(got) != len(want) {
+				t.Fatalf("%s %+v: %d steps, want %d", e.name, cfg, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s %+v: step %d = %+v, want %+v (generic)", e.name, cfg, i, got[i], want[i])
+				}
+			}
+			if !reflect.DeepEqual(gotFinal, wantFinal) {
+				t.Fatalf("%s %+v: final g/priv/clock %v, want %v (generic)", e.name, cfg, gotFinal, wantFinal)
+			}
+		}
+	}
+	for _, flat := range []string{"perf-r-stack", "perf-r-heap-filter", "perf-w-stack", "perf-mixed", "perf-readmostly"} {
+		if !names[flat] {
+			t.Errorf("shape sweep never compiled %q", flat)
+		}
 	}
 }
 

@@ -51,29 +51,35 @@ type Tx struct {
 	alog capture.Log   // runtime capture allocation log (per OptConfig)
 	clog *capture.Tree // precise log for Counting mode
 
-	// load and store are the barrier entry points, compiled once per
-	// Runtime from the optimization profile (engine.go). Tx.Load and
-	// Tx.Store dispatch through them, so the hot path never re-tests
-	// the configuration booleans below.
+	// load and store are the current phase's barrier entry points,
+	// compiled once per Runtime from the phase's optimization profile
+	// (engine.go) and assigned only by applyPhase. Tx.Load and Tx.Store
+	// dispatch through them, so the perf engines never re-test the
+	// configuration booleans below.
 	load  loadFn
 	store storeFn
 
-	// eng is the current phase's compiled engine; upgraded is set while
-	// a read-mostly attempt has swapped load/store onto eng.up (the
-	// in-flight upgrade, barrier.go). finish restores the pair, so each
-	// attempt starts on the phase's own engine.
+	// eng is the current phase's compiled engine. The remaining fields
+	// are the read-mostly mode of an eng.rm engine (barrier.go):
 	//
-	// rmUnlogged marks an attempt that began on the read-mostly loads:
-	// its pre-upgrade reads were validated at read time but never logged,
-	// so extend and commitTop must prove no foreign commit intervened
-	// instead of revalidating a read set. selfBumps counts the clock
-	// bumps this attempt itself performed (nested partial aborts release
-	// orecs with fresh versions): clock == rv+selfBumps proves exactly
-	// that. upNext asks beginTop to run the next attempt of this
-	// transaction on the full engine from the start — set when an
-	// upgrade or an unlogged-read revalidation finds foreign commits, so
-	// the retry logs its reads and proceeds normally.
+	// unlogged is the mode bit itself: while set, readFull validates
+	// against the snapshot without logging and writeFull upgrades before
+	// doing anything else. beginTop sets it, the upgrade and finish clear
+	// it. upgraded marks an eng.rm attempt running logged — after an
+	// in-flight upgrade, or from its first access (upNext, retry bound).
+	//
+	// rmUnlogged marks an attempt that BEGAN unlogged: its pre-upgrade
+	// reads were validated at read time but never logged, so extend and
+	// commitTop must prove no foreign commit intervened instead of
+	// revalidating a read set. selfBumps counts the clock bumps this
+	// attempt itself performed (nested partial aborts release orecs with
+	// fresh versions): clock == rv+selfBumps proves exactly that. upNext
+	// asks beginTop to run the next attempt of this transaction logged
+	// from the start — set when an upgrade or an unlogged-read
+	// revalidation finds foreign commits, so the retry logs its reads
+	// and proceeds normally.
 	eng        *engine
+	unlogged   bool
 	upgraded   bool
 	rmUnlogged bool
 	upNext     bool
@@ -98,8 +104,9 @@ type Tx struct {
 
 	saves []savepoint
 
-	// cached config decisions for the instrumented (generic, counting)
-	// engines; the specialized perf engines bake them into code.
+	// cached config decisions the interpreting chain (engines generic
+	// and counting) re-tests per access; the perf engines bake them into
+	// code.
 	trackAlog   bool
 	useWAW      bool
 	keepStats   bool
@@ -145,7 +152,6 @@ func (tx *Tx) applyPhase(idx int) {
 	ph := &tx.th.rt.phases[idx]
 	cfg := &ph.cfg
 	tx.eng = ph.eng
-	tx.upgraded = false
 	tx.upNext = false
 	tx.load = ph.eng.load
 	tx.store = ph.eng.store
@@ -212,10 +218,10 @@ func (tx *Tx) Depth() int { return int(tx.depth) }
 func (tx *Tx) Attempt() int { return tx.attempts }
 
 // rmFallbackAttempt bounds read-mostly retries: from this attempt on,
-// the transaction runs on the full engine, whose logged reads survive
-// concurrent commits via extension. Without the bound, a long unlogged
-// scan racing a steady writer could retry forever — rmReadFull cannot
-// extend past a foreign commit.
+// the transaction runs logged, so its reads survive concurrent commits
+// via extension. Without the bound, a long unlogged scan racing a steady
+// writer could retry forever — an unlogged read cannot extend past a
+// foreign commit.
 const rmFallbackAttempt = 3
 
 func (tx *Tx) beginTop() {
@@ -226,16 +232,15 @@ func (tx *Tx) beginTop() {
 	tx.th.rt.seqs[tx.th.id].Add(1) // now odd: in transaction
 	tx.rv = tx.th.rt.clock.Load()
 	tx.selfBumps = 0
-	if up := tx.eng.up; up != nil && (tx.upNext || tx.attempts >= rmFallbackAttempt) {
-		// A previous attempt's upgrade found foreign commits past its
-		// snapshot (upNext), or retries keep failing: run this attempt
-		// on the full engine from the first access, so every read is
-		// logged and extension/validation work normally. finish()
-		// restores the read-mostly pair for the next transaction.
-		tx.load, tx.store = up.load, up.store
-		tx.upgraded = true
+	if tx.eng.rm {
+		// Run logged from the first access when a previous attempt's
+		// upgrade found foreign commits past its snapshot (upNext) or
+		// retries keep failing; extension and validation then work
+		// normally. Otherwise the attempt starts unlogged.
+		tx.upgraded = tx.upNext || tx.attempts >= rmFallbackAttempt
+		tx.unlogged = !tx.upgraded
+		tx.rmUnlogged = tx.unlogged
 	}
-	tx.rmUnlogged = tx.eng.up != nil && !tx.upgraded
 	tx.startSP = tx.th.stack.SP()
 	tx.curSP = tx.startSP
 }
@@ -294,12 +299,11 @@ func (tx *Tx) commitTop() {
 		wv := rt.clock.Add(1)
 		if wv != tx.rv+1 {
 			if tx.rmUnlogged {
-				// The attempt upgraded in-flight from read-mostly loads:
-				// its pre-upgrade reads are unlogged, so the read set
-				// cannot vouch for them. Committing is sound exactly when
-				// every clock bump since the snapshot was this attempt's
-				// own (nested partial aborts); otherwise retry on the
-				// full engine.
+				// The attempt upgraded in-flight: its pre-upgrade reads are
+				// unlogged, so the read set cannot vouch for them.
+				// Committing is sound exactly when every clock bump since
+				// the snapshot was this attempt's own (nested partial
+				// aborts); otherwise retry logged from the start.
 				if wv != tx.rv+tx.selfBumps+1 {
 					tx.upNext = true
 					tx.conflict() // unwinds into abortTop
@@ -390,13 +394,9 @@ func (tx *Tx) abortTop(retried bool) {
 func (tx *Tx) finish() {
 	tx.active = false
 	tx.depth = 0
-	if tx.upgraded {
-		// Undo the read-mostly in-flight upgrade: the next attempt (a
-		// retry of this transaction or a fresh one) starts back on the
-		// phase's own engine and re-upgrades on its first shared store.
-		tx.upgraded = false
-		tx.load, tx.store = tx.eng.load, tx.eng.store
-	}
+	// Leave read-mostly mode: the next attempt (a retry of this
+	// transaction or a fresh one) decides its own mode in beginTop.
+	tx.unlogged, tx.upgraded, tx.rmUnlogged = false, false, false
 	tx.readset = tx.readset[:0]
 	tx.writes = tx.writes[:0]
 	tx.undo = tx.undo[:0]
@@ -414,13 +414,13 @@ func (tx *Tx) finish() {
 }
 
 // extend revalidates the read set against the current clock, raising
-// rv (TL2-style timestamp extension). An attempt that began on the
-// read-mostly loads has unlogged reads the read set cannot vouch for:
-// it may extend only past its own clock bumps (nested partial aborts
-// re-version the orecs it released, but the undo replay restored the
-// exact values, so unlogged reads of them stay valid); any foreign
-// commit in the window forces a retry — on the full engine if the
-// attempt had already upgraded, since it would hit the same wall again.
+// rv (TL2-style timestamp extension). An attempt that began unlogged
+// has reads the read set cannot vouch for: it may extend only past its
+// own clock bumps (nested partial aborts re-version the orecs it
+// released, but the undo replay restored the exact values, so unlogged
+// reads of them stay valid); any foreign commit in the window forces a
+// retry — logged from the start if the attempt had already upgraded,
+// since it would hit the same wall again.
 func (tx *Tx) extend() {
 	rt := tx.th.rt
 	newRv := rt.clock.Load()

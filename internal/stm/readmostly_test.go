@@ -189,6 +189,58 @@ func TestReadMostlyUpgradeNestedAbort(t *testing.T) {
 	rt.Validate()
 }
 
+// TestReadMostlyPrivateStoreStaysUnlogged pins that a store to an
+// annotated thread-private block takes no orec and so must not upgrade:
+// the attempt stays unlogged, commits without a clock bump and with an
+// empty write log, and — the block holds live-in data — a user abort
+// still restores the word from the undo log.
+func TestReadMostlyPrivateStoreStaysUnlogged(t *testing.T) {
+	for _, perf := range []bool{false, true} {
+		cfg := rmCfg()
+		cfg.PerfMode = perf
+		cfg.Annotations = true
+		rt := newRT(cfg)
+		th := rt.Thread(0)
+		g := rt.Space().AllocGlobal(1)
+		rt.Space().Store(g, 5)
+		p := th.Alloc(2)
+		th.Store(p, 11)
+		th.AddPrivateBlock(p, 2)
+		clock := rt.clock.Load()
+		committed := th.Atomic(func(tx *Tx) {
+			tx.Store(p, tx.Load(g, AccShared)+tx.Load(p, AccAuto), AccAuto)
+			if !tx.unlogged || tx.upgraded {
+				t.Errorf("perf=%v: private store left unlogged mode (unlogged=%v upgraded=%v)", perf, tx.unlogged, tx.upgraded)
+			}
+			if len(tx.writes) != 0 || len(tx.readset) != 0 {
+				t.Errorf("perf=%v: %d orecs locked, %d reads logged; want 0, 0", perf, len(tx.writes), len(tx.readset))
+			}
+			if len(tx.undo) != 1 {
+				t.Errorf("perf=%v: undo entries = %d, want 1 (private data is live-in)", perf, len(tx.undo))
+			}
+		})
+		if !committed || rt.Space().Load(p) != 16 {
+			t.Errorf("perf=%v: committed=%v, p = %d, want 16", perf, committed, rt.Space().Load(p))
+		}
+		if th.Atomic(func(tx *Tx) {
+			tx.Store(p, 99, AccAuto)
+			tx.UserAbort()
+		}) {
+			t.Errorf("perf=%v: user abort reported a commit", perf)
+		}
+		if got := rt.Space().Load(p); got != 16 {
+			t.Errorf("perf=%v: user abort left p = %d, want 16 restored", perf, got)
+		}
+		if s := rt.Stats(); s.Upgrades != 0 || s.Commits != 1 || s.UserAborts != 1 {
+			t.Errorf("perf=%v: upgrades=%d commits=%d userAborts=%d, want 0, 1, 1", perf, s.Upgrades, s.Commits, s.UserAborts)
+		}
+		if got := rt.clock.Load(); got != clock {
+			t.Errorf("perf=%v: clock moved %d -> %d on orec-free transactions", perf, clock, got)
+		}
+		rt.Validate()
+	}
+}
+
 // TestReadMostlyMatchesGeneric runs the full engine scenario (every
 // barrier mechanism, including shared stores that force upgrades) under
 // the read-mostly family and under the forced-generic reference, and

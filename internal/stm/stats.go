@@ -9,8 +9,8 @@ type Stats struct {
 	Aborts     uint64 // conflict aborts followed by retry (Table 1's metric)
 	UserAborts uint64 // explicit user aborts (rolled back, not retried)
 
-	// Upgrades counts read-mostly attempts that hit their first shared
-	// store and swapped in-flight onto the full engine (engine.go). Like
+	// Upgrades counts read-mostly attempts that reached the full write
+	// barrier and left unlogged mode (Tx.upgrade, barrier.go). Like
 	// the outcome counters it is lifecycle accounting, kept under
 	// PerfMode — the adaptive sampler demotes a read-mostly kind on it.
 	Upgrades uint64

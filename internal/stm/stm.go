@@ -15,17 +15,30 @@
 // optimization (Sec. 3.2) is modeled by the provenance carried in
 // each access descriptor (see Prov) and elides statically.
 //
-// The package is layered (each file only calls downward):
+// The files, outermost layer first (the slow paths call back up into
+// lifecycle.go only to extend or abandon the attempt):
 //
-//	lifecycle.go  begin/commit/abort, closed nesting, quiescence
-//	engine.go     barrier engine: the profile compiled into Load/Store
-//	barrier.go    generic/counting chains + full-barrier slow paths
+//	stm.go        Runtime, Thread, the Atomic retry loop
+//	adaptive.go   online per-kind selection of engine variant and manager
+//	phase.go      the compiled engine table; EnterPhase switches between
+//	              transactions
+//	cm.go         contention managers: what a lost attempt waits for
+//	lifecycle.go  begin/commit/abort, closed nesting, extension
+//	durable.go    redo records emitted from the commit/abort paths
+//	engine.go     barrier engine: a profile compiled into a Load/Store
+//	              pair; the stats-free perf chain
+//	barrier.go    the interpreting chain, the full-barrier slow paths,
+//	              read-mostly mode
 //	logs.go       read/write/undo/WAW/alloc logs and capture probes
 //
-// The barrier engine is selected once per Runtime from OptConfig
-// (newEngine): instrumented profiles run the counting chain, PerfMode
-// profiles a specialized stats-free fast path, and ForceGeneric pins
-// the reference chain for differential testing.
+// There are two barrier chains. The interpreting chain re-tests the
+// profile on every access and is the only one that keeps statistics:
+// it is engine "counting" for instrumented profiles and, pinned by
+// ForceGeneric, the "generic" reference of the differentials. The perf
+// chain is the specialized stats-free fast path PerfMode profiles
+// compile to. Both end in the same readFull/writeFull, and read-mostly
+// is a mode of those two functions, not a chain. One engine is
+// compiled per phase (newEngine), once per Runtime.
 package stm
 
 import (

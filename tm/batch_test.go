@@ -352,7 +352,7 @@ func TestBatcherReplyAssemblyElides(t *testing.T) {
 	if res := b.Flush(); !res.Merged {
 		t.Fatal("batch did not merge")
 	}
-	s := rt.Stats()
+	s := rt.Snapshot().Stats
 	if s.WriteElStack != 4 {
 		t.Errorf("stack write elisions = %d, want 4 (one reply store per item)", s.WriteElStack)
 	}

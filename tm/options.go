@@ -177,10 +177,10 @@ func WithSkipSharedChecks() Option {
 // so a transaction that never writes shared memory commits with no log
 // traffic, no validation loop, and no clock bump. Captured stores —
 // stack frames, fresh allocations, compiler-elided accesses — stay
-// plain in-place writes; the first *shared* store upgrades the
-// transaction onto the profile's full engine (counted in
+// plain in-place writes; the first store that takes an ownership
+// record upgrades the transaction to logged mode (counted in
 // Stats.Upgrades): in-flight when no writer has committed since the
-// snapshot, else by restarting the attempt on the full engine. Right
+// snapshot, else by restarting the attempt logged from the start. Right
 // for scan/report phases; usually declared per-phase (PhaseScan)
 // rather than runtime-wide. Ignored under
 // WithCounting/WithVerifyElision, whose oracles need the instrumented
@@ -329,7 +329,7 @@ type AdaptiveConfig = stm.AdaptiveConfig
 // declaration also covers keep their manual engine — hints stay ground
 // truth. An empty Kinds list adapts PhasePublish, PhaseCursor, and
 // PhaseScan, the three regimes the paper's workloads exhibit. Current
-// selections are observable via Runtime.AdaptiveSelections.
+// selections are observable via Runtime.Snapshot (its Adaptive rows).
 func WithAdaptive(a AdaptiveConfig) Option {
 	return func(s *settings) {
 		a.Enabled = true

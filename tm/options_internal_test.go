@@ -173,7 +173,7 @@ func TestPhasedOpenEndToEnd(t *testing.T) {
 	if got := cell.Peek(rt); got != 3 {
 		t.Errorf("cell = %d, want 3", got)
 	}
-	ps := rt.PhaseStats()
+	ps := rt.Snapshot().Phases
 	if len(ps) != 3 {
 		t.Fatalf("PhaseStats rows = %d, want 3", len(ps))
 	}

@@ -129,7 +129,7 @@ func TestProvenanceDrivesStaticElision(t *testing.T) {
 		}
 		g.Word(0).Store(tx, rec.Word(2).Load(tx))
 	})
-	s := rt.Stats()
+	s := rt.Snapshot().Stats
 	if s.WriteElStatic != 4 {
 		t.Errorf("static write elisions = %d, want 4 (the fresh record)", s.WriteElStatic)
 	}
@@ -154,7 +154,7 @@ func TestRuntimeCaptureElidesFreshBlocks(t *testing.T) {
 		}
 		keep.Store(tx, rec)
 	})
-	if s := rt.Stats(); s.WriteElHeap != 4 {
+	if s := rt.Snapshot().Stats; s.WriteElHeap != 4 {
 		t.Errorf("runtime heap elisions = %d, want 4", s.WriteElHeap)
 	}
 }
@@ -216,7 +216,7 @@ func TestParallelThreadsAndStats(t *testing.T) {
 	if v := cell.Peek(rt); v != 400 {
 		t.Errorf("counter = %d, want 400", v)
 	}
-	if s := rt.Stats(); s.Commits < 400 {
+	if s := rt.Snapshot().Stats; s.Commits < 400 {
 		t.Errorf("commits = %d, want >= 400", s.Commits)
 	}
 	rt.Validate()

@@ -7,9 +7,9 @@ import (
 	"repro/internal/stm"
 )
 
-// Snapshot is the consolidated observability view of a Runtime: one
-// struct instead of the former getter trio (Stats, PhaseStats,
-// AdaptiveSelections). Take it after worker threads have joined.
+// Snapshot is the consolidated observability view of a Runtime: totals,
+// per-phase rows, adaptive selections and durability counters in one
+// struct. Take it after worker threads have joined.
 type Snapshot struct {
 	// Engine names the compiled barrier engine (with "+phases" /
 	// "+adaptive" markers when those features are on).

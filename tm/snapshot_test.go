@@ -73,10 +73,10 @@ func TestSnapshotConsolidatesGetters(t *testing.T) {
 	if snap.Engine != rt.Engine() {
 		t.Errorf("Snapshot.Engine = %q, want %q", snap.Engine, rt.Engine())
 	}
-	if snap.Stats != rt.Stats() {
-		t.Errorf("Snapshot.Stats = %+v, want %+v", snap.Stats, rt.Stats())
+	if snap.Stats != rt.Unwrap().Stats() {
+		t.Errorf("Snapshot.Stats = %+v, want %+v", snap.Stats, rt.Unwrap().Stats())
 	}
-	if want := rt.PhaseStats(); len(snap.Phases) != len(want) {
+	if want := rt.Unwrap().PhaseStats(); len(snap.Phases) != len(want) {
 		t.Errorf("Snapshot.Phases rows = %d, want %d", len(snap.Phases), len(want))
 	}
 	if snap.Stats.Commits != 10 {

@@ -114,17 +114,11 @@ func (rt *Runtime) AllocGlobal(n int) Struct {
 	return Struct{base: rt.rt.Space().AllocGlobal(n), size: n, acc: stm.AccShared}
 }
 
-// Stats sums the statistics of every thread created so far.
-//
-// Deprecated: use Snapshot, which returns all observability views
-// (engine, totals, per-phase, adaptive, durability) in one struct.
-func (rt *Runtime) Stats() Stats { return rt.rt.Stats() }
-
 // Engine names the barrier engine this runtime compiled its
 // configuration into: "counting" for instrumented profiles, a "perf-*"
 // specialization under WithPerfMode, or "generic" when forced with
 // WithEngine(EngineGeneric). With WithPhases the name carries a
-// "+phases" marker; EngineFor and PhaseStats give the per-phase
+// "+phases" marker; EngineFor and Snapshot().Phases give the per-phase
 // breakdown.
 func (rt *Runtime) Engine() string { return rt.rt.Engine() }
 
@@ -149,14 +143,6 @@ func (rt *Runtime) Phases() []Phase { return rt.rt.PhaseKinds() }
 // compiled to, and the counters of every transaction run in the phase.
 type PhaseStats = stm.PhaseStats
 
-// PhaseStats sums every thread's counters by phase: index 0 is the
-// default phase, declared phases follow in declaration order. Read it
-// after worker threads have joined, like Stats.
-//
-// Deprecated: use Snapshot, which carries the same rows in its Phases
-// field.
-func (rt *Runtime) PhaseStats() []PhaseStats { return rt.rt.PhaseStats() }
-
 // AdaptiveSelection is the current engine choice for one adaptive
 // phase kind: the kind, the selected variant ("probe", "capture",
 // "skipshared", or "readmostly"), and the engine name it runs on.
@@ -170,17 +156,6 @@ const (
 	VariantSkipShared = stm.VariantSkipShared
 	VariantReadMostly = stm.VariantReadMostly
 )
-
-// AdaptiveSelections reports the current engine selection of every
-// kind WithAdaptive adapts, in declaration order (empty without
-// adaptation). Reading it while workers run sees a momentary
-// selection; read after joining for the converged one.
-//
-// Deprecated: use Snapshot, which carries the same rows in its
-// Adaptive field.
-func (rt *Runtime) AdaptiveSelections() []AdaptiveSelection {
-	return rt.rt.AdaptiveSelections()
-}
 
 // ResetStats zeroes every thread's counters (e.g. between an untimed
 // setup phase and the timed parallel phase). Not safe to call while
