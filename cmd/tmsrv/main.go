@@ -1,28 +1,24 @@
 // Command tmsrv measures the serving front-end (tm/serve): an
 // open-loop Poisson client population offers load to a worker pool
 // that merges compatible requests into single transactions
-// (application-side transaction merging), and the harness reports the
-// service-time distribution — p50/p95/p99 and achieved requests/sec —
-// for every point of a merge-width × worker-count × offered-load
-// sweep.
+// (application-side transaction merging), and the harness prints the
+// service-time distribution — p50/p95/p99, achieved requests/sec, and
+// the failure count — as a text table with one row per point of a
+// merge-width × worker-count × offered-load sweep.
 //
 // Merging amortizes per-transaction commit work across requests and
 // assembles all replies in one captured stack block, whose writes the
-// runtime elides (the paper's captured-memory analysis); run with
-// -stats to keep the elision counters on and see WriteElStack move
-// with the merge ratio.
+// runtime elides (the paper's captured-memory analysis).
 //
 // Usage:
 //
 //	tmsrv -list                              # registered backends
-//	tmsrv -backend srv-tmkv                  # default sweep, human table
+//	tmsrv -backend srv-tmkv                  # default sweep
 //	tmsrv -backend srv-tmkv-read -adaptive   # scan-phased read mix: +phases
 //	                                         # arm batches onto the
 //	                                         # read-mostly engine
 //	tmsrv -backend all -mergewidths 1,4,8 -rates 100000,peak
 //	tmsrv -workers 1,4 -requests 8192 -stats # counters on (non-perf build)
-//	tmsrv -format json -o BENCH_sweep_latency.json
-//	tmsrv -adaptive -backend srv-tmmsg -o BENCH_sweep_adaptive.json
 //	tmsrv -backend srv-tmmsg -cm all -mergewidths 1,8  # p95/p99 per
 //	                                         # contention manager,
 //	                                         # merged and unmerged
@@ -32,16 +28,17 @@
 // merge width W = max(-mergewidths) single-engine (mwW), fixed width
 // with the hand-tuned per-phase engine declaration (+phases), and full
 // adaptation (+adaptive/amwW: online per-phase engine selection plus
-// adaptive merge width up to W).
+// adaptive merge width up to W), whose row names what it selected.
 //
-// JSON output is the diffable repro/bench-report/v1 report of
-// tm/bench.WriteJSON: each sweep point is one result row whose config
-// string encodes profile, merge width, and offered load ("peak" =
-// unpaced), with the open-loop block under "latency" — cmd/benchdiff
-// gates on its p95/p99 like it gates throughput minima.
+// Nothing here gates anything. The merged-vs-unmerged question at one
+// worker is the rig's (bash benchmark/run.sh -workload kv-serve:
+// batcher.merge_ratio, serve.open_merge_ratio, serve.open_p99_us); the
+// multi-worker grid, the -adaptive arms and the -cm arms have no rig
+// cell yet — they go with ROADMAP 1(b).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -58,32 +55,42 @@ import (
 	_ "repro/internal/scenarios/tmmsg"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list registered serve backends and exit")
-	backendFlag := flag.String("backend", "all", "comma-separated serve backend names or 'all'")
-	profileFlag := flag.String("profile", "runtime", "optimization profile: baseline|runtime|compiler")
-	stats := flag.Bool("stats", false, "keep per-access counters on (skip perf mode) so the report's elision counters are populated")
-	workersFlag := flag.String("workers", "", "comma-separated worker-pool sizes (default: machine-sized)")
-	widthsFlag := flag.String("mergewidths", "1,4,8", "comma-separated merge widths (1 = no merging)")
-	ratesFlag := flag.String("rates", "peak", "comma-separated offered loads in requests/sec; 'peak' or 0 = unpaced")
-	requests := flag.Int("requests", 1<<14, "requests per sweep point")
-	clients := flag.Int("clients", 8, "open-loop client goroutines")
-	seed := flag.Uint64("seed", 1, "seed for interarrivals and the request stream")
-	cmFlag := flag.String("cm", "", "comma-separated contention managers (backoff|none|queue) to run as arms at every sweep point; 'all' = every manager, empty = the profile default")
-	adaptive := flag.Bool("adaptive", false, "run the adaptive A/B sweep (mw1 vs mwW vs +phases vs +adaptive, W = max of -mergewidths) instead of the plain width grid")
-	adaptEpoch := flag.Int("adaptepoch", 0, "adaptive engine-selection sampling window in commits (0 = runtime default)")
-	format := flag.String("format", "text", "output format: text|json")
-	out := flag.String("o", "", "write output to this file instead of stdout")
-	flag.Usage = usage
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main behind a seam the tests can drive: it parses args, prints
+// the latency table to stdout, and returns the exit status (2 for an
+// unparsable command line, 1 for a bad flag value or a failed sweep).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tmsrv", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list registered serve backends and exit")
+	backendFlag := fs.String("backend", "all", "comma-separated serve backend names or 'all'")
+	profileFlag := fs.String("profile", "runtime", "optimization profile: baseline|runtime|compiler")
+	stats := fs.Bool("stats", false, "keep per-access counters on (skip perf mode)")
+	workersFlag := fs.String("workers", "", "comma-separated worker-pool sizes (default: machine-sized)")
+	widthsFlag := fs.String("mergewidths", "1,4,8", "comma-separated merge widths (1 = no merging)")
+	ratesFlag := fs.String("rates", "peak", "comma-separated offered loads in requests/sec; 'peak' or 0 = unpaced")
+	requests := fs.Int("requests", 1<<14, "requests per sweep point")
+	clients := fs.Int("clients", 8, "open-loop client goroutines")
+	seed := fs.Uint64("seed", 1, "seed for interarrivals and the request stream")
+	cmFlag := fs.String("cm", "", "comma-separated contention managers (backoff|none|queue) to run as arms at every sweep point; 'all' = every manager, empty = the profile default")
+	adaptive := fs.Bool("adaptive", false, "run the adaptive A/B sweep (mw1 vs mwW vs +phases vs +adaptive, W = max of -mergewidths) instead of the plain width grid")
+	adaptEpoch := fs.Int("adaptepoch", 0, "adaptive engine-selection sampling window in commits (0 = runtime default)")
+	fs.Usage = func() { usage(fs) }
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
-		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 		for _, b := range serve.Backends() {
 			fmt.Fprintf(tw, "%s\t%s\n", b, serve.Description(b))
 		}
 		tw.Flush()
-		return
+		return 0
 	}
 
 	backends := serve.Backends()
@@ -91,9 +98,6 @@ func main() {
 		backends = strings.Split(*backendFlag, ",")
 	}
 	profile, err := profileFor(*profileFlag, *stats)
-	if err == nil && *format != "text" && *format != "json" {
-		err = fmt.Errorf("unknown format %q", *format)
-	}
 	var workers, widths []int
 	var rates []float64
 	if err == nil {
@@ -109,63 +113,42 @@ func main() {
 	if err == nil {
 		cms, err = parseCMs(*cmFlag)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tmsrv:", err)
-		os.Exit(1)
-	}
 	if len(workers) == 0 {
 		workers = bench.DefaultThreadCounts()
 	}
-
-	w := io.Writer(os.Stdout)
-	var outFile *os.File
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tmsrv:", err)
-			os.Exit(1)
-		}
-		outFile = f
-		w = f
-	}
-
-	if *adaptive {
-		err = sweepAdaptive(w, backends, profile, workers, maxInt(widths), rates, cms, *requests, *clients, *seed, *adaptEpoch, *format == "json")
-	} else {
-		err = sweep(w, backends, profile, workers, widths, rates, cms, *requests, *clients, *seed, *format == "json")
-	}
-	// A failed flush at close must fail the run: CI diffs the written
-	// report, and a silently truncated artifact would pass as baseline.
-	if outFile != nil {
-		if cerr := outFile.Close(); err == nil {
-			err = cerr
+	if err == nil {
+		if *adaptive {
+			err = sweepAdaptive(stdout, backends, profile, workers, maxInt(widths), rates, cms, *requests, *clients, *seed, *adaptEpoch)
+		} else {
+			err = sweep(stdout, backends, profile, workers, widths, rates, cms, *requests, *clients, *seed)
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tmsrv:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "tmsrv:", err)
+		return 1
 	}
+	return 0
 }
 
-func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(),
+func usage(fs *flag.FlagSet) {
+	fmt.Fprintf(fs.Output(),
 		`tmsrv: open-loop latency sweeps over the served transactional backends.
 
 An open-loop Poisson client population offers load to a worker pool
 that merges compatible requests into single transactions; each sweep
-point (backend x workers x merge width x offered load) reports
-p50/p95/p99 service time, achieved requests/sec, and the merge and
-elision counters that explain them. Latency is measured from each
+point (backend x workers x merge width x offered load) prints
+p50/p95/p99 service time, achieved requests/sec, the merge ratio and
+the fallback and failure counts. Latency is measured from each
 request's *scheduled* arrival, so queueing delay behind a stall is
 charged, never omitted.
 
 Registered backends (tmsrv -list for descriptions):
 `)
 	for _, b := range serve.Backends() {
-		fmt.Fprintf(flag.CommandLine.Output(), "  %s\n", b)
+		fmt.Fprintf(fs.Output(), "  %s\n", b)
 	}
-	fmt.Fprintf(flag.CommandLine.Output(), "\nFlags:\n")
-	flag.PrintDefaults()
+	fmt.Fprintf(fs.Output(), "\nFlags:\n")
+	fs.PrintDefaults()
 }
 
 func profileFor(name string, stats bool) (tm.Profile, error) {
@@ -220,7 +203,7 @@ func parseRates(s string) ([]float64, error) {
 
 // parseCMs resolves the -cm flag into the contention-manager arms of
 // the sweep. The empty string is one arm on the profile's default
-// manager; "all" is one arm per manager, so a single report carries
+// manager; "all" is one arm per manager, so a single table carries
 // every side of the waiting-policy A/B.
 func parseCMs(s string) ([]tm.CM, error) {
 	if s == "" {
@@ -241,9 +224,8 @@ func parseCMs(s string) ([]tm.CM, error) {
 	return out, nil
 }
 
-// sweep measures every point of the grid and writes the latency table
-// or the diffable JSON report.
-func sweep(w io.Writer, backends []string, p tm.Profile, workers, widths []int, rates []float64, cms []tm.CM, requests, clients int, seed uint64, asJSON bool) error {
+// sweep measures every point of the grid and writes the latency table.
+func sweep(w io.Writer, backends []string, p tm.Profile, workers, widths []int, rates []float64, cms []tm.CM, requests, clients int, seed uint64) error {
 	var all []bench.Result
 	for _, be := range backends {
 		for _, nw := range workers {
@@ -270,9 +252,6 @@ func sweep(w io.Writer, backends []string, p tm.Profile, workers, widths []int, 
 			}
 		}
 	}
-	if asJSON {
-		return bench.WriteJSON(w, bench.NewReport(all))
-	}
 	bench.WriteLatencyTable(w, all)
 	return nil
 }
@@ -294,7 +273,7 @@ func maxInt(xs []int) int {
 // plus adaptive merge width up to W). The arms share the request
 // stream and seed, so their rows differ only in the machinery under
 // test.
-func sweepAdaptive(w io.Writer, backends []string, p tm.Profile, workers []int, width int, rates []float64, cms []tm.CM, requests, clients int, seed uint64, epoch int, asJSON bool) error {
+func sweepAdaptive(w io.Writer, backends []string, p tm.Profile, workers []int, width int, rates []float64, cms []tm.CM, requests, clients int, seed uint64, epoch int) error {
 	arms := []bench.OpenLoopSpec{
 		{MergeWidth: 1},
 		{MergeWidth: width},
@@ -320,9 +299,6 @@ func sweepAdaptive(w io.Writer, backends []string, p tm.Profile, workers []int, 
 				}
 			}
 		}
-	}
-	if asJSON {
-		return bench.WriteJSON(w, bench.NewReport(all))
 	}
 	bench.WriteLatencyTable(w, all)
 	return nil

@@ -9,7 +9,12 @@
 // functional options, and the workload registry) — and tm/bench, the
 // experiment harness over it. See README.md for the repository layout
 // and a quickstart. The benchmarks in bench_test.go regenerate the
-// evaluation:
+// evaluation as text:
 //
 //	go test -bench=. -benchmem
+//
+// Performance claims are judged by one rig, the nested module in
+// benchmark/ declared by BENCHMARK.json (README.md, "Measuring"):
+//
+//	bash benchmark/run.sh -workload stm-closed
 package repro

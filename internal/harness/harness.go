@@ -35,19 +35,9 @@ type Result struct {
 	// (tm.WithAdaptive).
 	Adaptive []tm.AdaptiveSelection
 
-	// CM is the contention-management block: the default manager, the
-	// per-kind manager map, and the wait totals. Nil for the trivial
-	// case (all-backoff, zero waits), so pre-existing reports compare
-	// clean.
-	CM *CMResult
-
 	// Latency is the open-loop service-time block, populated only by
 	// RunOpenLoop (nil for throughput results).
 	Latency *LatencyStats
-
-	// Durability holds the redo-log and checkpoint counters of the last
-	// run, populated only under tm.WithDurability.
-	Durability *tm.DurabilityStats
 }
 
 // Run executes the workload `runs` times (fresh instance each run;
@@ -72,12 +62,10 @@ func Run(bench string, p tm.Profile, threads, runs int) (Result, error) {
 		snap := rt.Snapshot()
 		res.Engine = snap.Engine
 		res.Stats = snap.Stats
-		res.Durability = snap.Durability
 		if len(rt.Phases()) > 0 {
 			res.PhaseStats = snap.Phases
 		}
 		res.Adaptive = snap.Adaptive
-		res.CM = cmResult(snap)
 		if err := w.Validate(rt); err != nil {
 			rt.Close()
 			return res, fmt.Errorf("%s [%s, %d threads]: %w", bench, p.Name(), threads, err)
@@ -87,54 +75,6 @@ func Run(bench string, p tm.Profile, threads, runs int) (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// CMResult is the contention-management block of a Result: the default
-// phase's manager, every kind whose manager differs from it (manual
-// declarations and adaptive selections alike), and the run's wait
-// totals (Stats.Waits/WaitNs summed over phases).
-type CMResult struct {
-	Default string
-	Kinds   []CMKind
-	Waits   uint64
-	WaitNs  uint64
-}
-
-// CMKind maps one phase kind to its active contention manager.
-type CMKind struct {
-	Kind    string
-	Manager string
-}
-
-// cmResult extracts the contention-management block from a snapshot.
-// It returns nil for the trivial case — backoff everywhere and zero
-// waits — so reports from before the layer existed stay comparable.
-func cmResult(snap tm.Snapshot) *CMResult {
-	if len(snap.Phases) == 0 {
-		return nil
-	}
-	cm := &CMResult{
-		Default: snap.Phases[0].CM,
-		Waits:   snap.Stats.Waits,
-		WaitNs:  snap.Stats.WaitNs,
-	}
-	for _, ps := range snap.Phases[1:] {
-		if ps.Variant != "" {
-			continue // adaptive variants report through snap.Adaptive
-		}
-		if ps.CM != cm.Default {
-			cm.Kinds = append(cm.Kinds, CMKind{Kind: ps.Kind, Manager: ps.CM})
-		}
-	}
-	for _, sel := range snap.Adaptive {
-		if sel.CM != cm.Default {
-			cm.Kinds = append(cm.Kinds, CMKind{Kind: sel.Kind, Manager: sel.CM})
-		}
-	}
-	if cm.Default == tm.CMBackoff && len(cm.Kinds) == 0 && cm.Waits == 0 {
-		return nil
-	}
-	return cm
 }
 
 // timedRun times the parallel phase with the Go runtime quiesced: GC
@@ -171,8 +111,6 @@ func RunMatrix(bench string, profiles []tm.Profile, threads, runs int) ([]Result
 			results[i].Stats = one.Stats
 			results[i].PhaseStats = one.PhaseStats
 			results[i].Adaptive = one.Adaptive
-			results[i].CM = one.CM
-			results[i].Durability = one.Durability
 		}
 	}
 	return results, nil
@@ -191,8 +129,8 @@ func DefaultThreadCounts() []int {
 }
 
 // Sweep measures the workload under the profile at each thread count —
-// one scaling curve, ready for WriteJSON so curves can be diffed across
-// machines and PRs. A nil threadCounts uses DefaultThreadCounts.
+// one scaling curve, printed by WriteSweep. A nil threadCounts uses
+// DefaultThreadCounts.
 func Sweep(bench string, p tm.Profile, threadCounts []int, runs int) ([]Result, error) {
 	if len(threadCounts) == 0 {
 		threadCounts = DefaultThreadCounts()
@@ -231,11 +169,17 @@ func (r Result) Mean() time.Duration {
 	return sum / time.Duration(len(r.Times))
 }
 
-// Median returns the median run time (robust against scheduler noise).
+// Median returns the median run time (robust against scheduler noise):
+// the middle sample, or the mean of the two middle samples when the
+// run count is even.
 func (r Result) Median() time.Duration {
 	ts := append([]time.Duration(nil), r.Times...)
 	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	return ts[len(ts)/2]
+	mid := len(ts) / 2
+	if len(ts)%2 == 0 {
+		return (ts[mid-1] + ts[mid]) / 2
+	}
+	return ts[mid]
 }
 
 // Min returns the fastest run time. For CPU-bound runs on a shared
@@ -281,11 +225,11 @@ func Improvement(base, opt Result) float64 {
 // scan-shaped ones onto the read-mostly engine — the mapping the
 // scenario drivers' EnterPhase hints are written for. Everything that
 // A/Bs phase hints (the phased engine-equivalence differential,
-// stampbench -phases, BenchmarkTMMSGPhased) must build on this one
-// declaration, or the certified mapping and the measured one drift
-// apart silently. The scan fragment carries the same capture shape as
-// publish so its upgrade target — and the adaptive readmostly
-// variant's configuration — match the capture engine exactly.
+// stampbench -experiment readmostly|contention, BenchmarkTMMSGPhased)
+// must build on this one declaration, or the certified mapping and the
+// measured one drift apart silently. The scan fragment carries the same
+// capture shape as publish so its upgrade target — and the adaptive
+// readmostly variant's configuration — match the capture engine exactly.
 // Each regime also declares its contention manager: publish
 // transactions are short and conflict rarely (immediate retry), the
 // cursor hot spot parks losers on the owner (queue), and scans keep

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -49,6 +50,14 @@ func TestStatisticsHelpers(t *testing.T) {
 	}
 	if r.Mean() != 40 {
 		t.Errorf("Mean = %v", r.Mean())
+	}
+	// Even run counts: the mean of the two middle samples, not the
+	// upper one (-runs 2 must not report the slower run as the median).
+	if m := (Result{Times: []time.Duration{40, 10}}).Median(); m != 25 {
+		t.Errorf("Median of 2 = %v, want 25", m)
+	}
+	if m := (Result{Times: []time.Duration{100, 10, 30, 20}}).Median(); m != 25 {
+		t.Errorf("Median of 4 = %v, want 25", m)
 	}
 	if r.RelStdDev() <= 0 {
 		t.Error("RelStdDev should be positive for varied samples")
@@ -185,6 +194,48 @@ func TestRunMatrixInterleaves(t *testing.T) {
 	}
 }
 
+func TestDefaultThreadCounts(t *testing.T) {
+	counts := DefaultThreadCounts()
+	if len(counts) == 0 || counts[0] != 1 {
+		t.Fatalf("counts = %v", counts)
+	}
+	n := runtime.NumCPU()
+	if counts[len(counts)-1] != n {
+		t.Errorf("last count = %d, want NumCPU %d", counts[len(counts)-1], n)
+	}
+	for i := 1; i < len(counts); i++ {
+		if counts[i] <= counts[i-1] {
+			t.Errorf("counts not strictly increasing: %v", counts)
+		}
+	}
+}
+
+func TestSweepProducesCurve(t *testing.T) {
+	results, err := Sweep("ssca2", tm.Baseline().Perf(), []int{1, 2}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 2 {
+		t.Fatalf("results = %d", len(results))
+	}
+	for i, want := range []int{1, 2} {
+		if results[i].Threads != want {
+			t.Errorf("result %d threads = %d, want %d", i, results[i].Threads, want)
+		}
+		if results[i].Engine != "perf-noinstr" {
+			t.Errorf("result %d engine = %q", i, results[i].Engine)
+		}
+		if len(results[i].Times) != 1 {
+			t.Errorf("result %d times = %v", i, results[i].Times)
+		}
+	}
+	var buf bytes.Buffer
+	WriteSweep(&buf, results)
+	if !strings.Contains(buf.String(), "perf-noinstr") || !strings.Contains(buf.String(), "ssca2") {
+		t.Errorf("sweep table:\n%s", buf.String())
+	}
+}
+
 // --- An external workload, written purely against the tm package ---
 
 // extCounter is a scenario defined outside internal/stamp: concurrent
@@ -316,8 +367,8 @@ func TestRunStatsExcludeValidation(t *testing.T) {
 }
 
 // TestCaptureStatsExcludeValidation pins the same invariant for the
-// capture report rows that feed BENCH_capture.json: every profile's
-// commit count is exactly the timed phase's.
+// capture report rows (stampbench -experiment capture): every
+// profile's commit count is exactly the timed phase's.
 func TestCaptureStatsExcludeValidation(t *testing.T) {
 	rows, err := MeasureCaptureStats("ext-valtx", CaptureConfigs())
 	if err != nil {

@@ -8,6 +8,12 @@ package harness
 // compatible requests into one transaction (tm.Batcher) amortizes
 // commit work and assembles replies in captured stack blocks, so the
 // p95/p99 columns and the elision counters move together.
+//
+// No rig cell yet — goes with ROADMAP 1(b): benchmark/ measures the
+// served tier with its own load generator (kv-serve), but runs neither
+// more than one serve worker, an adaptive runtime, nor a contention-
+// manager arm, so this file stays as the text-table A/B behind
+// cmd/tmsrv and stampbench -experiment readmostly|contention.
 
 import (
 	"fmt"
@@ -16,6 +22,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -61,34 +68,31 @@ type OpenLoopSpec struct {
 // per-request population (latency measured from *scheduled* arrival,
 // so queueing delay behind a stall is charged, not omitted).
 type LatencyStats struct {
-	OfferedRPS    float64 `json:"offered_rps"`  // 0 = unpaced
-	AchievedRPS   float64 `json:"achieved_rps"` // completed / wall time
-	P50Ns         int64   `json:"p50_ns"`
-	P95Ns         int64   `json:"p95_ns"`
-	P99Ns         int64   `json:"p99_ns"`
-	MaxNs         int64   `json:"max_ns"`
-	Requests      int     `json:"requests"`
-	Aborted       int     `json:"aborted"`        // Apply refused (after fallback)
-	MergedReplies int     `json:"merged_replies"` // served from merged transactions
-	MergeWidth    int     `json:"merge_width"`
-	Clients       int     `json:"clients"`
-	MergeRatio    float64 `json:"merge_ratio"` // requests per transaction
-	Batches       uint64  `json:"batches"`
-	MergedBatches uint64  `json:"merged_batches"`
-	Fallbacks     uint64  `json:"fallbacks"`
-	Txns          uint64  `json:"txns"`
+	OfferedRPS    float64 // 0 = unpaced
+	AchievedRPS   float64 // completed / wall time
+	P50Ns         int64
+	P95Ns         int64
+	P99Ns         int64
+	MaxNs         int64
+	Requests      int
+	Aborted       int // Apply refused (after fallback)
+	MergedReplies int // served from merged transactions
+	MergeWidth    int
+	Clients       int
+	MergeRatio    float64 // requests per transaction
+	Fallbacks     uint64
+	Txns          uint64
 
-	// Adaptive-width trajectory (present only under OpenLoopSpec.Adaptive).
-	WidthGrows   uint64 `json:"width_grows,omitempty"`
-	WidthShrinks uint64 `json:"width_shrinks,omitempty"`
-	FinalWidths  []int  `json:"final_widths,omitempty"` // per worker, after Stop
+	// FinalWidths is each worker's merge width after Stop (present only
+	// under OpenLoopSpec.Adaptive).
+	FinalWidths []int
 }
 
 // RunOpenLoop builds a server over the named backend, drives the
 // open-loop population to completion, validates the runtime, and
 // returns a Result whose Latency block is populated. The Config string
 // encodes profile, merge width, and offered load, so every sweep point
-// is a distinct (bench, config, engine, threads) key to benchdiff.
+// is a distinct row of the latency table.
 func RunOpenLoop(spec OpenLoopSpec) (Result, error) {
 	if spec.Workers < 1 {
 		spec.Workers = runtime.NumCPU()
@@ -139,16 +143,14 @@ func RunOpenLoop(spec OpenLoopSpec) (Result, error) {
 	}
 	// Snapshot after the workers joined but before Validate, like Run:
 	// validation must not leak into the reported counters. Counter reads
-	// (and durability stats) stay valid after Stop's runtime Close.
+	// stay valid after Stop's runtime Close.
 	snap := rt.Snapshot()
 	res.Times = []time.Duration{time.Duration(olr.ElapsedNs)}
 	res.Stats = snap.Stats
-	res.Durability = snap.Durability
 	if len(rt.Phases()) > 0 {
 		res.PhaseStats = snap.Phases
 	}
 	res.Adaptive = snap.Adaptive
-	res.CM = cmResult(snap)
 	rt.Validate() // panics on a leaked orec — merged txns must release all
 	res.Latency = newLatencyStats(spec, olr, srv.BatchStats())
 	if spec.Adaptive {
@@ -160,9 +162,8 @@ func RunOpenLoop(spec OpenLoopSpec) (Result, error) {
 func openLoopConfig(spec OpenLoopSpec) string {
 	load := "peak"
 	if spec.Rate > 0 {
-		// Fixed notation, not %g: a 1e6 rate must key as "1000000rps",
-		// never "1e+06rps", or benchdiff baseline matching breaks at
-		// high-rate grid points.
+		// Fixed notation, not %g: a 1e6 rate must read "1000000rps",
+		// never "1e+06rps" — the '+' is the config string's separator.
 		load = strconv.FormatFloat(spec.Rate, 'f', -1, 64) + "rps"
 	}
 	name := spec.Profile.Name()
@@ -197,12 +198,8 @@ func newLatencyStats(spec OpenLoopSpec, olr serve.OpenLoopResult, bs tm.BatchSta
 		MergeWidth:    spec.MergeWidth,
 		Clients:       spec.Clients,
 		MergeRatio:    bs.MergeRatio(),
-		Batches:       bs.Batches,
-		MergedBatches: bs.Merged,
 		Fallbacks:     bs.Fallbacks,
 		Txns:          bs.Txns,
-		WidthGrows:    bs.WidthGrows,
-		WidthShrinks:  bs.WidthShrinks,
 	}
 	if spec.Rate > 0 {
 		ls.OfferedRPS = spec.Rate
@@ -231,14 +228,17 @@ func quantileNs(sorted []int64, q float64) int64 {
 	return sorted[idx]
 }
 
-// WriteLatencyTable prints the open-loop results as a human-readable
-// table, one row per measurement point (the JSON form of the same
-// data is NewReport + WriteJSON). Results without a Latency block are
-// skipped.
+// WriteLatencyTable prints the open-loop results, one row per
+// measurement point. Results without a Latency block are skipped. The
+// aborted column is the failure count (a refused request is a failed
+// one); the trailing selected column is filled only on adaptive rows,
+// with what the runtime settled on — per phase kind the engine variant
+// and contention manager, then each worker's final merge width — since
+// an adaptive arm's config string says only that it adapted.
 func WriteLatencyTable(w io.Writer, results []Result) {
 	fmt.Fprintln(w, "Open-loop latency (per-request, from scheduled arrival)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "benchmark\tconfig\tengine\tworkers\toffered\tachieved\tp50\tp95\tp99\tmerge\tfallbacks")
+	fmt.Fprintln(tw, "benchmark\tconfig\tengine\tworkers\toffered\tachieved\tp50\tp95\tp99\tmerge\tfallbacks\taborted\tselected")
 	for _, r := range results {
 		l := r.Latency
 		if l == nil {
@@ -248,12 +248,26 @@ func WriteLatencyTable(w io.Writer, results []Result) {
 		if l.OfferedRPS > 0 {
 			offered = fmt.Sprintf("%.0f/s", l.OfferedRPS)
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%s\t%.0f/s\t%v\t%v\t%v\t%.2fx\t%d\n",
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%s\t%.0f/s\t%v\t%v\t%v\t%.2fx\t%d\t%d\t%s\n",
 			r.Bench, r.Config, r.Engine, r.Threads, offered, l.AchievedRPS,
 			time.Duration(l.P50Ns).Round(time.Microsecond),
 			time.Duration(l.P95Ns).Round(time.Microsecond),
 			time.Duration(l.P99Ns).Round(time.Microsecond),
-			l.MergeRatio, l.Fallbacks)
+			l.MergeRatio, l.Fallbacks, l.Aborted, selected(r))
 	}
 	tw.Flush()
+}
+
+// selected renders what an adaptive run chose, e.g.
+// "publish→capture/none cursor→skipshared/queue widths=[8]"; empty for
+// rows with neither adaptive selections nor final widths.
+func selected(r Result) string {
+	var parts []string
+	for _, sel := range r.Adaptive {
+		parts = append(parts, fmt.Sprintf("%s→%s/%s", sel.Kind, sel.Variant, sel.CM))
+	}
+	if len(r.Latency.FinalWidths) > 0 {
+		parts = append(parts, fmt.Sprintf("widths=%v", r.Latency.FinalWidths))
+	}
+	return strings.Join(parts, " ")
 }

@@ -2,11 +2,9 @@ package harness
 
 import (
 	"bytes"
-	"encoding/json"
-	"reflect"
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/tm"
 
@@ -32,54 +30,6 @@ func TestQuantileNearestRank(t *testing.T) {
 	}
 	if got := quantileNs(nil, 0.5); got != 0 {
 		t.Errorf("empty sample = %d", got)
-	}
-}
-
-func TestLatencyReportRoundTrip(t *testing.T) {
-	with := Result{
-		Bench: "srv-tmkv", Config: "baseline+mw4@50000rps", Engine: "perf-noinstr", Threads: 2,
-		Times: []time.Duration{time.Second},
-		Stats: tm.Stats{Commits: 10},
-		Latency: &LatencyStats{
-			OfferedRPS: 50000, AchievedRPS: 49000,
-			P50Ns: 1000, P95Ns: 5000, P99Ns: 9000, MaxNs: 12000,
-			Requests: 1024, MergedReplies: 900, MergeWidth: 4, Clients: 4,
-			MergeRatio: 3.5, Batches: 300, MergedBatches: 280, Txns: 320,
-		},
-	}
-	without := Result{
-		Bench: "tmkv", Config: "baseline", Engine: "perf-noinstr", Threads: 2,
-		Times: []time.Duration{time.Second}, Stats: tm.Stats{Commits: 10},
-	}
-	rep := NewReport([]Result{with, without})
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"latency"`, `"p95_ns"`, `"p99_ns"`, `"offered_rps"`, `"merge_ratio"`} {
-		if !strings.Contains(buf.String(), key) {
-			t.Errorf("report missing %s", key)
-		}
-	}
-	back, err := ReadJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, rep) {
-		t.Errorf("round trip drifted:\n got %+v\nwant %+v", back, rep)
-	}
-	if back.Results[0].Latency == nil || back.Results[0].Latency.P95Ns != 5000 {
-		t.Errorf("latency block lost: %+v", back.Results[0].Latency)
-	}
-	// The block must be absent, not zero-valued, on throughput rows.
-	var raw struct {
-		Results []map[string]json.RawMessage `json:"results"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := raw.Results[1]["latency"]; ok {
-		t.Error("throughput row carries a latency block")
 	}
 }
 
@@ -133,6 +83,24 @@ func TestRunOpenLoop(t *testing.T) {
 	if !strings.Contains(buf.String(), "srv-tmkv") || !strings.Contains(buf.String(), "mw4") {
 		t.Errorf("latency table:\n%s", buf.String())
 	}
+	// The table carries the failure count, and a non-adaptive row leaves
+	// the trailing selected column empty (so the count is its last field).
+	fields := func(r Result, line int) []string {
+		var buf bytes.Buffer
+		WriteLatencyTable(&buf, []Result{r})
+		return strings.Fields(strings.Split(buf.String(), "\n")[line])
+	}
+	if h := fields(res, 1); h[len(h)-2] != "aborted" || h[len(h)-1] != "selected" {
+		t.Errorf("header does not end in aborted, selected: %q", h)
+	}
+	if f := fields(res, 2); f[len(f)-1] != "0" {
+		t.Errorf("row does not end in aborted=0: %q", f)
+	}
+	refused := res
+	refused.Latency = &LatencyStats{Aborted: 7}
+	if f := fields(refused, 2); f[len(f)-1] != "7" {
+		t.Errorf("row does not end in aborted=7: %q", f)
+	}
 }
 
 // TestRunOpenLoopUnpaced: Rate<=0 is peak stress — every request
@@ -163,9 +131,8 @@ func TestRunOpenLoopUnpaced(t *testing.T) {
 
 // TestOpenLoopConfigKeys pins the sweep-point key format. The rate must
 // render in fixed notation at every magnitude: %g would emit
-// "1e+06rps" from a million-rps point, giving this run a key no
-// baseline report contains and silently dropping the point from
-// benchdiff's matched set.
+// "1e+06rps" from a million-rps point, putting the config string's own
+// '+' separator inside the rate.
 func TestOpenLoopConfigKeys(t *testing.T) {
 	p := tm.Baseline()
 	cases := []struct {
@@ -235,6 +202,19 @@ func TestRunOpenLoopAdaptive(t *testing.T) {
 	}
 	if l.Requests != 2048 {
 		t.Errorf("requests = %d", l.Requests)
+	}
+	// The rendered row names what the run selected: every adaptive kind
+	// with its variant and manager, then the final widths.
+	var buf bytes.Buffer
+	WriteLatencyTable(&buf, []Result{res})
+	row := strings.Split(strings.TrimSpace(buf.String()), "\n")[2]
+	for _, sel := range res.Adaptive {
+		if want := sel.Kind + "→" + sel.Variant + "/" + sel.CM; !strings.Contains(row, want) {
+			t.Errorf("selected column lacks %q: %q", want, row)
+		}
+	}
+	if want := " widths=[" + strconv.Itoa(l.FinalWidths[0]) + "]"; !strings.HasSuffix(row, want) {
+		t.Errorf("row does not end in %q: %q", want, row)
 	}
 }
 

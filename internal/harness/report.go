@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"text/tabwriter"
+	"time"
 
 	"repro/tm"
 )
@@ -284,6 +285,21 @@ func WriteImprovements(w io.Writer, title string, rows map[string]map[string]flo
 			fmt.Fprintf(tw, "\t%+.1f%%", rows[b][c])
 		}
 		fmt.Fprintln(tw)
+	}
+	tw.Flush()
+}
+
+// WriteSweep prints a scaling-curve table: one row per (workload,
+// profile, thread count) point of a Sweep or SweepMatrix.
+func WriteSweep(w io.Writer, results []Result) {
+	fmt.Fprintln(w, "Thread sweep (median of runs)")
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "benchmark\tconfig\tengine\tthreads\tmedian\tmin\taborts/commit")
+	for _, r := range results {
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%v\t%v\t%.2f\n",
+			r.Bench, r.Config, r.Engine, r.Threads,
+			r.Median().Round(time.Microsecond), r.Min().Round(time.Microsecond),
+			r.Stats.AbortRatio())
 	}
 	tw.Flush()
 }

@@ -7,6 +7,10 @@
 //	tm.RegisterWorkload("mine", func() tm.Workload { return newMine() })
 //	res, err := bench.Run("mine", tm.RuntimeAll(tm.LogTree), 8, 3)
 //
+// Everything here prints text tables for a person to read; nothing is
+// gated on them. The measurement every performance claim is judged by
+// is the rig: bash benchmark/run.sh (see benchmark/README.md).
+//
 // The implementation lives in internal/harness; this package only
 // re-exports the surface external code needs.
 package bench
@@ -72,36 +76,11 @@ type LatencyStats = harness.LatencyStats
 // is populated.
 func RunOpenLoop(spec OpenLoopSpec) (Result, error) { return harness.RunOpenLoop(spec) }
 
-// WriteLatencyTable prints the human-readable open-loop latency table.
+// WriteLatencyTable prints the open-loop latency table, including the
+// failure count and, on adaptive rows, what the runtime selected.
 func WriteLatencyTable(w io.Writer, results []Result) { harness.WriteLatencyTable(w, results) }
 
-// Report is the diffable JSON artifact of a benchmark run.
-type Report = harness.Report
-
-// ReportSchema is the schema tag WriteJSON stamps on every report;
-// consumers (cmd/benchdiff, CI gates) refuse reports tagged otherwise.
-const ReportSchema = harness.ReportSchema
-
-// Machine describes the host a report was produced on.
-type Machine = harness.Machine
-
-// ResultJSON is one flattened result row of a Report.
-type ResultJSON = harness.ResultJSON
-
-// PhaseJSON is one per-phase statistics row of a ResultJSON, present
-// when the measured profile declared phases (tm.WithPhases).
-type PhaseJSON = harness.PhaseJSON
-
-// NewReport wraps results into a Report stamped with this machine.
-func NewReport(results []Result) Report { return harness.NewReport(results) }
-
-// WriteJSON writes the report as indented JSON.
-func WriteJSON(w io.Writer, rep Report) error { return harness.WriteJSON(w, rep) }
-
-// ReadJSON parses a report written by WriteJSON.
-func ReadJSON(r io.Reader) (Report, error) { return harness.ReadJSON(r) }
-
-// WriteSweep prints the human-readable scaling-curve table.
+// WriteSweep prints the scaling-curve table.
 func WriteSweep(w io.Writer, results []Result) { harness.WriteSweep(w, results) }
 
 // Improvement returns the percent performance improvement of opt over
