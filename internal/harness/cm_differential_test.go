@@ -1,14 +1,12 @@
 package harness
 
-// Cross-manager differentials: a contention manager decides how a
-// thread waits after a conflict — never what a transaction computes.
-// Every workload under every named profile must therefore reach a
-// bit-identical final state whichever manager resolves its conflicts,
-// and a served request stream must return bit-identical replies. The
-// grid here is the perf-only pin for the contention layer: a checksum
-// mismatch means a manager leaked into semantics (most plausibly the
-// queue manager waking a waiter before its orec was released, or the
-// none manager retrying against state an abort failed to roll back).
+// Cross-manager differentials beyond the workload grid (grid_test.go
+// holds TestCMDifferentialProfiles and TestCMParallelNoLeaks): a
+// contention manager decides how a thread waits after a conflict —
+// never what a transaction computes — so a served request stream must
+// return bit-identical replies whichever manager resolves its
+// conflicts, symmetric writers must not livelock under the none
+// manager, and the adaptive selector must settle on a real manager.
 
 import (
 	"testing"
@@ -18,69 +16,6 @@ import (
 	"repro/tm"
 	"repro/tm/serve"
 )
-
-// cmArms returns the profile grid for one manager: every named profile
-// re-opened with the manager as the runtime-wide policy.
-func cmArms(profiles []tm.Profile, m tm.CM) []tm.Profile {
-	arms := make([]tm.Profile, 0, len(profiles))
-	for _, p := range profiles {
-		arms = append(arms, p.With(tm.WithContention(m)).Named(p.Name()+"+cm"+m))
-	}
-	return arms
-}
-
-// TestCMDifferentialProfiles runs every registered workload under each
-// named profile with each non-default contention manager at one thread
-// and asserts the final state matches the backoff-default baseline.
-// One thread means the managers never actually wait — the test pins
-// that merely compiling a manager (the none escalation counter, the
-// queue owner bookkeeping threaded through conflictAt) perturbs
-// nothing.
-func TestCMDifferentialProfiles(t *testing.T) {
-	profiles := namedProfiles()
-	benches := AllWorkloads()
-	if testing.Short() {
-		profiles = []tm.Profile{tm.Baseline(), tm.RuntimeAll(tm.LogTree), tm.CompilerElision()}
-		benches = []string{"ssca2", "tmkv", "tmmsg"}
-	}
-	for _, bench := range benches {
-		bench := bench
-		t.Run(bench, func(t *testing.T) {
-			t.Parallel()
-			base := runChecksum(t, bench, profiles[0], 1)
-			for _, m := range []tm.CM{tm.CMNone, tm.CMQueue} {
-				for _, p := range cmArms(profiles, m) {
-					if got := runChecksum(t, bench, p, 1); got != base {
-						t.Errorf("%s under %s: final state %#x, want %#x",
-							bench, p.Name(), got, base)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestCMParallelNoLeaks repeats the contended grid at four threads
-// under each manager: final states are scheduling-dependent, but every
-// run must validate and leave no orec locked — the queue manager's
-// park/wake handshake in particular must not strand a waiter or a
-// lock.
-func TestCMParallelNoLeaks(t *testing.T) {
-	benches := AllWorkloads()
-	if testing.Short() {
-		benches = []string{"ssca2", "tmkv", "tmmsg"}
-	}
-	base := tm.RuntimeAll(tm.LogTree)
-	for _, bench := range benches {
-		bench := bench
-		t.Run(bench, func(t *testing.T) {
-			t.Parallel()
-			for _, m := range []tm.CM{tm.CMBackoff, tm.CMNone, tm.CMQueue} {
-				runChecksum(t, bench, base.With(tm.WithContention(m)).Named("runtime+cm"+m), 4)
-			}
-		})
-	}
-}
 
 // TestServeCMReplyIdentity drives the served differential streams with
 // each runtime-wide manager: a single worker over a pre-queued stream

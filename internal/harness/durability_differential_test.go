@@ -18,102 +18,6 @@ func durTune() []tm.DurOption {
 	}
 }
 
-// crashRecoverChecksum drives one workload lifecycle on a durable
-// runtime, simulates a crash after the run, recovers from the
-// directory, and asserts the recovered space is bit-identical to the
-// crashed instance's in-memory state. It returns the recovered
-// checksum.
-func crashRecoverChecksum(t *testing.T, bench string, p tm.Profile, threads int, tune ...tm.DurOption) uint64 {
-	t.Helper()
-	w, err := tm.NewWorkload(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	opts := append(p.Options(), tm.WithMemory(w.MemConfig()),
-		tm.WithDurability(dir, append(durTune(), tune...)...))
-	rt := tm.Open(opts...)
-	w.Setup(rt)
-	// Setup mutates the space through Runtime.Space(), which is not
-	// journaled: per the recovery contract, checkpoint before the
-	// replayable phase begins.
-	if err := rt.Checkpoint(); err != nil {
-		t.Fatalf("%s [%s]: checkpoint after setup: %v", bench, p.Name(), err)
-	}
-	w.Run(rt, threads)
-	if err := w.Validate(rt); err != nil {
-		t.Fatalf("%s [%s, %d threads]: %v", bench, p.Name(), threads, err)
-	}
-	want := rt.Unwrap().Space().Checksum()
-	rt.Crash()
-
-	rec, err := tm.Recover(dir, opts...)
-	if err != nil {
-		t.Fatalf("%s [%s]: recover: %v", bench, p.Name(), err)
-	}
-	got := rec.Unwrap().Space().Checksum()
-	if got != want {
-		t.Errorf("%s [%s, %d threads]: recovered state %#x, want %#x (crashed instance)",
-			bench, p.Name(), threads, got, want)
-	}
-	rec.Validate()
-	if err := rec.Close(); err != nil {
-		t.Fatalf("%s [%s]: closing recovered runtime: %v", bench, p.Name(), err)
-	}
-	return got
-}
-
-// TestDurabilityCrashReplayDifferential is the crash-replay
-// differential over the full scenario × profile grid: every registered
-// workload, under every named profile, run on a durable runtime that is
-// killed after the run and recovered from disk. Three states must be
-// bit-identical (mem.Space.Checksum): the non-durable reference run,
-// the crashed durable instance, and the recovered space — proving both
-// that durability never changes what the program computes and that
-// checkpoint + redo-tail replay loses nothing.
-func TestDurabilityCrashReplayDifferential(t *testing.T) {
-	profiles := namedProfiles()
-	benches := AllWorkloads()
-	if testing.Short() {
-		profiles = []tm.Profile{tm.Baseline(), tm.RuntimeAll(tm.LogTree), tm.CompilerElision()}
-		benches = []string{"ssca2", "labyrinth", "tmkv"}
-	}
-	for _, bench := range benches {
-		bench := bench
-		t.Run(bench, func(t *testing.T) {
-			t.Parallel()
-			base := runChecksum(t, bench, profiles[0], 1) // non-durable reference
-			for _, p := range profiles {
-				if got := crashRecoverChecksum(t, bench, p, 1); got != base {
-					t.Errorf("%s under durable %s: recovered state %#x, want %#x (non-durable %s)",
-						bench, p.Name(), got, base, profiles[0].Name())
-				}
-			}
-		})
-	}
-}
-
-// TestDurabilityCrashReplayParallel repeats the crash-replay check with
-// contended multi-threaded runs and a background auto-checkpointer, so
-// fuzzy checkpoints race live transactions. Final states are
-// scheduling-dependent, so the only (and sufficient) assertion is the
-// one inside crashRecoverChecksum: recovery reproduces the crashed
-// instance exactly.
-func TestDurabilityCrashReplayParallel(t *testing.T) {
-	benches := []string{"ssca2", "tmkv", "tmmsg"}
-	if testing.Short() {
-		benches = []string{"tmkv"}
-	}
-	for _, bench := range benches {
-		bench := bench
-		t.Run(bench, func(t *testing.T) {
-			t.Parallel()
-			crashRecoverChecksum(t, bench, tm.RuntimeAll(tm.LogTree), 4,
-				tm.DurAutoCheckpoint(1<<15))
-		})
-	}
-}
-
 // TestDurabilityRestartContinues closes a durable runtime cleanly,
 // reopens it via Recover, runs more transactions, crashes, and recovers
 // again — the log must continue across incarnations (sequence numbers,

@@ -14,6 +14,8 @@ import (
 // instrumented profile uses the counting chain, perf profiles compile
 // to their specialization, and the force knob always yields generic.
 func TestEngineSelection(t *testing.T) {
+	skipShared := Baseline()
+	skipShared.SkipSharedChecks = true
 	cases := []struct {
 		name string
 		cfg  OptConfig
@@ -21,7 +23,8 @@ func TestEngineSelection(t *testing.T) {
 	}{
 		{"baseline", Baseline(), "counting"},
 		{"counting", CountingConfig(), "counting"},
-		{"runtime-tree", RuntimeAll(capture.KindTree), "counting"},
+		{"runtime-tree", RuntimeAll(capture.KindTree), "counting"}, // harness.PhaseRegimeSpecs' publish fragment
+		{"skipshared", skipShared, "counting"},                     // its cursor fragment (scan is rmStats below)
 		{"baseline-perf", Baseline().Perf(), "perf-noinstr"},
 		{"runtime-tree-perf", RuntimeAll(capture.KindTree).Perf(), "perf-rw-stack-heap-tree"},
 		{"runtime-array-perf", RuntimeAll(capture.KindArray).Perf(), "perf-rw-stack-heap-array"},
@@ -30,9 +33,25 @@ func TestEngineSelection(t *testing.T) {
 		{"heap-write-perf", RuntimeHeapWrite(capture.KindArray).Perf(), "perf-w-heap-array"},
 		{"compiler-perf", Compiler().Perf(), "perf-compiler"},
 	}
+	// mirrorsGeneric reports whether cfg, as it stands and with the
+	// force knob set, compiles to the very functions genericEngine()
+	// returns. While it holds for every PerfMode-off configuration, a
+	// differential of an instrumented run against its forced-generic
+	// twin compares a function pair with itself, which is why
+	// internal/harness's grid runs no such cell. The day this fails —
+	// someone gave "counting" its own chain again — those mirror cells
+	// must come back.
+	mirrorsGeneric := func(cfg OptConfig) bool {
+		forced := cfg
+		forced.ForceGeneric = true
+		return samePair(newEngine(cfg), genericEngine()) && samePair(newEngine(forced), genericEngine())
+	}
 	for _, c := range cases {
 		if got := newEngine(c.cfg).name; got != c.want {
 			t.Errorf("%s: engine %q, want %q", c.name, got, c.want)
+		}
+		if !c.cfg.PerfMode && !mirrorsGeneric(c.cfg) {
+			t.Errorf("%s: an instrumented engine no longer runs the generic chain's functions", c.name)
 		}
 	}
 
@@ -83,8 +102,8 @@ func TestEngineSelection(t *testing.T) {
 		t.Errorf("readmostly: engine %q, want readmostly", e.name)
 	}
 	full.PerfMode = false
-	if off := newEngine(full); !e.rm || off.rm || off.name != "counting" || !samePair(e, off) {
-		t.Errorf("readmostly = %+v, want the pair of %+v in read-mostly mode", e, off)
+	if off := newEngine(full); !e.rm || off.rm || off.name != "counting" || !samePair(e, off) || !mirrorsGeneric(rmStats) {
+		t.Errorf("readmostly = %+v, want the pair of %+v (the generic chain's) in read-mostly mode", e, off)
 	}
 	rmForced := rm
 	rmForced.ForceGeneric = true
