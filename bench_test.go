@@ -620,3 +620,109 @@ func BenchmarkAblationWAW(b *testing.B) {
 		})
 	}
 }
+
+// --- Durability stages (checkpoint and recovery cost per allocated byte) ---
+
+// durGeometry is a 64 MB space; the durability benches use none or a
+// quarter of its heap, so MB/s is per byte of allocated extent — what
+// checkpoint and recovery time is proportional to — not per byte of
+// address space.
+var durGeometry = tm.MemConfig{GlobalWords: 1 << 10, HeapWords: 1 << 23, StackWords: 1 << 12, MaxThreads: 8}
+
+// durableRT opens a durable runtime on a fresh directory and fills
+// heapWords words of its heap with un-journaled set-up writes. It
+// returns the allocated extent in bytes: everything below the bump
+// pointers plus the stacks, which a checkpoint reads.
+func durableRT(b *testing.B, heapWords int) (rt *tm.Runtime, dir string, extent int64) {
+	b.Helper()
+	dir = b.TempDir()
+	rt = tm.Open(tm.WithMemory(durGeometry), tm.WithDurability(dir, tm.DurNoFsync()))
+	space := rt.Unwrap().Space()
+	al := mem.NewAllocator(space)
+	const block = 1 << 15 // above the largest size class: carved contiguously
+	for n := 0; n < heapWords; n += block {
+		p := al.Alloc(block)
+		for i := 0; i < block; i++ {
+			space.Store(p+mem.Addr(i), uint64(n+i)|1)
+		}
+	}
+	heapLo, _ := space.HeapRange()
+	words := space.GlobalsNext() - 1 + space.HeapNext() - uint64(heapLo) + uint64(durGeometry.StackWords*durGeometry.MaxThreads)
+	return rt, dir, int64(words) * 8
+}
+
+// BenchmarkCheckpoint times Runtime.Checkpoint in its three regimes:
+// fresh (nothing allocated: the stacks are read and found zero, nothing
+// is hashed), quarter-used (first checkpoint after set-up: every used
+// chunk is read, hashed, packed) and steady (nothing changed since the
+// last one: read and hashed, all deduplicated).
+func BenchmarkCheckpoint(b *testing.B) {
+	quarter := durGeometry.HeapWords / 4
+	checkpoint := func(b *testing.B, rt *tm.Runtime) {
+		if err := rt.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("fresh", func(b *testing.B) {
+		rt, _, extent := durableRT(b, 0)
+		defer rt.Close()
+		b.ReportAllocs()
+		b.SetBytes(extent)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			checkpoint(b, rt)
+		}
+	})
+	b.Run("quarter-used", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			rt, _, extent := durableRT(b, quarter)
+			b.SetBytes(extent)
+			b.StartTimer()
+			checkpoint(b, rt)
+			b.StopTimer()
+			rt.Close()
+			b.StartTimer()
+		}
+	})
+	b.Run("steady", func(b *testing.B) {
+		rt, _, extent := durableRT(b, quarter)
+		defer rt.Close()
+		checkpoint(b, rt)
+		b.ReportAllocs()
+		b.SetBytes(extent)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			checkpoint(b, rt)
+		}
+	})
+}
+
+// BenchmarkRecover times tm.Recover of a quarter-used space: manifest
+// verification, chunk load with re-hashing, a short redo tail, and the
+// post-recovery checkpoint.
+func BenchmarkRecover(b *testing.B) {
+	b.Run("quarter-used", func(b *testing.B) {
+		rt, dir, extent := durableRT(b, durGeometry.HeapWords/4)
+		if err := rt.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		g := rt.AllocGlobal(1)
+		th := rt.Thread(0)
+		for i := 0; i < 1000; i++ {
+			th.Atomic(func(tx *tm.Tx) { g.Word(0).Store(tx, uint64(i)) })
+		}
+		rt.Crash()
+		b.ReportAllocs()
+		b.SetBytes(extent)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rt, err := tm.Recover(dir, tm.WithDurability("", tm.DurNoFsync()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rt.Crash()
+		}
+	})
+}

@@ -3,36 +3,27 @@ package mem
 import "sync/atomic"
 
 // Snapshot and restore support for the durability tier. A checkpoint
-// needs a word-for-word copy of the space plus the two allocation bump
-// pointers (globals and central heap); recovery writes them back into a
-// freshly sized space. Both directions use atomic word accesses, so a
-// fuzzy snapshot taken while transactions run is well defined — every
-// word read is some committed-or-in-flight value, and redo-tail replay
-// from the checkpoint's log cut repairs any in-flight ones.
+// streams the words of the live space chunk by chunk, plus the two
+// allocation bump pointers (globals and central heap); recovery decodes
+// them straight into the backing words of a freshly sized space. The
+// read side uses atomic word accesses, so a fuzzy snapshot taken while
+// transactions run is well defined — every word read is some
+// committed-or-in-flight value, and redo-tail replay from the
+// checkpoint's log cut repairs any in-flight ones.
 
-// Snapshot copies every word of the space into dst (grown as needed)
-// and returns it.
-func (s *Space) Snapshot(dst []uint64) []uint64 {
-	if cap(dst) < len(s.words) {
-		dst = make([]uint64, len(s.words))
+// ReadWords copies the len(dst) words starting at word index at into
+// dst (wal.WordSource, together with Size).
+func (s *Space) ReadWords(dst []uint64, at int) {
+	src := s.words[at : at+len(dst)]
+	for i := range src {
+		dst[i] = atomic.LoadUint64(&src[i])
 	}
-	dst = dst[:len(s.words)]
-	for i := range s.words {
-		dst[i] = atomic.LoadUint64(&s.words[i])
-	}
-	return dst
 }
 
-// SetWords overwrites the space with the recovered image, which must
-// have exactly the space's word count.
-func (s *Space) SetWords(words []uint64) {
-	if len(words) != len(s.words) {
-		panic("mem: SetWords image size mismatch")
-	}
-	for i, w := range words {
-		atomic.StoreUint64(&s.words[i], w)
-	}
-}
+// Restore hands fill the backing words of the space so recovery can
+// build the image in place instead of copying one in. Only valid on a
+// fresh space (all zero), before any thread exists.
+func (s *Space) Restore(fill func(words []uint64) error) error { return fill(s.words) }
 
 // GlobalsNext reports the globals-region bump pointer.
 func (s *Space) GlobalsNext() uint64 { return s.globalsNext.Load() }

@@ -1,11 +1,12 @@
 package wal
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,123 +17,195 @@ import (
 // directory that ever hosted one always recovers.
 var ErrNoCheckpoint = errors.New("wal: no usable checkpoint manifest")
 
-// RecoveredState is the outcome of Recover: the reconstructed word
-// image plus everything a runtime needs to resume appending.
+// Recovery is a durability directory whose newest manifest that
+// verifies (format, CRC, structure) has been read. Its geometry tells
+// the caller what space to build; Load then fills that space in place.
+type Recovery struct {
+	Geometry   Geometry
+	SpaceWords int
+
+	dir   string
+	index map[Score]chunkLoc
+	names []string            // manifest files, newest first, from the one Geometry came from
+	packs map[uint64]*os.File // one open handle per pack while Load runs
+	buf   []byte              // the one read buffer
+}
+
+// RecoveredState is the outcome of Recovery.Load: everything a runtime
+// needs, beside the word image Load built, to resume appending.
 type RecoveredState struct {
-	Words       []uint64
-	Clock       uint64
-	GlobalsNext uint64
-	HeapNext    uint64
-	Geometry    Geometry
+	Clock, GlobalsNext, HeapNext uint64
 	// NextSeg/NextSeq are where a re-opened log should continue.
-	NextSeg uint64
-	NextSeq uint64
+	NextSeg, NextSeq uint64
 	// CheckpointSeq is the manifest the recovery started from; Records
 	// counts redo records replayed on top of it. Truncated reports that
 	// a torn final record was cut off the last segment.
-	CheckpointSeq uint64
-	Records       uint64
-	Truncated     bool
+	CheckpointSeq, Records uint64
+	Truncated              bool
 }
 
-// Recover rebuilds state from dir: load the newest manifest whose
-// chunks resolve and whose checksum verifies, then replay every redo
-// record at or after its log cut, in segment order. A decode failure in
-// the final segment is a torn tail — the file is truncated at the last
-// good record and recovery succeeds; a failure anywhere else is
-// corruption and recovery fails.
-func Recover(dir string) (*RecoveredState, error) {
+// Recover finds the newest manifest in dir that verifies. A v1 (JSON)
+// manifest is refused by name, never parsed.
+func Recover(dir string) (*Recovery, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var cps []uint64
+	type cand struct {
+		n    uint64
+		name string
+	}
+	var cands []cand
 	for _, e := range entries {
 		var n uint64
-		if matchName(e.Name(), "cp-%08d.json", &n) {
-			cps = append(cps, n)
+		if matchName(e.Name(), manifestPattern, &n) || matchName(e.Name(), manifestV1Pattern, &n) {
+			cands = append(cands, cand{n, e.Name()})
 		}
 	}
-	if len(cps) == 0 {
+	if len(cands) == 0 {
 		return nil, ErrNoCheckpoint
 	}
-	sort.Slice(cps, func(i, j int) bool { return cps[i] > cps[j] })
-
+	sort.Slice(cands, func(i, j int) bool { return cands[i].n > cands[j].n })
 	store, err := OpenStore(dir, 0)
 	if err != nil {
 		return nil, err
 	}
-	var m *Manifest
-	var words []uint64
+	r := &Recovery{dir: dir, index: store.index}
+	for _, c := range cands {
+		r.names = append(r.names, c.name)
+	}
 	var lastErr error
-	for _, n := range cps {
-		cand, w, err := loadManifest(dir, store, n)
+	for ; len(r.names) > 0; r.names = r.names[1:] {
+		m, err := readManifest(dir, r.names[0])
+		if err == nil {
+			r.Geometry, r.SpaceWords = m.Geometry, m.SpaceWords
+			return r, nil
+		}
+		lastErr = err
+	}
+	return nil, fmt.Errorf("%w (last error: %v)", ErrNoCheckpoint, lastErr)
+}
+
+func readManifest(dir, name string) (*Manifest, error) {
+	var n uint64
+	if matchName(name, manifestV1Pattern, &n) {
+		return nil, fmt.Errorf("%s: repro/wal-checkpoint/v1 manifests are not read by this version", name)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		return nil, err
+	}
+	m, err := DecodeManifest(b)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	return m, nil
+}
+
+// Load rebuilds the image in words, which must be all zero and
+// SpaceWords long: the chunks of the newest manifest whose every chunk
+// resolves and hashes to its score are decoded straight into it (zero
+// chunks are skipped), then every redo record at or after that
+// manifest's log cut is replayed over it, in segment order. A decode
+// failure in the final segment is a torn tail — the file is truncated
+// at the last good record and recovery succeeds; a failure anywhere
+// else is corruption. A manifest that cannot be loaded or whose tail is
+// gone gives way to the next older one.
+func (r *Recovery) Load(words []uint64) (*RecoveredState, error) {
+	r.packs = make(map[uint64]*os.File)
+	defer func() {
+		for _, f := range r.packs {
+			f.Close()
+		}
+	}()
+	var lastErr error
+	for _, name := range r.names {
+		m, err := readManifest(r.dir, name)
+		if err == nil && m.SpaceWords != len(words) {
+			err = fmt.Errorf("%s: describes %d words, space has %d", name, m.SpaceWords, len(words))
+		}
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		m, words = cand, w
-		break
+		st := &RecoveredState{Clock: m.Clock, GlobalsNext: m.GlobalsNext, HeapNext: m.HeapNext, NextSeg: m.CutSeg, CheckpointSeq: m.Seq}
+		if err = r.image(m, words); err == nil {
+			if err = st.replayTail(r.dir, m, words); err == nil {
+				return st, nil
+			}
+		}
+		lastErr = fmt.Errorf("%s: %w", name, err)
+		clear(words)
 	}
-	if m == nil {
-		return nil, fmt.Errorf("%w (last error: %v)", ErrNoCheckpoint, lastErr)
-	}
-
-	st := &RecoveredState{
-		Words:         words,
-		Clock:         m.Clock,
-		GlobalsNext:   m.GlobalsNext,
-		HeapNext:      m.HeapNext,
-		Geometry:      m.Geometry,
-		NextSeg:       m.CutSeg,
-		CheckpointSeq: m.Seq,
-	}
-	if err := st.replayTail(dir, m); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return nil, fmt.Errorf("%w (last error: %v)", ErrNoCheckpoint, lastErr)
 }
 
-func loadManifest(dir string, store *CheckpointStore, n uint64) (*Manifest, []uint64, error) {
-	b, err := os.ReadFile(filepath.Join(dir, ManifestName(n)))
+// image decodes m's non-zero chunks into words. The manifest's own
+// ChunkWords governs offsets. Every payload is re-hashed and compared
+// with its score: the pack header's copy of the score is only a label.
+func (r *Recovery) image(m *Manifest, words []uint64) error {
+	c := 0
+	for i := range m.Chunks {
+		ref := &m.Chunks[i]
+		c += int(ref.Zeros)
+		lo := c * m.ChunkWords
+		dst := words[lo:min(lo+m.ChunkWords, len(words))]
+		c++
+		loc, ok := r.index[ref.Score]
+		if !ok || loc.nwords != len(dst) {
+			return fmt.Errorf("chunk %s not indexed with %d words", ref.Score, len(dst))
+		}
+		f := r.packs[loc.pack]
+		if f == nil {
+			var err error
+			if f, err = os.Open(filepath.Join(r.dir, PackName(loc.pack))); err != nil {
+				return err
+			}
+			r.packs[loc.pack] = f
+		}
+		n := packEntryHdr + 8*len(dst)
+		if cap(r.buf) < n {
+			r.buf = make([]byte, n)
+		}
+		entry := r.buf[:n]
+		if _, err := f.ReadAt(entry, loc.off); err != nil {
+			return fmt.Errorf("pack %d offset %d: %w", loc.pack, loc.off, err)
+		}
+		payload := entry[packEntryHdr:]
+		if !bytes.Equal(entry[:scoreLen], ref.Score[:]) ||
+			int(binary.LittleEndian.Uint32(entry[scoreLen:])) != len(dst) ||
+			Score(sha256.Sum256(payload)) != ref.Score {
+			return fmt.Errorf("pack %d offset %d does not hold chunk %s", loc.pack, loc.off, ref.Score)
+		}
+		for j := range dst {
+			dst[j] = binary.LittleEndian.Uint64(payload[8*j:])
+		}
+	}
+	return nil
+}
+
+// readFileInto reads path into buf, growing it only when the file is
+// larger, so replay holds one segment at a time.
+func readFileInto(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var m Manifest
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, nil, fmt.Errorf("manifest %d: %w", n, err)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	if m.Format != manifestKind {
-		return nil, nil, fmt.Errorf("manifest %d: unknown format %q", n, m.Format)
+	n := int(fi.Size())
+	if cap(buf) < n {
+		buf = make([]byte, n)
 	}
-	if m.SpaceWords < 0 || m.ChunkWords <= 0 {
-		return nil, nil, fmt.Errorf("manifest %d: bad dimensions", n)
-	}
-	words := make([]uint64, 0, m.SpaceWords)
-	for i, hs := range m.Scores {
-		raw, err := hex.DecodeString(hs)
-		if err != nil || len(raw) != scoreLen {
-			return nil, nil, fmt.Errorf("manifest %d: bad score %d", n, i)
-		}
-		var sc Score
-		copy(sc[:], raw)
-		chunk, err := store.ReadChunk(sc)
-		if err != nil {
-			return nil, nil, fmt.Errorf("manifest %d: %w", n, err)
-		}
-		words = append(words, chunk...)
-	}
-	if len(words) != m.SpaceWords {
-		return nil, nil, fmt.Errorf("manifest %d: chunks sum to %d words, want %d", n, len(words), m.SpaceWords)
-	}
-	if sum := fnvWords(words); sum != m.Sum {
-		return nil, nil, fmt.Errorf("manifest %d: checksum mismatch (%#x != %#x)", n, sum, m.Sum)
-	}
-	return &m, words, nil
+	_, err = io.ReadFull(f, buf[:n])
+	return buf[:n], err
 }
 
 // replayTail applies every record at or after the manifest's cut.
-func (st *RecoveredState) replayTail(dir string, m *Manifest) error {
+func (st *RecoveredState) replayTail(dir string, m *Manifest, words []uint64) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
@@ -158,11 +231,11 @@ func (st *RecoveredState) replayTail(dir string, m *Manifest) error {
 	}
 
 	var rec Record
+	var b []byte
 	for i, idx := range segIdxs {
 		last := i == len(segIdxs)-1
 		path := filepath.Join(dir, SegName(idx))
-		b, err := os.ReadFile(path)
-		if err != nil {
+		if b, err = readFileInto(path, b); err != nil {
 			return err
 		}
 		if len(b) < segHdrLen || string(b[:8]) != segMagic {
@@ -202,7 +275,7 @@ func (st *RecoveredState) replayTail(dir string, m *Manifest) error {
 				}
 				return fmt.Errorf("wal: segment %d offset %d: %w", idx, off, err)
 			}
-			st.apply(&rec)
+			st.apply(&rec, words)
 			off += n
 		}
 		st.NextSeg = idx + 1
@@ -231,13 +304,13 @@ func RemoveSegmentsBelow(dir string, seg uint64) error {
 	return firstErr
 }
 
-func (st *RecoveredState) apply(rec *Record) {
+func (st *RecoveredState) apply(rec *Record, words []uint64) {
 	for i := range rec.Spans {
 		s := &rec.Spans[i]
 		for j, v := range s.Vals {
 			a := s.Addr + uint64(j)
-			if a < uint64(len(st.Words)) {
-				st.Words[a] = v
+			if a < uint64(len(words)) {
+				words[a] = v
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -232,12 +233,31 @@ func TestLogSegmentBuffersAreRecycled(t *testing.T) {
 	}
 }
 
-// writeState drives a log + store pair over a synthetic word image and
+// wordSlice is a WordSource over a plain image.
+type wordSlice []uint64
+
+func (w wordSlice) Size() int                      { return len(w) }
+func (w wordSlice) ReadWords(dst []uint64, at int) { copy(dst, w[at:]) }
+
+// recoverImage runs both recovery steps into a fresh zero image.
+func recoverImage(dir string) (*RecoveredState, []uint64, error) {
+	rec, err := Recover(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	words := make([]uint64, rec.SpaceWords)
+	st, err := rec.Load(words)
+	return st, words, err
+}
+
+// writeState drives a log + store pair over a synthetic word image —
+// fifty records, a checkpoint after each record named in checkpointAt
+// (pruning the log below its cut when prune is set) — then crashes, and
 // returns the final image.
-func writeState(t *testing.T, dir string, spaceWords int) []uint64 {
+func writeState(t *testing.T, dir string, spaceWords, chunkWords int, prune bool, checkpointAt ...uint64) []uint64 {
 	t.Helper()
 	words := make([]uint64, spaceWords)
-	store, err := OpenStore(dir, 64)
+	store, err := OpenStore(dir, chunkWords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,24 +279,28 @@ func writeState(t *testing.T, dir string, spaceWords int) []uint64 {
 		if _, err := l.Append(mutate(seed, 8)); err != nil {
 			t.Fatal(err)
 		}
-		if seed == 25 {
+		for _, at := range checkpointAt {
+			if seed != at {
+				continue
+			}
 			if err := l.Sync(); err != nil {
 				t.Fatal(err)
 			}
 			cutSeg, cutOff := l.Position()
 			if _, err := store.WriteCheckpoint(Snapshot{
-				Words:       append([]uint64(nil), words...),
 				Clock:       seed,
 				GlobalsNext: seed,
 				HeapNext:    2 * seed,
 				Geometry:    Geometry{GlobalWords: 1, HeapWords: 1, StackWords: 1, MaxThreads: 1},
 				CutSeg:      cutSeg,
 				CutOff:      cutOff,
-			}); err != nil {
+			}, wordSlice(words)); err != nil {
 				t.Fatal(err)
 			}
-			if err := l.TruncateBefore(cutSeg); err != nil {
-				t.Fatal(err)
+			if prune {
+				if err := l.TruncateBefore(cutSeg); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
@@ -285,27 +309,32 @@ func writeState(t *testing.T, dir string, spaceWords int) []uint64 {
 	return words
 }
 
+// The store writes chunks of 64, 512 and (not dividing the space) 1000
+// words; recovery always opens its store with the default size, so the
+// loader must take offsets from the manifest.
 func TestRecoverCheckpointPlusTail(t *testing.T) {
-	dir := t.TempDir()
-	want := writeState(t, dir, 4096)
-	st, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st.Words, want) {
-		t.Fatal("recovered words differ from live image")
-	}
-	if st.Clock != 50 || st.GlobalsNext != 50 || st.HeapNext != 100 {
-		t.Fatalf("metadata: clock=%d gn=%d hn=%d", st.Clock, st.GlobalsNext, st.HeapNext)
-	}
-	if st.Records == 0 || st.Truncated {
-		t.Fatalf("records=%d truncated=%v", st.Records, st.Truncated)
+	for _, chunkWords := range []int{64, 512, 1000} {
+		dir := t.TempDir()
+		want := writeState(t, dir, 4096, chunkWords, true, 25)
+		st, words, err := recoverImage(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(words, want) {
+			t.Fatalf("chunks of %d words: recovered words differ from live image", chunkWords)
+		}
+		if st.Clock != 50 || st.GlobalsNext != 50 || st.HeapNext != 100 {
+			t.Fatalf("metadata: clock=%d gn=%d hn=%d", st.Clock, st.GlobalsNext, st.HeapNext)
+		}
+		if st.Records == 0 || st.Truncated {
+			t.Fatalf("records=%d truncated=%v", st.Records, st.Truncated)
+		}
 	}
 }
 
 func TestRecoverTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
-	writeState(t, dir, 4096)
+	writeState(t, dir, 4096, 64, true, 25)
 
 	// Chop bytes off the last segment, mid-record.
 	entries, err := os.ReadDir(dir)
@@ -335,7 +364,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := Recover(dir)
+	st, words, err := recoverImage(dir)
 	if err != nil {
 		t.Fatalf("recovery failed on torn tail: %v", err)
 	}
@@ -343,14 +372,14 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 		t.Fatal("recovery did not report truncation")
 	}
 	// Recovery must be repeatable: the torn record is gone now.
-	st2, err := Recover(dir)
+	st2, words2, err := recoverImage(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st2.Truncated {
 		t.Fatal("second recovery still sees a torn tail")
 	}
-	if !reflect.DeepEqual(st.Words, st2.Words) {
+	if !reflect.DeepEqual(words, words2) {
 		t.Fatal("recover-after-truncate changed state")
 	}
 }
@@ -371,8 +400,8 @@ func TestCheckpointDedup(t *testing.T) {
 	for i := range words {
 		words[i] = uint64(i)
 	}
-	snap := Snapshot{Words: words, Geometry: Geometry{GlobalWords: 1, HeapWords: 1, StackWords: 1, MaxThreads: 1}}
-	if _, err := store.WriteCheckpoint(snap); err != nil {
+	snap := Snapshot{Geometry: Geometry{GlobalWords: 1, HeapWords: 1, StackWords: 1, MaxThreads: 1}}
+	if _, err := store.WriteCheckpoint(snap, wordSlice(words)); err != nil {
 		t.Fatal(err)
 	}
 	first := store.Stats()
@@ -380,7 +409,7 @@ func TestCheckpointDedup(t *testing.T) {
 		t.Fatal("first checkpoint wrote nothing")
 	}
 	words[3] = 0xabcdef // dirty exactly one chunk
-	if _, err := store.WriteCheckpoint(snap); err != nil {
+	if _, err := store.WriteCheckpoint(snap, wordSlice(words)); err != nil {
 		t.Fatal(err)
 	}
 	second := store.Stats()
@@ -396,10 +425,137 @@ func TestCheckpointDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store2.WriteCheckpoint(snap); err != nil {
+	if _, err := store2.WriteCheckpoint(snap, wordSlice(words)); err != nil {
 		t.Fatal(err)
 	}
 	if st := store2.Stats(); st.ChunksWritten != 0 {
 		t.Fatalf("reopened store rewrote %d chunks", st.ChunksWritten)
+	}
+}
+
+// TestOpenStoreRemovesCrashLeftovers plants what a crash between the
+// pack write and the index write used to leave (a pack with no index)
+// and what a crash mid-write leaves now (*.tmp files): OpenStore deletes
+// them, keeps every indexed pack, and the store keeps working.
+func TestOpenStoreRemovesCrashLeftovers(t *testing.T) {
+	dir := t.TempDir()
+	want := writeState(t, dir, 4096, 64, true, 25)
+	planted := []string{PackName(7), PackName(3) + ".tmp", IndexName(3) + ".tmp", ManifestName(9) + ".tmp"}
+	for _, name := range planted {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("leftover"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := OpenStore(dir, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range planted {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s survives OpenStore (stat: %v)", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, PackName(0))); err != nil {
+		t.Errorf("indexed pack removed: %v", err)
+	}
+	// The image is already final: cut past every segment, nothing replays.
+	if _, err := store.WriteCheckpoint(Snapshot{CutSeg: 1 << 20}, wordSlice(want)); err != nil {
+		t.Fatal(err)
+	}
+	if _, words, err := recoverImage(dir); err != nil || !reflect.DeepEqual(words, want) {
+		t.Fatalf("recovery after clean-up: err=%v, image equal=%v", err, err == nil && reflect.DeepEqual(words, want))
+	}
+}
+
+// TestCorruptionIsRefused damages a directory holding two checkpoints
+// (seq 0 and 1) and a redo tail, one way per case. With the older
+// checkpoint's tail still on disk recovery must fall back to it and
+// reproduce the live image; with that tail pruned it must fail with
+// ErrNoCheckpoint. It never returns a different image.
+func TestCorruptionIsRefused(t *testing.T) {
+	flip := func(name func() string, off func(size int) int) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			path := filepath.Join(dir, name())
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[off(len(b))] ^= 0x10
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	at := func(off int) func(int) int { return func(int) int { return off } }
+	newestPack := func() string { return PackName(1) } // written by checkpoint 1, not referenced by 0
+	newest := func() string { return ManifestName(1) }
+	cases := []struct {
+		name     string
+		damage   func(t *testing.T, dir string)
+		fallback uint64 // manifest recovery must end up on while every tail exists
+		total    bool   // recovery succeeds even with the older tail pruned
+	}{
+		{name: "pack-payload-bit", damage: flip(newestPack, at(packEntryHdr+5))},
+		{name: "pack-header-score-bit", damage: flip(newestPack, at(3))},
+		{name: "manifest-score-bit", damage: flip(newest, at(manifestHdr+4+7))},
+		{name: "manifest-heapnext-bit", damage: flip(newest, at(len(manifestMagic)+8*3))},
+		{name: "manifest-crc-bit", damage: flip(newest, func(size int) int { return size - 1 })},
+		{name: "manifest-truncated", damage: func(t *testing.T, dir string) {
+			path := filepath.Join(dir, newest())
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, fi.Size()/2); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "v1-json-manifest-newest", fallback: 1, total: true, damage: func(t *testing.T, dir string) {
+			v1 := `{"format": "repro/wal-checkpoint/v1", "seq": 2, "spaceWords": 4096, "chunkWords": 64, "scores": []}`
+			if err := os.WriteFile(filepath.Join(dir, "cp-00000002.json"), []byte(v1), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		for _, prune := range []bool{false, true} {
+			name := tc.name + "/older-tail-kept"
+			if prune {
+				name = tc.name + "/older-tail-pruned"
+			}
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				want := writeState(t, dir, 4096, 64, prune, 20, 40)
+				if st, words, err := recoverImage(dir); err != nil || st.CheckpointSeq != 1 || !reflect.DeepEqual(words, want) {
+					t.Fatalf("undamaged directory: err=%v state=%+v", err, st)
+				}
+				tc.damage(t, dir)
+				st, words, err := recoverImage(dir)
+				if prune && !tc.total {
+					if !errors.Is(err, ErrNoCheckpoint) {
+						t.Fatalf("got state %+v, err %v; want an error wrapping ErrNoCheckpoint", st, err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("no fallback to checkpoint %d: %v", tc.fallback, err)
+				}
+				if st.CheckpointSeq != tc.fallback {
+					t.Errorf("recovered from checkpoint %d, want %d", st.CheckpointSeq, tc.fallback)
+				}
+				if !reflect.DeepEqual(words, want) {
+					t.Error("recovered image differs from the live image")
+				}
+			})
+		}
+	}
+
+	// A directory whose only manifest is v1 is refused, by name.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "cp-00000000.json"), []byte(`{"format": "repro/wal-checkpoint/v1"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(dir); !errors.Is(err, ErrNoCheckpoint) || !strings.Contains(err.Error(), "wal-checkpoint/v1") {
+		t.Fatalf("v1-only directory: got %v, want ErrNoCheckpoint naming the v1 format", err)
 	}
 }

@@ -14,8 +14,10 @@ import (
 // with group commit and a content-addressed checkpoint store to the
 // runtime: every committed transaction's effects are serialized into
 // the log before Atomic returns (batched across threads, acked after
-// fsync), and Checkpoint writes the whole space as deduplicated,
-// SHA-256-addressed pack chunks. Recover(dir) rebuilds a runtime from
+// fsync), and Checkpoint streams the allocated extent of the live space
+// into deduplicated, SHA-256-addressed pack chunks (time proportional
+// to memory in use, one chunk of extra space). Recover(dir) rebuilds a
+// runtime — in place, verifying every chunk against its score — from
 // the newest checkpoint plus the redo tail — bit-identical
 // (mem.Space.Checksum) to the crashed instance at its last enqueued
 // record.
@@ -121,9 +123,8 @@ type durRuntime struct {
 	log     *wal.Log
 	store   *wal.CheckpointStore
 
-	cpMu    sync.Mutex // serializes checkpoints; also guards snapBuf
-	snapBuf []uint64
-	cpBytes uint64 // log bytes at the last checkpoint (auto trigger)
+	cpMu    sync.Mutex // serializes checkpoints
+	cpBytes uint64     // log bytes at the last checkpoint (auto trigger)
 
 	auto      uint64
 	stopAuto  chan struct{}
@@ -134,7 +135,9 @@ type durRuntime struct {
 
 // openDurable wires a fresh (or recovered) runtime to its log and
 // checkpoint store. startSeg/startSeq are zero for a fresh directory
-// and the recovered continuation point otherwise.
+// and the recovered continuation point otherwise. On failure nothing
+// stays behind: the log is closed, the runtime is not durable, and a
+// scratch directory is removed.
 func openDurable(rt *Runtime, ds *durSettings, startSeg, startSeq uint64, initialCP bool) error {
 	if ds.scratch && ds.dir == "" {
 		dir, err := os.MkdirTemp("", "tmdur-")
@@ -143,18 +146,30 @@ func openDurable(rt *Runtime, ds *durSettings, startSeg, startSeq uint64, initia
 		}
 		ds.dir = dir
 	}
+	var log *wal.Log
+	fail := func(err error) error {
+		if log != nil {
+			log.Close()
+		}
+		rt.dur = nil
+		rt.rt.SetDurable(nil)
+		if ds.scratch {
+			os.RemoveAll(ds.dir)
+			ds.dir = ""
+		}
+		return err
+	}
 	log, err := wal.OpenLog(ds.dir, startSeg, startSeq, wal.Options{
 		SegmentBytes:  ds.segBytes,
 		GroupInterval: ds.group,
 		NoFsync:       ds.noFsync,
 	})
 	if err != nil {
-		return err
+		return fail(err)
 	}
 	store, err := wal.OpenStore(ds.dir, ds.chunkWords)
 	if err != nil {
-		log.Close()
-		return err
+		return fail(err)
 	}
 	d := &durRuntime{dir: ds.dir, scratch: ds.scratch, log: log, store: store, auto: ds.autoBytes}
 	rt.dur = d
@@ -163,10 +178,7 @@ func openDurable(rt *Runtime, ds *durSettings, startSeg, startSeq uint64, initia
 		// An initial checkpoint makes Recover total: any directory that
 		// ever hosted a durable runtime has at least one manifest.
 		if err := rt.Checkpoint(); err != nil {
-			log.Close()
-			rt.dur = nil
-			rt.rt.SetDurable(nil)
-			return err
+			return fail(err)
 		}
 	}
 	if d.auto > 0 {
@@ -196,22 +208,13 @@ func (d *durRuntime) autoLoop(rt *Runtime) {
 	}
 }
 
-// geometryOf converts the space geometry for a checkpoint manifest.
-func geometryOf(mc mem.Config) wal.Geometry {
-	return wal.Geometry{
-		GlobalWords: mc.GlobalWords,
-		HeapWords:   mc.HeapWords,
-		StackWords:  mc.StackWords,
-		MaxThreads:  mc.MaxThreads,
-	}
-}
-
-// Checkpoint writes a content-addressed snapshot of the whole space and
-// prunes redo segments wholly below its log cut. Safe to call while
-// transactions run (the snapshot is fuzzy; the redo tail repairs any
-// in-flight effects at recovery) — but after non-journaled setup writes
-// via Space(), a checkpoint is *required* for those to survive a crash.
-// Without WithDurability it is a no-op.
+// Checkpoint writes a content-addressed snapshot of the space — the
+// allocated extent only: what lies above the bump pointers is recorded
+// as zero unread — and prunes redo segments wholly below its log cut.
+// Safe to call while transactions run (the snapshot is fuzzy; the redo
+// tail repairs any in-flight effects at recovery) — but after
+// non-journaled setup writes via Space(), a checkpoint is *required*
+// for those to survive a crash. Without WithDurability it is a no-op.
 func (rt *Runtime) Checkpoint() error {
 	d := rt.dur
 	if d == nil {
@@ -223,17 +226,24 @@ func (rt *Runtime) Checkpoint() error {
 		return err
 	}
 	cutSeg, cutOff := d.log.Position()
+	// The one ordering the streamed writer rests on: both bump pointers
+	// are monotonic and are read *after* the cut is taken. A record
+	// before the cut (never replayed) was appended after its words were
+	// allocated and written, so every such word lies below the values
+	// read here and its chunk is read; whatever is allocated above them
+	// from now on is logged after the cut and repaired by replay.
 	space := rt.rt.Space()
-	d.snapBuf = space.Snapshot(d.snapBuf)
+	globalsNext, heapNext := space.GlobalsNext(), space.HeapNext()
+	heapLo, heapHi := space.HeapRange()
 	_, err := d.store.WriteCheckpoint(wal.Snapshot{
-		Words:       d.snapBuf,
 		Clock:       rt.rt.Clock(),
-		GlobalsNext: space.GlobalsNext(),
-		HeapNext:    space.HeapNext(),
-		Geometry:    geometryOf(rt.mc),
+		GlobalsNext: globalsNext,
+		HeapNext:    heapNext,
+		Geometry:    wal.Geometry(rt.mc),
 		CutSeg:      cutSeg,
 		CutOff:      cutOff,
-	})
+		Untouched:   []wal.Extent{{Lo: globalsNext, Hi: uint64(heapLo)}, {Lo: heapNext, Hi: uint64(heapHi)}},
+	}, space)
 	if err != nil {
 		return err
 	}
@@ -312,29 +322,25 @@ func (d *durRuntime) stopAutoLoop() {
 	}
 }
 
-// Recover rebuilds a runtime from dir: the newest loadable checkpoint
-// plus a replay of the redo tail (truncating a torn final record). The
-// memory geometry comes from the checkpoint manifest; opts configure
-// everything else (engine profile, phases, …) and should match the
-// options the crashed instance ran with. A WithDurability option among
-// opts contributes its tuning knobs (its directory argument is ignored
-// in favor of dir); without one, defaults apply. The recovered runtime
-// is durable again: it continues the log after the replayed tail and
-// writes a fresh post-recovery checkpoint.
+// Recover rebuilds a runtime from dir: the newest loadable checkpoint,
+// decoded straight into the new runtime's space, plus a replay of the
+// redo tail (truncating a torn final record). The memory geometry comes
+// from the checkpoint manifest; opts configure everything else (engine
+// profile, phases, …) and should match the options the crashed instance
+// ran with. A WithDurability option among opts contributes its tuning
+// knobs (its directory argument is ignored in favor of dir); without
+// one, defaults apply. The recovered runtime is durable again: it
+// continues the log after the replayed tail and writes a fresh
+// post-recovery checkpoint.
 func Recover(dir string, opts ...Option) (*Runtime, error) {
-	st, err := wal.Recover(dir)
+	rec, err := wal.Recover(dir)
 	if err != nil {
 		return nil, err
 	}
 	s := fold(opts)
-	s.mem = mem.Config{
-		GlobalWords: st.Geometry.GlobalWords,
-		HeapWords:   st.Geometry.HeapWords,
-		StackWords:  st.Geometry.StackWords,
-		MaxThreads:  st.Geometry.MaxThreads,
-	}
+	s.mem = mem.Config(rec.Geometry) // wal.Geometry mirrors it field for field
 	if s.mem.GlobalWords <= 0 || s.mem.HeapWords <= 0 || s.mem.StackWords <= 0 || s.mem.MaxThreads <= 0 {
-		return nil, fmt.Errorf("tm: checkpoint manifest has invalid geometry %+v", st.Geometry)
+		return nil, fmt.Errorf("tm: checkpoint manifest has invalid geometry %+v", rec.Geometry)
 	}
 	ds := s.dur
 	if ds == nil {
@@ -343,7 +349,13 @@ func Recover(dir string, opts ...Option) (*Runtime, error) {
 	ds.dir = dir
 	rt := newRuntime(s)
 	space := rt.rt.Space()
-	space.SetWords(st.Words)
+	var st *wal.RecoveredState
+	if err := space.Restore(func(words []uint64) (err error) {
+		st, err = rec.Load(words)
+		return err
+	}); err != nil {
+		return nil, err
+	}
 	space.SetGlobalsNext(st.GlobalsNext)
 	space.SetHeapNext(st.HeapNext)
 	rt.rt.SetClock(st.Clock)
@@ -387,5 +399,7 @@ func (rt *Runtime) durabilityStats() *DurabilityStats {
 		ChunksWritten: ss.ChunksWritten,
 		ChunksDeduped: ss.ChunksDeduped,
 		PackBytes:     ss.BytesWritten,
+		ChunksHashed:  ss.ChunksHashed,
+		ChunksZero:    ss.ChunksZero,
 	}
 }

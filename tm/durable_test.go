@@ -1,0 +1,142 @@
+package tm_test
+
+import (
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/tm"
+)
+
+// TestRecoverAllocatesOneImage pins recovery's space cost: tm.Recover
+// allocates the new runtime's space and decodes the checkpoint into it
+// in place — no second image, no per-chunk slices. The geometry is the
+// rig's served one (256 MB); the orec table and the log's segment buffer
+// are sized down so the 2 MB of slack is recovery's own.
+func TestRecoverAllocatesOneImage(t *testing.T) {
+	geometry := tm.MemConfig{GlobalWords: 1 << 10, HeapWords: 1 << 25, StackWords: 1 << 12, MaxThreads: 32}
+	opts := []tm.Option{tm.WithMemory(geometry), tm.WithOrecBits(10)}
+	dur := []tm.DurOption{tm.DurNoFsync(), tm.DurSegmentBytes(64 << 10)}
+	dir := t.TempDir()
+	rt := tm.Open(append(opts, tm.WithDurability(dir, dur...))...)
+	root := rt.AllocGlobal(1)
+	th := rt.Thread(0)
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			th.Atomic(func(tx *tm.Tx) {
+				node := tx.Alloc(256)
+				for w := 1; w < node.Len(); w++ {
+					node.Word(w).Store(tx, uint64(i*w)|1)
+				}
+				node.Ptr(0).Store(tx, root.Ptr(0).Load(tx))
+				root.Ptr(0).Store(tx, node)
+			})
+		}
+	}
+	push(2000) // ≈ 4 MB in the checkpoint …
+	if err := rt.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	push(200) // … and a tail to replay
+	want := rt.Unwrap().Space().Checksum()
+	spaceBytes := uint64(rt.Unwrap().Space().Size()) * 8
+	rt.Crash()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rt2, err := tm.Recover(dir, append(opts, tm.WithDurability("", dur...))...)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt2.Close()
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > spaceBytes+2<<20 {
+		t.Errorf("Recover allocated %d bytes for a %d-byte space (%.2f×), want at most the space + 2 MB",
+			alloc, spaceBytes, float64(alloc)/float64(spaceBytes))
+	}
+	if got := rt2.Unwrap().Space().Checksum(); got != want {
+		t.Errorf("recovered state %#x, crashed instance had %#x", got, want)
+	}
+}
+
+// TestCheckpointWhileAllocating is the fuzzy snapshot under fire: four
+// threads commit allocate-write-publish transactions — each block is
+// sized to take a fresh span, so every commit moves the heap bump
+// pointer — and journaled Thread.Alloc / StackPush operations, while a
+// fifth goroutine checkpoints in a loop. Each round
+// stops at a seeded point, crashes, recovers and compares checksums. A
+// checkpoint that sampled a bump pointer before taking its log cut
+// would record a chunk as never allocated although a transaction
+// committed before the cut (and therefore never replayed) wrote it.
+func TestCheckpointWhileAllocating(t *testing.T) {
+	const workers = 4
+	geometry := tm.MemConfig{GlobalWords: 1 << 8, HeapWords: 1 << 22, StackWords: 1 << 10, MaxThreads: workers}
+	const rounds = 8
+	rng := rand.New(rand.NewSource(23))
+	for round := 0; round < rounds; round++ {
+		dir := t.TempDir()
+		opts := []tm.Option{tm.WithMemory(geometry), tm.WithDurability(dir, tm.DurNoFsync(), tm.DurSegmentBytes(1<<20))}
+		rt := tm.Open(opts...)
+		roots := rt.AllocGlobal(workers)
+		iters := 40 + rng.Intn(40)
+
+		var stop atomic.Bool
+		var checkpoints int
+		cpDone := make(chan error, 1)
+		go func() {
+			for !stop.Load() {
+				if err := rt.Checkpoint(); err != nil {
+					cpDone <- err
+					return
+				}
+				checkpoints++
+			}
+			cpDone <- nil
+		}()
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				th := rt.Thread(w)
+				raw := rt.Unwrap().Thread(w)
+				for i := 0; i < iters; i++ {
+					th.Atomic(func(tx *tm.Tx) {
+						node := tx.Alloc(4096)
+						for k := 1; k < node.Len(); k += 61 {
+							node.Word(k).Store(tx, uint64(w)<<40|uint64(i)<<16|uint64(k))
+						}
+						node.Ptr(0).Store(tx, roots.Ptr(w).Load(tx))
+						roots.Ptr(w).Store(tx, node)
+					})
+					if i%8 == 0 {
+						raw.Store(th.Alloc(700).Addr(), uint64(i))
+						_, mark := raw.StackPush(16)
+						raw.StackPop(mark)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		stop.Store(true)
+		if err := <-cpDone; err != nil {
+			t.Fatalf("round %d: checkpoint: %v", round, err)
+		}
+		want := rt.Unwrap().Space().Checksum()
+		rt.Crash()
+		rt2, err := tm.Recover(dir, opts...)
+		if err != nil {
+			t.Fatalf("round %d: recover after %d concurrent checkpoints: %v", round, checkpoints, err)
+		}
+		got := rt2.Unwrap().Space().Checksum()
+		rt2.Close()
+		if got != want {
+			t.Fatalf("round %d: recovered state %#x, crashed instance had %#x (%d concurrent checkpoints)", round, got, want, checkpoints)
+		}
+		if checkpoints == 0 {
+			t.Errorf("round %d: no checkpoint completed while the workers ran", round)
+		}
+	}
+}

@@ -40,6 +40,8 @@ type DurabilityStats struct {
 	ChunksWritten uint64 // content-addressed chunks appended to packs
 	ChunksDeduped uint64 // chunks skipped because their score was stored
 	PackBytes     uint64 // pack bytes appended
+	ChunksHashed  uint64 // chunks read off the live space, found non-zero and SHA-256 scored
+	ChunksZero    uint64 // chunks recorded as zero: above a bump pointer (unread) or read as all zero
 }
 
 // Snapshot returns the consolidated observability view.
