@@ -18,11 +18,19 @@
 // All word accesses go through sync/atomic so that elided (plain)
 // accesses made by transactions remain well defined under the Go
 // memory model and under the race detector.
+//
+// The array is not Go-heap memory where the platform can map pages
+// (words_unix.go): it is a demand-zero anonymous mapping, so a space
+// costs the pages a run touches, not the words it reserves, and the
+// garbage collector neither scans it nor counts it toward its goal.
+// Nothing in the package re-zeroes memory the allocators have never
+// handed out: it reads zero because no one has written it.
 package mem
 
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -51,7 +59,8 @@ type Config struct {
 }
 
 // DefaultConfig returns a configuration suitable for the tests and the
-// scaled-down STAMP workloads (≈48 MiB of simulated memory).
+// scaled-down STAMP workloads (4 722 689 words = 36 MiB of simulated
+// memory).
 func DefaultConfig() Config {
 	return Config{
 		GlobalWords: 1 << 12,
@@ -63,6 +72,13 @@ func DefaultConfig() Config {
 
 // Space is a simulated address space.
 type Space struct {
+	// words is the backing store (newWords): on unix an anonymous
+	// mapping outside the Go heap, unmapped once the Space is
+	// unreachable. It is an ordinary slice with its length, so every
+	// access is bounds checked. The loops over it (Checksum, ReadWords,
+	// Restore) pin the Space with runtime.KeepAlive; Load, Store and CAS
+	// stay at their inlining cost and rely on their callers reaching
+	// the space through a Runtime, Stack or Allocator they go on using.
 	words []uint64
 
 	globalsNext atomic.Uint64 // bump pointer for AllocGlobal
@@ -85,11 +101,11 @@ func NewSpace(cfg Config) *Space {
 	}
 	total := 1 + cfg.GlobalWords + cfg.HeapWords + cfg.StackWords*cfg.MaxThreads
 	s := &Space{
-		words:      make([]uint64, total),
 		globalsEnd: Addr(1 + cfg.GlobalWords),
 		stackWords: cfg.StackWords,
 		maxThreads: cfg.MaxThreads,
 	}
+	s.words = newWords(s, total)
 	s.globalsNext.Store(1)
 	s.heapStart = s.globalsEnd
 	s.heapEnd = s.heapStart + Addr(cfg.HeapWords)
@@ -107,12 +123,47 @@ func (s *Space) Size() int { return len(s.words) }
 // and elisions change how values are written, never which values — so
 // the checksum is the final-state fingerprint the differential tests
 // compare across profiles. Call it only after worker threads joined.
+//
+// The words above the two bump pointers were never handed out, so they
+// read zero, and FNV-1a over a run of k zero words is a multiplication
+// by prime^k: those two runs are folded in without being read. The
+// stacks keep no low-water mark and are hashed word by word.
 func (s *Space) Checksum() uint64 {
-	h := uint64(14695981039346656037)
-	for i := range s.words {
-		h = (h ^ atomic.LoadUint64(&s.words[i])) * 1099511628211
+	globalsNext := min(Addr(s.globalsNext.Load()), s.globalsEnd)
+	heapNext := Addr(s.central.hi.Load())
+	h := uint64(fnvOffset)
+	h = fnvWords(h, s.words[:globalsNext])
+	h *= fnvPrimePow(uint64(s.globalsEnd - globalsNext))
+	h = fnvWords(h, s.words[s.globalsEnd:heapNext])
+	h *= fnvPrimePow(uint64(s.heapEnd - heapNext))
+	h = fnvWords(h, s.words[s.heapEnd:])
+	runtime.KeepAlive(s) // the mapping must outlive the loops above
+	return h
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvWords continues the FNV-1a hash h over words.
+func fnvWords(h uint64, words []uint64) uint64 {
+	for i := range words {
+		h = (h ^ atomic.LoadUint64(&words[i])) * fnvPrime
 	}
 	return h
+}
+
+// fnvPrimePow returns fnvPrime**k mod 2^64 by square-and-multiply.
+func fnvPrimePow(k uint64) uint64 {
+	r, b := uint64(1), uint64(fnvPrime)
+	for ; k > 0; k >>= 1 {
+		if k&1 != 0 {
+			r *= b
+		}
+		b *= b
+	}
+	return r
 }
 
 // Load atomically reads the word at a.

@@ -1,6 +1,9 @@
 package mem
 
-import "sync/atomic"
+import (
+	"runtime"
+	"sync/atomic"
+)
 
 // Snapshot and restore support for the durability tier. A checkpoint
 // streams the words of the live space chunk by chunk, plus the two
@@ -18,12 +21,17 @@ func (s *Space) ReadWords(dst []uint64, at int) {
 	for i := range src {
 		dst[i] = atomic.LoadUint64(&src[i])
 	}
+	runtime.KeepAlive(s)
 }
 
 // Restore hands fill the backing words of the space so recovery can
 // build the image in place instead of copying one in. Only valid on a
 // fresh space (all zero), before any thread exists.
-func (s *Space) Restore(fill func(words []uint64) error) error { return fill(s.words) }
+func (s *Space) Restore(fill func(words []uint64) error) error {
+	err := fill(s.words)
+	runtime.KeepAlive(s)
+	return err
+}
 
 // GlobalsNext reports the globals-region bump pointer.
 func (s *Space) GlobalsNext() uint64 { return s.globalsNext.Load() }

@@ -156,7 +156,7 @@ func (k *KVBackend) NewRequest(seed, i uint64) serve.Request {
 // in the status word, so merged batches of tmkv requests only fall
 // back on engine-level conflicts, never by construction.
 func (k *KVBackend) Item(req serve.Request) tm.BatchItem {
-	c := k.cfg
+	c := &k.cfg // by pointer: the Apply closures must not each copy the Config to the heap
 	id := req.Key
 	// Phase tags are opt-in per mix (Config.Phased): they buy per-batch
 	// engine specialization at the cost of splitting merged batches by

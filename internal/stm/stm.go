@@ -243,22 +243,31 @@ type limboBatch struct {
 	seqs   []uint64 // their sequence values, parallel to ids
 }
 
-// enqueueLimbo defers the reuse of blocks until quiescence.
+// enqueueLimbo defers the reuse of blocks until quiescence. The batch
+// is built in the slot past the end of th.limbo, where drainLimbo left
+// an earlier batch's slices for reuse.
 func (th *Thread) enqueueLimbo(blocks []mem.Addr) {
-	b := limboBatch{blocks: append([]mem.Addr(nil), blocks...)}
+	n := len(th.limbo)
+	if n < cap(th.limbo) {
+		th.limbo = th.limbo[:n+1]
+	} else {
+		th.limbo = append(th.limbo, limboBatch{})
+	}
+	b := &th.limbo[n]
+	b.blocks = append(b.blocks[:0], blocks...)
+	b.ids, b.seqs = b.ids[:0], b.seqs[:0]
 	for i := range th.rt.seqs {
 		if s := th.rt.seqs[i].Load(); s%2 == 1 {
 			b.ids = append(b.ids, int32(i))
 			b.seqs = append(b.seqs, s)
 		}
 	}
-	th.limbo = append(th.limbo, b)
 }
 
-// drainLimbo recycles every batch whose snapshot has quiesced. Drained
-// batches are compacted off the front with copy+truncate so the slice
-// never pins the backing array's head (limbo[1:] would keep every
-// drained batch reachable until the whole slice is reallocated).
+// drainLimbo recycles every batch whose snapshot has quiesced. The
+// live batches move to the front, in order, by swapping with the
+// drained ones, which so end up past the new length with their slices
+// intact: a freeing commit in steady state allocates nothing.
 func (th *Thread) drainLimbo() {
 	drained := 0
 drain:
@@ -274,11 +283,10 @@ drain:
 		}
 	}
 	if drained > 0 {
-		n := copy(th.limbo, th.limbo[drained:])
-		for i := n; i < len(th.limbo); i++ {
-			th.limbo[i] = limboBatch{} // release for GC
+		for i := drained; i < len(th.limbo); i++ {
+			th.limbo[i-drained], th.limbo[i] = th.limbo[i], th.limbo[i-drained]
 		}
-		th.limbo = th.limbo[:n]
+		th.limbo = th.limbo[:len(th.limbo)-drained]
 	}
 }
 

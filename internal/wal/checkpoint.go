@@ -173,7 +173,12 @@ type Snapshot struct {
 	CutSeg, CutOff               uint64
 	// Untouched lists ranges no one has written since the space was
 	// created (the caller's guarantee, as of the log cut): a chunk lying
-	// wholly inside one is recorded as zero without being read.
+	// wholly inside one is recorded as zero without being read, and so is
+	// the part inside one of a chunk that straddles its edge, whatever it
+	// reads by then — a word written there since the cut is the redo
+	// tail's to restore, and if its writer never logged it, it must not
+	// come back above the recovered bump pointers, where the allocator
+	// and Space.Checksum take zero for granted.
 	Untouched []Extent
 }
 
@@ -370,6 +375,7 @@ func (st *CheckpointStore) WriteCheckpoint(snap Snapshot, src WordSource) (m *Ma
 		nonZero := uint64(0)
 		if !snap.untouched(uint64(lo), uint64(lo+len(chunk))) {
 			src.ReadWords(chunk, lo)
+			snap.clearUntouched(chunk, uint64(lo))
 			for _, w := range chunk {
 				nonZero |= w
 			}
@@ -432,6 +438,17 @@ func (st *CheckpointStore) WriteCheckpoint(snap Snapshot, src WordSource) (m *Ma
 	st.nextCP = m.Seq + 1
 	st.stats.Checkpoints++
 	return m, nil
+}
+
+// clearUntouched zeroes the words of chunk, which starts at word lo,
+// that lie inside a declared extent.
+func (s *Snapshot) clearUntouched(chunk []uint64, lo uint64) {
+	hi := lo + uint64(len(chunk))
+	for _, e := range s.Untouched {
+		if from, to := max(e.Lo, lo), min(e.Hi, hi); from < to {
+			clear(chunk[from-lo : to-lo])
+		}
+	}
 }
 
 // untouched reports whether [lo, hi) lies wholly inside one declared

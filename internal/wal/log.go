@@ -47,6 +47,15 @@ type LogStats struct {
 	Segments uint64 // segment files created
 }
 
+// chunk is one segment's share of a flush batch: bytes [from, upto) of
+// the segment, copied to scratch at off.
+type chunk struct {
+	seg  *segBuf
+	from int
+	upto int
+	off  int
+}
+
 // segBuf is one segment: the full byte image (header included) plus how
 // much of it has reached the file.
 type segBuf struct {
@@ -79,7 +88,8 @@ type Log struct {
 	wake        chan struct{}
 	quit        chan struct{}
 	flusherDone chan struct{}
-	scratch     []byte
+	scratch     []byte  // flushOnce's copy of the batch, reused
+	chunks      []chunk // flushOnce's batch description, reused
 
 	records  atomic.Uint64
 	bytes    atomic.Uint64
@@ -333,17 +343,11 @@ func (l *Log) flusher() {
 // grow (and reallocate) a segment's buffer while the write is in
 // flight.
 func (l *Log) flushOnce() {
-	type chunk struct {
-		seg  *segBuf
-		from int
-		upto int
-		off  int // offset into scratch
-	}
 	// Even a batch with no unflushed bytes swaps and closes the done
 	// channel: Sync may be waiting on it after a spurious wake (the
 	// segment header counts as pending until its first flush).
 	l.mu.Lock()
-	var chunks []chunk
+	chunks := l.chunks[:0]
 	need := 0
 	for _, s := range l.segs {
 		if s.flushed < len(s.data) {
@@ -362,6 +366,7 @@ func (l *Log) flushOnce() {
 		chunks = append(chunks, chunk{seg: s, from: s.flushed, upto: upto, off: len(buf)})
 		buf = append(buf, s.data[s.flushed:upto]...)
 	}
+	l.chunks = chunks
 	done := l.doneCh
 	l.doneCh = make(chan struct{})
 	l.mu.Unlock()

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Kind classifies a redo record.
@@ -125,15 +126,16 @@ var ErrTorn = errors.New("wal: torn record")
 // never a crash artifact.
 var ErrCorrupt = errors.New("wal: corrupt record payload")
 
-// AppendRecord serializes r onto dst and returns the extended slice.
+// AppendRecord serializes r onto dst and returns the extended slice. It
+// allocates only if dst lacks the capacity.
 func AppendRecord(dst []byte, r *Record) []byte {
 	plen := payloadFixed
 	for i := range r.Spans {
 		plen += spanHdrLen + 8*len(r.Spans[i].Vals)
 	}
-	base := len(dst)
-	dst = append(dst, make([]byte, frameHdrLen+plen)...)
-	b := dst[base:]
+	base, n := len(dst), frameHdrLen+plen
+	dst = slices.Grow(dst, n)[:base+n]
+	b := dst[base:] // not cleared: every byte is written below
 	binary.LittleEndian.PutUint32(b[0:], recordMagic)
 	binary.LittleEndian.PutUint32(b[4:], uint32(plen))
 	p := b[frameHdrLen:]

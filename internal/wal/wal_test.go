@@ -332,6 +332,46 @@ func TestRecoverCheckpointPlusTail(t *testing.T) {
 	}
 }
 
+// A checkpoint records every word of an Untouched extent as zero — the
+// chunks wholly inside one unread, and the inside part of the chunks on
+// its edges whatever the source holds there by the time they are read
+// (a span carved and scribbled on after the cut by a transaction that
+// never got to log it).
+func TestCheckpointRecordsUntouchedAsZero(t *testing.T) {
+	const spaceWords, chunkWords = 4096, 64
+	dir := t.TempDir()
+	live := make(wordSlice, spaceWords)
+	for i := range live {
+		live[i] = uint64(i) | 1<<40
+	}
+	untouched := []Extent{{Lo: 100, Hi: 300}, {Lo: 1000, Hi: spaceWords}}
+	store, err := OpenStore(dir, chunkWords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.WriteCheckpoint(Snapshot{
+		Geometry:  Geometry{GlobalWords: 1, HeapWords: 1, StackWords: 1, MaxThreads: 1},
+		Untouched: untouched,
+	}, live); err != nil {
+		t.Fatal(err)
+	}
+	_, words, err := recoverImage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range words {
+		want := live[i]
+		for _, e := range untouched {
+			if uint64(i) >= e.Lo && uint64(i) < e.Hi {
+				want = 0
+			}
+		}
+		if w != want {
+			t.Fatalf("recovered word %d = %#x, want %#x", i, w, want)
+		}
+	}
+}
+
 func TestRecoverTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	writeState(t, dir, 4096, 64, true, 25)
@@ -558,4 +598,25 @@ func TestCorruptionIsRefused(t *testing.T) {
 	if _, err := Recover(dir); !errors.Is(err, ErrNoCheckpoint) || !strings.Contains(err.Error(), "wal-checkpoint/v1") {
 		t.Fatalf("v1-only directory: got %v, want ErrNoCheckpoint naming the v1 format", err)
 	}
+}
+
+// BenchmarkAppendRecord serializes a record the size the served
+// workloads log (≈ 2 KB: a few undo words, two allocation blocks, a
+// stack frame) into a buffer with room for it, as Log.Append does under
+// its mutex. It must report 0 allocs/op.
+func BenchmarkAppendRecord(b *testing.B) {
+	vals := make([]uint64, 240)
+	for i := range vals {
+		vals[i] = uint64(i) * 0x9E3779B97F4A7C15
+	}
+	rec := Record{Kind: KindCommit, Seq: 1, Version: 2, GlobalsNext: 3, HeapNext: 4, Spans: []Span{
+		{Addr: 10, Vals: vals[:1]}, {Addr: 20, Vals: vals[1:2]}, {Addr: 30, Vals: vals[2:3]},
+		{Addr: 1000, Vals: vals[3:100]}, {Addr: 2000, Vals: vals[100:200]}, {Addr: 9000, Vals: vals[200:]},
+	}}
+	buf := make([]byte, 0, 4<<10)
+	b.ReportAllocs()
+	for b.Loop() {
+		buf = AppendRecord(buf[:0], &rec)
+	}
+	b.SetBytes(int64(len(buf)))
 }

@@ -64,7 +64,8 @@ type BatchReply struct {
 	// (solo or fallback) transaction.
 	Aborted bool
 	// Words is the item's reply block, copied out at commit. Aborted
-	// items read all zero.
+	// items read all zero. The block belongs to the caller: the batcher
+	// never touches it again.
 	Words []uint64
 }
 
@@ -103,6 +104,13 @@ type Batcher struct {
 	reads  map[uint64]struct{}
 	writes map[uint64]struct{}
 
+	// replies backs every BatchResult (valid until the next Flush);
+	// slab is the unused rest of the allocation reply blocks are carved
+	// from, replySlab blocks at a time, so a served request costs the Go
+	// allocator a fraction of one object here instead of one.
+	replies []BatchReply
+	slab    []uint64
+
 	// Adaptive-width state (adaptive batchers only): the policy, the
 	// current decision window's batch outcomes, and the running count of
 	// consecutive fallback batches for burst detection.
@@ -128,8 +136,9 @@ func NewBatcher(th *Thread, width, replyWords int) *Batcher {
 	}
 	return &Batcher{
 		th: th, width: width, maxWidth: width, replyWords: replyWords,
-		reads:  make(map[uint64]struct{}),
-		writes: make(map[uint64]struct{}),
+		reads:   make(map[uint64]struct{}),
+		writes:  make(map[uint64]struct{}),
+		replies: make([]BatchReply, width),
 	}
 }
 
@@ -253,9 +262,12 @@ func (b *Batcher) Admit(it BatchItem) bool {
 // empty batch is a no-op returning an empty result.
 func (b *Batcher) Flush() BatchResult {
 	n := len(b.items)
-	res := BatchResult{Replies: make([]BatchReply, n)}
 	if n == 0 {
-		return res
+		return BatchResult{}
+	}
+	res := BatchResult{Replies: b.replies[:n]} // Admit keeps n ≤ maxWidth
+	for i := range res.Replies {
+		res.Replies[i] = BatchReply{Words: b.carveReply()}
 	}
 	b.stats.Requests += uint64(n)
 	b.stats.Batches++
@@ -265,7 +277,7 @@ func (b *Batcher) Flush() BatchResult {
 	// declares no phases.
 	b.th.EnterPhase(b.items[0].Phase)
 
-	if n > 1 && b.runMerged(&res) {
+	if n > 1 && b.runMerged(res.Replies) {
 		res.Merged = true
 		b.stats.Merged++
 		b.stats.Txns++
@@ -278,7 +290,7 @@ func (b *Batcher) Flush() BatchResult {
 			b.stats.Txns++
 		}
 		for i := range b.items {
-			res.Replies[i] = b.runSolo(&b.items[i])
+			b.runSolo(&b.items[i], &res.Replies[i])
 			b.stats.Txns++
 		}
 	}
@@ -349,14 +361,29 @@ func (b *Batcher) resetWindow() {
 type BatchResult struct {
 	// Merged reports that the items committed as one transaction.
 	Merged bool
-	// Replies holds one reply per item, in admission order.
+	// Replies holds one reply per item, in admission order. The slice
+	// is reused by the batcher's next Flush; the replies' Words are not.
 	Replies []BatchReply
 }
 
-// runMerged attempts the batch as one transaction. It returns false
-// when an item asked to abort (the transaction rolled back; nothing
-// was published).
-func (b *Batcher) runMerged(res *BatchResult) bool {
+// replySlab is how many reply blocks one allocation supplies.
+const replySlab = 64
+
+// carveReply returns a zeroed reply block the batcher keeps no
+// reference to.
+func (b *Batcher) carveReply() []uint64 {
+	if len(b.slab) < b.replyWords {
+		b.slab = make([]uint64, replySlab*b.replyWords)
+	}
+	w := b.slab[:b.replyWords:b.replyWords]
+	b.slab = b.slab[b.replyWords:]
+	return w
+}
+
+// runMerged attempts the batch as one transaction, copying each item's
+// reply into replies[i].Words at the end. It returns false when an item
+// asked to abort (the transaction rolled back; nothing was published).
+func (b *Batcher) runMerged(replies []BatchReply) bool {
 	n := len(b.items)
 	return b.th.Atomic(func(tx *Tx) {
 		// One captured block carries every item's reply: the stores
@@ -369,31 +396,30 @@ func (b *Batcher) runMerged(res *BatchResult) bool {
 			}
 		}
 		for i := range b.items {
-			words := make([]uint64, b.replyWords)
-			for j := range words {
-				words[j] = buf.Word(i*b.replyWords + j).Load(tx)
+			for j := range replies[i].Words {
+				replies[i].Words[j] = buf.Word(i*b.replyWords + j).Load(tx)
 			}
-			res.Replies[i] = BatchReply{Words: words}
 		}
 	})
 }
 
 // runSolo executes one item in its own transaction — the unmerged
-// path, also used as the per-request fallback after a merged abort.
-func (b *Batcher) runSolo(it *BatchItem) BatchReply {
-	var words []uint64
+// path, also used as the per-request fallback after a merged abort —
+// and fills in its reply.
+func (b *Batcher) runSolo(it *BatchItem, r *BatchReply) {
 	committed := b.th.Atomic(func(tx *Tx) {
 		reply := tx.StackAlloc(b.replyWords)
 		if !it.Apply(tx, reply) {
 			tx.Abort()
 		}
-		words = make([]uint64, b.replyWords)
-		for j := range words {
-			words[j] = reply.Word(j).Load(tx)
+		for j := range r.Words {
+			r.Words[j] = reply.Word(j).Load(tx)
 		}
 	})
 	if !committed {
-		return BatchReply{Aborted: true, Words: make([]uint64, b.replyWords)}
+		// A merged attempt that copied its replies out and then lost
+		// its commit to a conflict may have written the block already.
+		r.Aborted = true
+		clear(r.Words)
 	}
-	return BatchReply{Words: words}
 }

@@ -59,6 +59,20 @@ func TestRecoverAllocatesOneImage(t *testing.T) {
 	if got := rt2.Unwrap().Space().Checksum(); got != want {
 		t.Errorf("recovered state %#x, crashed instance had %#x", got, want)
 	}
+	// The recovered allocator carves above the highest logged bump
+	// pointer and does not clear what it carves: it must read zero.
+	th2 := rt2.Thread(0)
+	for _, n := range []int{1, 5, 64, 256, 1000, 9000, 20000} {
+		th2.Atomic(func(tx *tm.Tx) {
+			b := tx.Alloc(n)
+			for w := 0; w < n; w++ {
+				if v := b.Word(w).Load(tx); v != 0 {
+					t.Fatalf("recovered runtime: Alloc(%d) word %d = %#x, want 0", n, w, v)
+				}
+				b.Word(w).Store(tx, ^uint64(0))
+			}
+		})
+	}
 }
 
 // TestCheckpointWhileAllocating is the fuzzy snapshot under fire: four

@@ -7,9 +7,11 @@ package serve_test
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
+	_ "repro/internal/scenarios/tmkv" // registers srv-tmkv for the allocation budget
 	"repro/tm"
 	"repro/tm/serve"
 )
@@ -503,4 +505,82 @@ func TestServeStress(t *testing.T) {
 		t.Errorf("served %d requests, want %d", st.Requests, goroutines*perG)
 	}
 	s.Runtime().Validate()
+}
+
+// TestServeRequestAllocBudget counts what one served request costs the
+// Go allocator. With the simulated space outside the heap the
+// collector's goal is a few MB, so request-path garbage turns directly
+// into GC cycles; the budget keeps it from growing back. Counted, not
+// timed: 20 000 srv-tmkv requests through one worker at merge width 8,
+// requests and callbacks built beforehand, 64 in flight — after as many
+// again unmeasured, which grow every per-thread buffer to its working
+// size. The redo log runs on 256 KB segments: it allocates a second
+// segment buffer, once, at whichever rotation first finds the first
+// still draining, and at the default 8 MB that one allocation (420 B
+// per request here) would hide the request path it is not part of.
+func TestServeRequestAllocBudget(t *testing.T) {
+	const (
+		n           = 20000
+		outstanding = 64
+	)
+	for _, c := range []struct {
+		name               string
+		durable            bool
+		maxBytes, maxAlloc float64
+	}{
+		{name: "non-durable", maxBytes: 120, maxAlloc: 2},
+		{name: "durable", durable: true, maxBytes: 150, maxAlloc: 2.5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			be, err := serve.New("srv-tmkv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := tm.RuntimeAll(tm.LogTree).Perf().Options() // the rig's served profile
+			if c.durable {
+				opts = append(opts, tm.WithDurability(t.TempDir(), tm.DurNoFsync(), tm.DurSegmentBytes(256<<10)))
+			}
+			s := serve.NewServer(be, serve.Config{Workers: 1, MergeWidth: 8, Requests: 2 * n, Options: opts})
+			reqs := make([]serve.Request, 2*n)
+			for i := range reqs {
+				reqs[i] = be.NewRequest(1, uint64(i))
+			}
+			tokens := make(chan struct{}, outstanding)
+			for i := 0; i < outstanding; i++ {
+				tokens <- struct{}{}
+			}
+			var wg sync.WaitGroup
+			done := func(serve.Reply) {
+				tokens <- struct{}{}
+				wg.Done()
+			}
+			run := func(reqs []serve.Request) {
+				wg.Add(len(reqs))
+				for i := range reqs {
+					<-tokens
+					if err := s.SubmitRequest(reqs[i], done); err != nil {
+						t.Fatal(err)
+					}
+				}
+				wg.Wait()
+			}
+			s.Start()
+			run(reqs[:n])
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(reqs[n:])
+			runtime.ReadMemStats(&after)
+
+			if err := s.Stop(); err != nil {
+				t.Fatal(err)
+			}
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+			mallocs := float64(after.Mallocs-before.Mallocs) / n
+			t.Logf("%.1f B and %.2f mallocs per request (merge ratio %.2f)", bytes, mallocs, s.BatchStats().MergeRatio())
+			if bytes > c.maxBytes || mallocs > c.maxAlloc {
+				t.Errorf("per request: %.1f B and %.2f mallocs, budget %.0f B and %.1f", bytes, mallocs, c.maxBytes, c.maxAlloc)
+			}
+		})
+	}
 }

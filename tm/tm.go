@@ -23,7 +23,7 @@ type MemConfig = mem.Config
 type Addr = mem.Addr
 
 // DefaultMemConfig returns the address-space geometry Open uses when
-// WithMemory is not given (≈48 MiB of simulated memory).
+// WithMemory is not given (36 MiB of simulated memory).
 func DefaultMemConfig() MemConfig { return mem.DefaultConfig() }
 
 // Runtime is a shared transactional-memory instance: the simulated
