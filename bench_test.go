@@ -326,13 +326,18 @@ func barrierRT(p tm.Profile) (*tm.Runtime, *tm.Thread, tm.Struct) {
 // block the operation loop uses; heap-allocating preps free the
 // block again before commit so the arena never grows.
 func batched(b *testing.B, th *tm.Thread, prep func(tx *tm.Tx) tm.Struct, op func(tx *tm.Tx, base tm.Struct, i int)) {
+	batchedN(b, th, 512, prep, op)
+}
+
+// batchedN is batched with n operations per transaction.
+func batchedN(b *testing.B, th *tm.Thread, n int, prep func(tx *tm.Tx) tm.Struct, op func(tx *tm.Tx, base tm.Struct, i int)) {
 	b.Helper()
 	b.ResetTimer()
 	i := 0
 	for i < b.N {
 		th.Atomic(func(tx *tm.Tx) {
 			base := prep(tx)
-			for j := 0; j < 512 && i < b.N; j++ {
+			for j := 0; j < n && i < b.N; j++ {
 				op(tx, base, i)
 				i++
 			}
@@ -388,14 +393,82 @@ func readFreshBlock(b *testing.B, p tm.Profile) {
 }
 
 // BenchmarkBarrierReadFull is the cost of one full (shared) read
-// barrier inside a transaction. "unlogged" is the same read in
+// barrier inside a transaction. "perf" and "counting" re-read 64 words
+// (8 lines) in transactions of 512 reads: below the read-set length
+// (2048) at which the read-after-read filter engages (internal/stm,
+// logRead), so every read appends. The next three run transactions of
+// 16384 reads, so the filter is engaged for seven reads in eight:
+// "filtered" is the same re-read loop, where it finds each (orec,
+// version) already logged — the price of a hit; "distinct" reads a new
+// line every time — its lookup with nothing to skip; "mixed" reads
+// lines drawn at random from 512, so hit and miss follow no pattern the
+// branch predictor can learn. "unlogged" is the re-read loop in
 // read-mostly mode — validated against the snapshot, never appended to
 // the read set — so the logged and unlogged full read sit side by side.
 func BenchmarkBarrierReadFull(b *testing.B) {
 	perChain(b, tm.Baseline(), readGlobals)
+	const long, lines = 1 << 14, 1 << 14
+	rt := tm.Open(append(tm.Baseline().Perf().Options(), tm.WithMemory(tm.MemConfig{
+		GlobalWords: (lines + 1) * mem.LineWords, HeapWords: 1 << 10, StackWords: 1 << 10, MaxThreads: 2,
+	}))...)
+	g := rt.AllocGlobal(lines * mem.LineWords)
+	r := prng.New(7)
+	drawn := make([]int, long)
+	for i := range drawn {
+		drawn[i] = r.Intn(512) * mem.LineWords
+	}
+	for _, c := range []struct {
+		name string
+		word func(i int) int
+	}{
+		{"filtered", func(i int) int { return i & 63 }},
+		{"distinct", func(i int) int { return (i % lines) * mem.LineWords }},
+		{"mixed", func(i int) int { return drawn[i%long] }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var sink uint64
+			batchedN(b, rt.Thread(0), long, func(tx *tm.Tx) tm.Struct { return g },
+				func(tx *tm.Tx, base tm.Struct, i int) {
+					sink += base.Word(c.word(i)).Load(tx)
+				})
+			_ = sink
+		})
+	}
 	b.Run("unlogged", func(b *testing.B) {
 		readGlobals(b, tm.Baseline().Perf().With(tm.WithReadMostly()))
 	})
+}
+
+// BenchmarkLongReadOnly is one long read-only transaction per
+// iteration: a scan reading every word of each of `lines` lines twice
+// (16 full reads per line), on a thread whose read set starts empty.
+// Run with -benchmem: past its first 2048 entries the read set logs
+// one entry per line, not per read, so B/op follows the lines a
+// transaction touches.
+func BenchmarkLongReadOnly(b *testing.B) {
+	for _, lines := range []int{1 << 12, 1 << 16} {
+		b.Run(fmt.Sprintf("lines=%d", lines), func(b *testing.B) {
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				rt := tm.Open(append(tm.Baseline().Perf().Options(), tm.WithMemory(tm.MemConfig{
+					GlobalWords: (lines + 1) * mem.LineWords, HeapWords: 1 << 10, StackWords: 1 << 10, MaxThreads: 2,
+				}))...)
+				g := rt.AllocGlobal(lines * mem.LineWords)
+				th := rt.Thread(0)
+				b.StartTimer()
+				th.Atomic(func(tx *tm.Tx) {
+					for w := 0; w < 2*lines*mem.LineWords; w++ {
+						sink += g.Word(w / 2).Load(tx)
+					}
+				})
+				b.StopTimer()
+				rt.Close()
+				b.StartTimer()
+			}
+			_ = sink
+		})
+	}
 }
 
 // BenchmarkBarrierWriteFull is the cost of one full write barrier

@@ -176,7 +176,7 @@ func (tx *Tx) readFull(a mem.Addr) uint64 {
 			tx.conflictAt(oi, v2)
 		}
 		if !tx.unlogged {
-			tx.readset = append(tx.readset, readEntry{oi, v1})
+			tx.logRead(oi, v1)
 		}
 		return val
 	}

@@ -5,8 +5,9 @@ import (
 	"repro/internal/mem"
 )
 
-// This file is the log layer of the transaction: the read set, the
-// write (lock) set, the undo log with its write-after-write filter, the
+// This file is the log layer of the transaction: the read set with its
+// read-after-read filter, the write (lock) set, the undo log with its
+// write-after-write filter, the
 // allocation/free logs, and the capture-log maintenance behind the
 // paper's is_captured() probe. barrier.go and engine.go call into these
 // from the hot paths; lifecycle.go replays and truncates them.
@@ -50,6 +51,75 @@ type wawEntry struct {
 	addr    mem.Addr
 	epoch   uint64
 	undoIdx int
+}
+
+// The read-after-read filter (logRead): rarSlots direct-mapped slots,
+// consulted once the read set holds rarFrom entries — 32 KiB, an L1
+// data cache's worth.
+const (
+	rarSlots = 512 // power of two
+	rarFrom  = 2048
+)
+
+// logRead appends (oi, v) to the read set unless the read-after-read
+// filter shows that an identical entry is already live in it — the
+// read-side twin of logUndo's WAW check (Harris et al.'s runtime log
+// filtering). Thread.rar[oi&(rarSlots-1)] holds the read-set position
+// + 1 of the last entry logged for an orec in that slot (0 = empty).
+//
+// The filter engages once the read set holds rarFrom entries, so only
+// long transactions use it. Whether a read repeats one already logged
+// is data the branch predictor cannot learn: on an irregular re-read
+// pattern the filter test costs ≈ 3 ns per read more than the plain
+// append (BenchmarkBarrierReadFull/mixed). Filtering every transaction
+// cost the srv-tmkv request stream ≈ 10 %, and from 512 entries on
+// still cost kv-serve's merged batches (≈ 1 000 entries) 14 %; a log
+// that fits in L1 gains nothing from being shorter. Long transactions
+// are where the log costs: its memory and the validate/extend walks
+// over it grow with every read (vacation's Validate logs ≈ 609 k
+// entries for 141 k distinct ones).
+//
+// The content compare is the whole safety argument, so the filter
+// needs no epoch and no savepoint bookkeeping: a position past the end
+// of the log (truncated by abortNested, or left by an earlier, longer
+// transaction) fails the bound; a live position holding anything but
+// exactly (oi, v) fails the compare — entries abortNested repaired to
+// a fresh version included, which a re-read then matches only if it
+// observes that same version. A skipped read is thus always an exact
+// duplicate of a live entry, and validate/extend decide exactly as
+// they would on the unfiltered log. (A position past 1<<32 wraps,
+// which can only point the slot at some other live entry, where the
+// compare still guards.)
+func (tx *Tx) logRead(oi, v uint64) {
+	if len(tx.readset) >= rarFrom && tx.loggedAlready(oi, v) {
+		return
+	}
+	tx.readset = append(tx.readset, readEntry{oi, v})
+}
+
+// loggedAlready is logRead's filter test: it reports whether (oi, v) is
+// live in the read set, and otherwise points the slot at the position
+// the entry is about to take. Out of line, so logRead stays inlinable
+// and a short transaction's read pays one compare for the filter.
+//
+//go:noinline
+func (tx *Tx) loggedAlready(oi, v uint64) bool {
+	th := tx.th
+	if th.rar == nil {
+		th.rar = new([rarSlots]uint32)
+	}
+	n := len(tx.readset)
+	s := &th.rar[oi&(rarSlots-1)]
+	if p := uint(*s) - 1; p < uint(n) && tx.readset[p] == (readEntry{oi, v}) {
+		// A branch, not statInc: adding statInc's zero would still store
+		// to the stats line on every hit of a perf engine.
+		if tx.keepStats {
+			th.stats.ReadRARSkips++
+		}
+		return true
+	}
+	*s = uint32(n + 1)
+	return false
 }
 
 // validate checks every read-set entry: the orec must be unchanged, or

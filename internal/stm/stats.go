@@ -49,6 +49,11 @@ type Stats struct {
 	// filter (not an elision of the barrier itself).
 	WriteWAWSkips uint64
 
+	// Read-set entries skipped by the read-after-read filter: full
+	// reads that found an identical (orec, version) entry already
+	// logged (logRead). Like WriteWAWSkips it is not a barrier elision.
+	ReadRARSkips uint64
+
 	// Full barriers actually executed.
 	ReadFull  uint64
 	WriteFull uint64
@@ -91,6 +96,7 @@ func (s *Stats) Add(o *Stats) {
 	s.ReadElStatic += o.ReadElStatic
 	s.WriteElStatic += o.WriteElStatic
 	s.WriteWAWSkips += o.WriteWAWSkips
+	s.ReadRARSkips += o.ReadRARSkips
 	s.ReadFull += o.ReadFull
 	s.WriteFull += o.WriteFull
 	s.ReadSkipShared += o.ReadSkipShared

@@ -29,7 +29,8 @@
 //	              pair; the stats-free perf chain
 //	barrier.go    the interpreting chain, the full-barrier slow paths,
 //	              read-mostly mode
-//	logs.go       read/write/undo/WAW/alloc logs and capture probes
+//	logs.go       read/write/undo logs with their RAR/WAW filters, alloc
+//	              logs and capture probes
 //
 // There are two barrier chains. The interpreting chain re-tests the
 // profile on every access and is the only one that keeps statistics:
@@ -231,6 +232,11 @@ type Thread struct {
 	// flat value buffer its spans are carved from, reused per thread.
 	drec  wal.Record
 	dvals []uint64
+
+	// rar is the read-after-read filter's table (Tx.logRead), allocated
+	// on the thread's first long transaction: short ones never consult
+	// it. Last in the struct, so no field the barriers touch moves.
+	rar *[rarSlots]uint32
 }
 
 // limboBatch holds blocks freed by one committed transaction plus the

@@ -13,12 +13,16 @@ import (
 //
 // Layout:
 //
-//	header: [0] root  [1] size
+//	header: [0] root
 //	node:   [0] key  [1] val  [2] left  [3] right  [4] height
+//
+// The header holds no size word: like STAMP's rbtree, a mutation
+// writes only the nodes it restructures, and the root word only when
+// the root changes, so concurrent updates to disjoint parts of a map
+// do not all conflict on the header. MapSize walks the tree instead.
 const (
 	mapRoot = 0
-	mapSize = 1
-	mapHdr  = 2
+	mapHdr  = 1
 
 	mnKey    = 0
 	mnVal    = 1
@@ -32,13 +36,20 @@ const (
 func NewMap(tx *stm.Tx) mem.Addr {
 	m := tx.Alloc(mapHdr)
 	tx.Store(m+mapRoot, 0, stm.AccFresh)
-	tx.Store(m+mapSize, 0, stm.AccFresh)
 	return m
 }
 
-// MapSize returns the number of entries.
+// MapSize returns the number of entries. It visits every node, so it
+// belongs in validation and reporting, not in hot transactions.
 func MapSize(tx *stm.Tx, m mem.Addr, mode stm.Acc) int {
-	return int(tx.Load(m+mapSize, mode))
+	var count func(n mem.Addr) int
+	count = func(n mem.Addr) int {
+		if n == mem.Nil {
+			return 0
+		}
+		return 1 + count(tx.LoadAddr(n+mnLeft, mode)) + count(tx.LoadAddr(n+mnRight, mode))
+	}
+	return count(tx.LoadAddr(m+mapRoot, mode))
 }
 
 func mheight(tx *stm.Tx, n mem.Addr, mode stm.Acc) int64 {
@@ -48,7 +59,13 @@ func mheight(tx *stm.Tx, n mem.Addr, mode stm.Acc) int64 {
 	return int64(tx.Load(n+mnHeight, mode))
 }
 
-func mfix(tx *stm.Tx, n mem.Addr, mode stm.Acc) mem.Addr {
+// mfix restores n's height and AVL balance after one of its subtrees
+// changed height, and returns the subtree's new root plus whether the
+// subtree's height differs from n's height before the fix. Callers stop
+// calling it on the way up once that is false: an ancestor whose child
+// kept its height keeps its own height and balance, so fixing it would
+// change nothing.
+func mfix(tx *stm.Tx, n mem.Addr, mode stm.Acc) (mem.Addr, bool) {
 	l := tx.LoadAddr(n+mnLeft, mode)
 	r := tx.LoadAddr(n+mnRight, mode)
 	hl, hr := mheight(tx, l, mode), mheight(tx, r, mode)
@@ -58,7 +75,8 @@ func mfix(tx *stm.Tx, n mem.Addr, mode stm.Acc) mem.Addr {
 	}
 	// Store only when the height actually changes: rebalancing writes
 	// are O(1) amortized, like STAMP's red-black tree.
-	if int64(tx.Load(n+mnHeight, mode)) != h+1 {
+	old := int64(tx.Load(n+mnHeight, mode))
+	if old != h+1 {
 		tx.Store(n+mnHeight, uint64(h+1), mode)
 	}
 	switch bal := hl - hr; {
@@ -66,21 +84,26 @@ func mfix(tx *stm.Tx, n mem.Addr, mode stm.Acc) mem.Addr {
 		ll := tx.LoadAddr(l+mnLeft, mode)
 		lr := tx.LoadAddr(l+mnRight, mode)
 		if mheight(tx, ll, mode) < mheight(tx, lr, mode) {
-			tx.StoreAddr(n+mnLeft, mrotL(tx, l, mode), mode)
+			nl, _ := mrotL(tx, l, mode)
+			tx.StoreAddr(n+mnLeft, nl, mode)
 		}
-		return mrotR(tx, n, mode)
+		root, rh := mrotR(tx, n, mode)
+		return root, rh != old
 	case bal < -1:
 		rl := tx.LoadAddr(r+mnLeft, mode)
 		rr := tx.LoadAddr(r+mnRight, mode)
 		if mheight(tx, rr, mode) < mheight(tx, rl, mode) {
-			tx.StoreAddr(n+mnRight, mrotR(tx, r, mode), mode)
+			nr, _ := mrotR(tx, r, mode)
+			tx.StoreAddr(n+mnRight, nr, mode)
 		}
-		return mrotL(tx, n, mode)
+		root, rh := mrotL(tx, n, mode)
+		return root, rh != old
 	}
-	return n
+	return n, h+1 != old
 }
 
-func mrefresh(tx *stm.Tx, n mem.Addr, mode stm.Acc) {
+// mrefresh recomputes n's height from its children and returns it.
+func mrefresh(tx *stm.Tx, n mem.Addr, mode stm.Acc) int64 {
 	hl := mheight(tx, tx.LoadAddr(n+mnLeft, mode), mode)
 	hr := mheight(tx, tx.LoadAddr(n+mnRight, mode), mode)
 	if hr > hl {
@@ -89,39 +112,41 @@ func mrefresh(tx *stm.Tx, n mem.Addr, mode stm.Acc) {
 	if tx.Load(n+mnHeight, mode) != uint64(hl+1) {
 		tx.Store(n+mnHeight, uint64(hl+1), mode)
 	}
+	return hl + 1
 }
 
-func mrotR(tx *stm.Tx, n mem.Addr, mode stm.Acc) mem.Addr {
+// mrotR rotates n right and returns the new subtree root and its height.
+func mrotR(tx *stm.Tx, n mem.Addr, mode stm.Acc) (mem.Addr, int64) {
 	l := tx.LoadAddr(n+mnLeft, mode)
 	tx.StoreAddr(n+mnLeft, tx.LoadAddr(l+mnRight, mode), mode)
 	tx.StoreAddr(l+mnRight, n, mode)
 	mrefresh(tx, n, mode)
-	mrefresh(tx, l, mode)
-	return l
+	return l, mrefresh(tx, l, mode)
 }
 
-func mrotL(tx *stm.Tx, n mem.Addr, mode stm.Acc) mem.Addr {
+// mrotL rotates n left and returns the new subtree root and its height.
+func mrotL(tx *stm.Tx, n mem.Addr, mode stm.Acc) (mem.Addr, int64) {
 	r := tx.LoadAddr(n+mnRight, mode)
 	tx.StoreAddr(n+mnRight, tx.LoadAddr(r+mnLeft, mode), mode)
 	tx.StoreAddr(r+mnLeft, n, mode)
 	mrefresh(tx, n, mode)
-	mrefresh(tx, r, mode)
-	return r
+	return r, mrefresh(tx, r, mode)
 }
 
 // MapInsert inserts key→val. It returns false (and leaves the map
 // unchanged) if the key is already present.
 func MapInsert(tx *stm.Tx, m mem.Addr, key, val uint64, mode stm.Acc) bool {
 	root := tx.LoadAddr(m+mapRoot, mode)
-	newRoot, inserted := mapInsert(tx, root, key, val, mode)
-	tx.StoreAddr(m+mapRoot, newRoot, mode)
-	if inserted {
-		tx.Store(m+mapSize, tx.Load(m+mapSize, mode)+1, mode)
+	newRoot, inserted, _ := mapInsert(tx, root, key, val, mode)
+	if newRoot != root {
+		tx.StoreAddr(m+mapRoot, newRoot, mode)
 	}
 	return inserted
 }
 
-func mapInsert(tx *stm.Tx, n mem.Addr, key, val uint64, mode stm.Acc) (mem.Addr, bool) {
+// mapInsert inserts into the subtree at n and returns its new root,
+// whether the key was inserted, and whether the subtree's height grew.
+func mapInsert(tx *stm.Tx, n mem.Addr, key, val uint64, mode stm.Acc) (mem.Addr, bool, bool) {
 	if n == mem.Nil {
 		nn := tx.Alloc(mnSize)
 		tx.Store(nn+mnKey, key, stm.AccFresh)
@@ -129,33 +154,29 @@ func mapInsert(tx *stm.Tx, n mem.Addr, key, val uint64, mode stm.Acc) (mem.Addr,
 		tx.StoreAddr(nn+mnLeft, 0, stm.AccFresh)
 		tx.StoreAddr(nn+mnRight, 0, stm.AccFresh)
 		tx.Store(nn+mnHeight, 1, stm.AccFresh)
-		return nn, true
+		return nn, true, true
 	}
 	k := tx.Load(n+mnKey, mode)
+	var side mem.Addr = mnLeft
 	switch {
-	case key < k:
-		old := tx.LoadAddr(n+mnLeft, mode)
-		child, ins := mapInsert(tx, old, key, val, mode)
-		if !ins {
-			return n, false
-		}
-		if child != old {
-			tx.StoreAddr(n+mnLeft, child, mode)
-		}
-		return mfix(tx, n, mode), true
 	case key > k:
-		old := tx.LoadAddr(n+mnRight, mode)
-		child, ins := mapInsert(tx, old, key, val, mode)
-		if !ins {
-			return n, false
-		}
-		if child != old {
-			tx.StoreAddr(n+mnRight, child, mode)
-		}
-		return mfix(tx, n, mode), true
-	default:
-		return n, false
+		side = mnRight
+	case key == k:
+		return n, false, false
 	}
+	old := tx.LoadAddr(n+side, mode)
+	child, ins, grew := mapInsert(tx, old, key, val, mode)
+	if !ins {
+		return n, false, false
+	}
+	if child != old {
+		tx.StoreAddr(n+side, child, mode)
+	}
+	if !grew {
+		return n, true, false
+	}
+	root, grew := mfix(tx, n, mode)
+	return root, true, grew
 }
 
 // MapGet returns the value stored under key.
@@ -203,59 +224,65 @@ func MapSet(tx *stm.Tx, m mem.Addr, key, val uint64, mode stm.Acc) {
 // reclaimed transactionally.
 func MapRemove(tx *stm.Tx, m mem.Addr, key uint64, mode stm.Acc) (uint64, bool) {
 	root := tx.LoadAddr(m+mapRoot, mode)
-	newRoot, val, removed := mapRemove(tx, root, key, mode)
-	tx.StoreAddr(m+mapRoot, newRoot, mode)
-	if removed {
-		tx.Store(m+mapSize, tx.Load(m+mapSize, mode)-1, mode)
+	newRoot, val, removed, _ := mapRemove(tx, root, key, mode)
+	if newRoot != root {
+		tx.StoreAddr(m+mapRoot, newRoot, mode)
 	}
 	return val, removed
 }
 
-func mapRemove(tx *stm.Tx, n mem.Addr, key uint64, mode stm.Acc) (mem.Addr, uint64, bool) {
+// mapRemove deletes key from the subtree at n and returns its new root,
+// the removed value, whether the key was found, and whether the
+// subtree's height shrank.
+func mapRemove(tx *stm.Tx, n mem.Addr, key uint64, mode stm.Acc) (mem.Addr, uint64, bool, bool) {
 	if n == mem.Nil {
-		return mem.Nil, 0, false
+		return mem.Nil, 0, false, false
 	}
 	k := tx.Load(n+mnKey, mode)
+	var side, old mem.Addr
+	var val uint64
+	sub := key // the key to remove from the chosen subtree
 	switch {
 	case key < k:
-		old := tx.LoadAddr(n+mnLeft, mode)
-		child, val, rem := mapRemove(tx, old, key, mode)
-		if !rem {
-			return n, 0, false
-		}
-		if child != old {
-			tx.StoreAddr(n+mnLeft, child, mode)
-		}
-		return mfix(tx, n, mode), val, true
+		side = mnLeft
+		old = tx.LoadAddr(n+side, mode)
 	case key > k:
-		old := tx.LoadAddr(n+mnRight, mode)
-		child, val, rem := mapRemove(tx, old, key, mode)
-		if !rem {
-			return n, 0, false
+		side = mnRight
+		old = tx.LoadAddr(n+side, mode)
+	default:
+		val = tx.Load(n+mnVal, mode)
+		l := tx.LoadAddr(n+mnLeft, mode)
+		r := tx.LoadAddr(n+mnRight, mode)
+		if l == mem.Nil {
+			tx.Free(n)
+			return r, val, true, true
 		}
-		if child != old {
-			tx.StoreAddr(n+mnRight, child, mode)
+		if r == mem.Nil {
+			tx.Free(n)
+			return l, val, true, true
 		}
-		return mfix(tx, n, mode), val, true
+		// Two children: take over the in-order successor's entry, then
+		// remove the successor from the right subtree.
+		sk, sv := mapMin(tx, r, mode)
+		tx.Store(n+mnKey, sk, mode)
+		tx.Store(n+mnVal, sv, mode)
+		side, old, sub = mnRight, r, sk
 	}
-	val := tx.Load(n+mnVal, mode)
-	l := tx.LoadAddr(n+mnLeft, mode)
-	r := tx.LoadAddr(n+mnRight, mode)
-	if l == mem.Nil {
-		tx.Free(n)
-		return r, val, true
+	child, v, rem, shrank := mapRemove(tx, old, sub, mode)
+	if !rem {
+		return n, 0, false, false
 	}
-	if r == mem.Nil {
-		tx.Free(n)
-		return l, val, true
+	if key != k {
+		val = v // found below n, not at n
 	}
-	// Two children: replace with in-order successor.
-	sk, sv := mapMin(tx, r, mode)
-	tx.Store(n+mnKey, sk, mode)
-	tx.Store(n+mnVal, sv, mode)
-	child, _, _ := mapRemove(tx, r, sk, mode)
-	tx.StoreAddr(n+mnRight, child, mode)
-	return mfix(tx, n, mode), val, true
+	if child != old {
+		tx.StoreAddr(n+side, child, mode)
+	}
+	if !shrank {
+		return n, val, true, false
+	}
+	root, shrank := mfix(tx, n, mode)
+	return root, val, true, shrank
 }
 
 func mapMin(tx *stm.Tx, n mem.Addr, mode stm.Acc) (key, val uint64) {
