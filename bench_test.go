@@ -9,11 +9,14 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/capture"
 	"repro/internal/mem"
 	"repro/internal/prng"
+	"repro/internal/stm"
 	"repro/tm"
 	"repro/tm/bench"
 
@@ -552,6 +555,85 @@ func BenchmarkBarrierWriteElided(b *testing.B) {
 				batched(b, th, freshBlock(), func(tx *tm.Tx, base tm.Struct, i int) {
 					base.Word(i&63).Store(tx, uint64(i))
 				})
+			})
+		})
+	}
+}
+
+// BenchmarkAccessFloor prices the floor under every barrier above, in
+// the same loop: transactions of 512 accesses to a block each one
+// allocated. "space" is the raw word access — Space.Load, and
+// Space.StorePlain, which is what a captured store is; "stm" adds
+// stm.Tx.Load/Store with a statically elided Acc, which is the engine's
+// indirect call and prologue; "api" is the public Word.Load/Store path
+// on top. A barrier bench minus the floor of its layer is what the
+// barrier itself costs.
+func BenchmarkAccessFloor(b *testing.B) {
+	at := func(base tm.Struct, i int) mem.Addr { return base.Addr() + mem.Addr(i&63) }
+	var space *mem.Space
+	for _, l := range []struct {
+		name  string
+		load  func(tx *tm.Tx, base tm.Struct, i int) uint64
+		store func(tx *tm.Tx, base tm.Struct, i int)
+	}{
+		{"space",
+			func(tx *tm.Tx, base tm.Struct, i int) uint64 { return space.Load(at(base, i)) },
+			func(tx *tm.Tx, base tm.Struct, i int) { space.StorePlain(at(base, i), uint64(i)) }},
+		{"stm",
+			func(tx *tm.Tx, base tm.Struct, i int) uint64 { return tx.Unwrap().Load(at(base, i), stm.AccFresh) },
+			func(tx *tm.Tx, base tm.Struct, i int) { tx.Unwrap().Store(at(base, i), uint64(i), stm.AccFresh) }},
+		{"api",
+			func(tx *tm.Tx, base tm.Struct, i int) uint64 { return base.Word(i & 63).Load(tx) },
+			func(tx *tm.Tx, base tm.Struct, i int) { base.Word(i&63).Store(tx, uint64(i)) }},
+	} {
+		b.Run(l.name+"/load", func(b *testing.B) {
+			rt, th, _ := barrierRT(tm.CompilerElision().Perf())
+			space = rt.Unwrap().Space()
+			var sink uint64
+			batched(b, th, freshBlock(), func(tx *tm.Tx, base tm.Struct, i int) {
+				sink += l.load(tx, base, i)
+			})
+			_ = sink
+		})
+		b.Run(l.name+"/store", func(b *testing.B) {
+			rt, th, _ := barrierRT(tm.CompilerElision().Perf())
+			space = rt.Unwrap().Space()
+			batched(b, th, freshBlock(), l.store)
+		})
+	}
+}
+
+// BenchmarkCommitParallel is begin/commit under parallelism with no
+// true conflict: one thread per GOMAXPROCS, each committing
+// transactions that store to one captured stack word and load and
+// store a global line of its own. What -cpu 2 adds over -cpu 1 is the
+// cache lines the threads share without sharing data, plus the global
+// clock, which every writing commit bumps.
+func BenchmarkCommitParallel(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		p    tm.Profile
+	}{{"baseline", tm.Baseline().Perf()}, {"capture", tm.RuntimeAll(tm.LogTree).Perf()}} {
+		b.Run(c.name, func(b *testing.B) {
+			procs := runtime.GOMAXPROCS(0)
+			words := (procs + 1) * mem.LineWords
+			rt := tm.Open(append(c.p.Options(), tm.WithMemory(tm.MemConfig{
+				GlobalWords: words, HeapWords: 1 << 10, StackWords: 1 << 10, MaxThreads: procs,
+			}))...)
+			g := rt.AllocGlobal(words)
+			// Line-align the first thread's line: a line is one orec.
+			first := -int(g.Addr()) & (mem.LineWords - 1)
+			var ids atomic.Int32
+			b.RunParallel(func(pb *testing.PB) {
+				id := int(ids.Add(1) - 1)
+				th := rt.Thread(id)
+				w := g.Word(first + id*mem.LineWords)
+				for pb.Next() {
+					th.Atomic(func(tx *tm.Tx) {
+						tx.StackAlloc(4).Word(0).Store(tx, 1)
+						w.Store(tx, w.Load(tx)+1)
+					})
+				}
 			})
 		})
 	}

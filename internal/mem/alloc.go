@@ -105,7 +105,7 @@ func (al *Allocator) Alloc(n int) Addr {
 	if ci < 0 {
 		// Large allocation straight from central; header + payload.
 		a := al.space.central.grab(n + 1)
-		al.space.Store(a, uint64(n)<<1|1) // header: size<<1 | large bit
+		al.space.StorePlain(a, uint64(n)<<1|1) // header: size<<1 | large bit
 		return a + 1
 	}
 	cs := classSizes[ci]
@@ -122,7 +122,7 @@ func (al *Allocator) Alloc(n int) Addr {
 			// Jumbo size class: carve a dedicated span so the block
 			// cannot overflow a standard refill span.
 			a := al.space.central.grab(need)
-			al.space.Store(a, uint64(cs)<<1)
+			al.space.StorePlain(a, uint64(cs)<<1)
 			return a + 1
 		}
 		// Remainder of the old span is abandoned (bounded waste).
@@ -132,7 +132,7 @@ func (al *Allocator) Alloc(n int) Addr {
 	a := al.span
 	al.span += Addr(need)
 	al.spanN -= need
-	al.space.Store(a, uint64(cs)<<1) // header: class payload size, small
+	al.space.StorePlain(a, uint64(cs)<<1) // header: class payload size, small
 	return a + 1
 }
 

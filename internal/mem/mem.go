@@ -15,9 +15,30 @@
 //	[globalsEnd, heapEnd)     heap region (size-class allocator)
 //	[heapEnd, end)            per-thread stacks, each growing downward
 //
-// All word accesses go through sync/atomic so that elided (plain)
-// accesses made by transactions remain well defined under the Go
-// memory model and under the race detector.
+// Words other threads can reach go through sync/atomic: Load, Store
+// and CAS. Words no other thread can reach are written plainly, with
+// StorePlain and Zero, which cost a MOV or a memclr instead of a fenced
+// XCHG. That covers a transaction's captured memory (its stack frames
+// and the blocks it allocated) and the header of a block being carved.
+// No other thread can reach them, for three reasons:
+//
+//   - Bump-carved blocks and stack frames have never been handed to
+//     another thread.
+//   - A block freed by a transaction is recycled only after limbo
+//     quiescence (stm's enqueueLimbo): every thread that was inside a
+//     transaction at the free has finished it, so no zombie reader
+//     still holds the address.
+//   - Publication goes through the runtime's orec and clock atomics,
+//     which order every plain store before them.
+//
+// The one concurrent reader of such words is a fuzzy checkpoint
+// (ReadWords). What it reads of an in-flight plain store is repaired by
+// redo replay from the checkpoint's log cut, and the Go memory model
+// guarantees that a racy read of at most a machine word observes some
+// write, never a torn value. Words are 64 bits, so that holds on the
+// 64-bit targets CI builds. The race detector does not see these
+// accesses at all on unix, where the space is a mapping outside the
+// ranges it shadows.
 //
 // The array is not Go-heap memory where the platform can map pages
 // (words_unix.go): it is a demand-zero anonymous mapping, so a space
@@ -176,6 +197,13 @@ func (s *Space) Store(a Addr, v uint64) {
 	atomic.StoreUint64(&s.words[a], v)
 }
 
+// StorePlain writes the word at a without synchronization. Use it only
+// for words no other thread can reach (see the package doc): a captured
+// store or a block header.
+func (s *Space) StorePlain(a Addr, v uint64) {
+	s.words[a] = v
+}
+
 // CAS performs a compare-and-swap on the word at a.
 func (s *Space) CAS(a Addr, old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(&s.words[a], old, new)
@@ -220,9 +248,9 @@ func (s *Space) StackRange(tid int) (Addr, Addr) {
 // InHeap reports whether a lies in the heap region.
 func (s *Space) InHeap(a Addr) bool { return a >= s.heapStart && a < s.heapEnd }
 
-// Zero clears n words starting at a.
+// Zero clears n words starting at a with plain stores (a memclr). Like
+// StorePlain it is only for words no other thread can reach: a recycled
+// block, a fresh stack frame, or a space whose threads have joined.
 func (s *Space) Zero(a Addr, n int) {
-	for i := 0; i < n; i++ {
-		s.Store(a+Addr(i), 0)
-	}
+	clear(s.words[a : a+Addr(n)])
 }

@@ -8,14 +8,16 @@ import (
 // Snapshot and restore support for the durability tier. A checkpoint
 // streams the words of the live space chunk by chunk, plus the two
 // allocation bump pointers (globals and central heap); recovery decodes
-// them straight into the backing words of a freshly sized space. The
-// read side uses atomic word accesses, so a fuzzy snapshot taken while
-// transactions run is well defined — every word read is some
-// committed-or-in-flight value, and redo-tail replay from the
-// checkpoint's log cut repairs any in-flight ones.
+// them straight into the backing words of a freshly sized space.
 
 // ReadWords copies the len(dst) words starting at word index at into
-// dst (wal.WordSource, together with Size).
+// dst (wal.WordSource, together with Size). It may run while
+// transactions do (a fuzzy checkpoint), and then it is the one reader
+// that can race a plain store to captured memory (StorePlain, Zero).
+// Each word is read atomically and is at most a machine word, so the
+// Go memory model guarantees it observes some committed or in-flight
+// write, never a torn one. Redo-tail replay from the checkpoint's log
+// cut repairs the in-flight ones.
 func (s *Space) ReadWords(dst []uint64, at int) {
 	src := s.words[at : at+len(dst)]
 	for i := range src {

@@ -39,9 +39,10 @@ func TestNewSpaceReadsZero(t *testing.T) {
 func TestOutOfRangeAddrPanics(t *testing.T) {
 	s := testSpace()
 	for name, access := range map[string]func(Addr){
-		"Load":  func(a Addr) { s.Load(a) },
-		"Store": func(a Addr) { s.Store(a, 1) },
-		"CAS":   func(a Addr) { s.CAS(a, 0, 1) },
+		"Load":       func(a Addr) { s.Load(a) },
+		"Store":      func(a Addr) { s.Store(a, 1) },
+		"StorePlain": func(a Addr) { s.StorePlain(a, 1) },
+		"CAS":        func(a Addr) { s.CAS(a, 0, 1) },
 	} {
 		for _, a := range []Addr{Addr(s.Size()), Addr(s.Size()) + 1<<20, ^Addr(0)} {
 			func() {
@@ -54,6 +55,57 @@ func TestOutOfRangeAddrPanics(t *testing.T) {
 				access(a)
 				t.Errorf("%s(%d) did not panic", name, a)
 			}()
+		}
+	}
+}
+
+// A plain store lands on its word and on no other, in every region.
+func TestStorePlainLands(t *testing.T) {
+	s := testSpace()
+	heap, _ := s.HeapRange()
+	_, stackHigh := s.StackRange(2)
+	for i, a := range []Addr{1, heap, heap + 2, stackHigh - 1, Addr(s.Size() - 2)} {
+		v := uint64(i+1) * 0x0101_0101_0101_0101
+		before, after := s.Load(a-1), s.Load(a+1)
+		s.StorePlain(a, v)
+		if got := s.Load(a); got != v {
+			t.Errorf("StorePlain(%d, %#x) then Load = %#x", a, v, got)
+		}
+		if s.Load(a-1) != before || s.Load(a+1) != after {
+			t.Errorf("StorePlain(%d) changed a neighbouring word", a)
+		}
+	}
+}
+
+// Zero clears exactly [a, a+n), across the boundary between two heap
+// blocks (header included) and across a page of the mapping.
+func TestZeroAcrossBlockBoundary(t *testing.T) {
+	s := testSpace()
+	al := NewAllocator(s)
+	p1 := al.Alloc(64)
+	p2 := al.Alloc(64)
+	if p2 != p1+65 {
+		t.Fatalf("blocks at %d and %d are not adjacent", p1, p2)
+	}
+	page := Addr(4096 / 8)
+	crossPage := (p1/page + 1) * page // first word of the next page
+	for _, r := range []struct{ a, n Addr }{
+		{p1 + 32, 64},       // second half of p1, p2's header, first half of p2
+		{crossPage - 5, 10}, // the last words of one page, the first of the next
+	} {
+		lo, hi := r.a-8, r.a+r.n+8
+		for a := lo; a < hi; a++ {
+			s.Store(a, ^uint64(0))
+		}
+		s.Zero(r.a, int(r.n))
+		for a := lo; a < hi; a++ {
+			want := ^uint64(0)
+			if a >= r.a && a < r.a+r.n {
+				want = 0
+			}
+			if got := s.Load(a); got != want {
+				t.Fatalf("after Zero(%d, %d): word %d = %#x, want %#x", r.a, r.n, a, got, want)
+			}
 		}
 	}
 }

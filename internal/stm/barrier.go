@@ -217,12 +217,14 @@ func (tx *Tx) upgrade() {
 // the location may be live-in for the nested transaction even though
 // it is transaction-local to the outer one, so partial abort requires
 // an undo entry (Sec. 2.2.1); at top level captured memory is dead on
-// abort and skips undo logging entirely.
+// abort and skips undo logging entirely. No other thread can reach
+// captured memory, so the store is plain, not a fenced atomic (see the
+// mem package doc).
 func (tx *Tx) storeCaptured(a mem.Addr, val uint64) {
 	if tx.depth > 1 {
 		tx.logUndo(a)
 	}
-	tx.th.rt.space.Store(a, val)
+	tx.th.rt.space.StorePlain(a, val)
 }
 
 func (tx *Tx) writeFull(a mem.Addr, val uint64) {

@@ -28,9 +28,10 @@ import (
 //     partial abort popped.
 //
 // Record build therefore reads the *current* space at the undo-logged
-// addresses and dumps the alloc blocks and stack region verbatim; every
-// source is either orec-locked by us or thread-private at that point,
-// so the reads are race-free.
+// addresses and dumps the alloc blocks and stack region verbatim. Every
+// source is either orec-locked by us or captured, so the only writer
+// of each word is this thread: the reads see its own stores, plain
+// (captured) or atomic, and race with nothing.
 //
 // Ordering argument. A commit or abort record is enqueued (assigning
 // its log position under the log mutex) after the undo replay /

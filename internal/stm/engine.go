@@ -46,8 +46,8 @@ import (
 //     inliner's budget of 80.
 //
 // The flat functions depend on onTxStack, storeCaptured, the three
-// Contains probes and Space.Load/Store being inlined; CI's check job
-// pins that (storeCaptured sits at cost 80 of 80).
+// Contains probes and Space.Load/Store/StorePlain being inlined; CI's
+// check job pins that (storeCaptured sits at cost 78 of 80).
 
 // loadFn and storeFn are the barrier entry points an engine provides.
 // They receive the Tx explicitly so engines can be plain functions

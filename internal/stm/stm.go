@@ -63,8 +63,16 @@ type Runtime struct {
 	space     *mem.Space
 	orecs     []atomic.Uint64
 	orecShift uint
-	clock     atomic.Uint64
-	cfg       OptConfig
+
+	// clock is bumped by every writing commit and read by every begin.
+	// It has a cache line of its own, so a bump does not invalidate the
+	// line holding space, orecs and orecShift, which every barrier on
+	// every thread reads.
+	_     [lineBytes - 8]byte
+	clock atomic.Uint64
+	_     [lineBytes - 8]byte
+
+	cfg OptConfig
 
 	// phases is the compiled engine table (phase.go): index 0 is the
 	// default phase's engine, compiled once from cfg; declared phases
@@ -89,8 +97,14 @@ type Runtime struct {
 	// reuse of transactionally freed blocks (McRT-malloc style): a
 	// freed block is recycled only once every thread observed at an
 	// odd count has since finished that transaction, so no optimistic
-	// (zombie) reader can still dereference into it.
-	seqs []atomic.Uint64
+	// (zombie) reader can still dereference into it. Each slot has a
+	// cache line of its own: its owner bumps it twice per transaction.
+	seqs []seqSlot
+
+	// created holds the ids of the threads created so far. Thread
+	// publishes a fresh copy under mu, so enqueueLimbo reads it with one
+	// atomic load and scans only those threads' seqs slots.
+	created atomic.Pointer[[]int32]
 
 	// gates[i] is thread i's park point for the queue contention
 	// manager (cm.go): conflicting threads park on the owner that beat
@@ -144,10 +158,21 @@ func New(mcfg mem.Config, cfg OptConfig) *Runtime {
 		acfg:       acfg,
 		adapt:      adapt,
 		adaptByIdx: adaptByIdx,
-		seqs:       make([]atomic.Uint64, mcfg.MaxThreads),
+		seqs:       make([]seqSlot, mcfg.MaxThreads),
 		gates:      newGates(mcfg.MaxThreads),
 		threads:    make(map[int]*Thread),
 	}
+}
+
+// lineBytes is the cache-line size the runtime pads its per-thread and
+// hot shared words to.
+const lineBytes = 64
+
+// seqSlot is one thread's quiescence counter (Runtime.seqs), padded to
+// a cache line so that no two threads' counters share one.
+type seqSlot struct {
+	atomic.Uint64
+	_ [lineBytes - 8]byte
 }
 
 // Engine names the barrier engine compiled for this runtime's default
@@ -195,10 +220,14 @@ func orecVersion(v uint64) uint64 { return v >> 1 }
 // and the (reused) transaction descriptor. A Thread must be used by
 // one goroutine at a time.
 type Thread struct {
-	rt    *Runtime
-	id    int
-	stack *mem.Stack
-	alloc *mem.Allocator
+	rt *Runtime
+	id int
+	// stack and alloc are held by value, inside this Thread's own
+	// allocation: allocated separately, two threads' stack pointers and
+	// allocator caches would sit side by side, and every Push, Pop and
+	// Alloc on one would invalidate the other's line.
+	stack mem.Stack
+	alloc mem.Allocator
 	priv  capture.Log // thread-local/read-only annotations (Sec. 3.1.3)
 	rng   uint64
 	tx    Tx
@@ -262,9 +291,11 @@ func (th *Thread) enqueueLimbo(blocks []mem.Addr) {
 	b := &th.limbo[n]
 	b.blocks = append(b.blocks[:0], blocks...)
 	b.ids, b.seqs = b.ids[:0], b.seqs[:0]
-	for i := range th.rt.seqs {
-		if s := th.rt.seqs[i].Load(); s%2 == 1 {
-			b.ids = append(b.ids, int32(i))
+	// A thread missing from created begins its first transaction after
+	// this commit, so it cannot hold one of these blocks.
+	for _, id := range *th.rt.created.Load() {
+		if s := th.rt.seqs[id].Load(); s%2 == 1 {
+			b.ids = append(b.ids, id)
 			b.seqs = append(b.seqs, s)
 		}
 	}
@@ -307,8 +338,8 @@ func (rt *Runtime) Thread(id int) *Thread {
 	th := &Thread{
 		rt:           rt,
 		id:           id,
-		stack:        mem.NewStack(rt.space, id),
-		alloc:        mem.NewAllocator(rt.space),
+		stack:        *mem.NewStack(rt.space, id),
+		alloc:        *mem.NewAllocator(rt.space),
 		priv:         capture.NewTree(),
 		rng:          uint64(id)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
 		phaseStats:   make([]Stats, len(rt.phases)),
@@ -322,6 +353,12 @@ func (rt *Runtime) Thread(id int) *Thread {
 	}
 	th.tx.init(th)
 	rt.threads[id] = th
+	var ids []int32
+	if p := rt.created.Load(); p != nil {
+		ids = *p
+	}
+	ids = append(ids[:len(ids):len(ids)], int32(id)) // copy: readers hold the old slice
+	rt.created.Store(&ids)
 	return th
 }
 
