@@ -20,13 +20,11 @@
 //	stampbench -experiment table2 -threads 16 -runs 5
 //	stampbench -experiment capture -bench tmkv   # per-mechanism elision counts
 //	stampbench -experiment readmostly -threadlist 1,4   # phase hints on vs. off
-//	stampbench -experiment contention -threadlist 4,8   # one arm per contention manager
 //
 // Nothing here gates anything: bash benchmark/run.sh is the measurement
 // a performance claim is judged by, and fig10/fig11a -threads N print
-// any single scaling point. The readmostly and contention experiments
-// are A/B tables for mechanisms with no rig cell yet — they go with
-// ROADMAP 1(b).
+// any single scaling point. The readmostly experiment is an A/B table
+// for a mechanism with no rig cell yet — it goes with ROADMAP 1(b).
 package main
 
 import (
@@ -49,7 +47,7 @@ import (
 
 // experiments is the -experiment usage string: every name in it has a
 // case in run, and anything else is refused with this list.
-const experiments = "list|table1|table2|fig10|fig11a|fig11b|capture|readmostly|contention"
+const experiments = "list|table1|table2|fig10|fig11a|fig11b|capture|readmostly"
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -63,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	threads := fs.Int("threads", 1, "worker threads for the parallel phase")
 	runs := fs.Int("runs", 3, "repetitions per data point")
 	benchFlag := fs.String("bench", "all", "comma-separated workload names or 'all'")
-	threadList := fs.String("threadlist", "", "comma-separated thread counts for -experiment readmostly|contention (default: per experiment)")
+	threadList := fs.String("threadlist", "", "comma-separated thread counts for -experiment readmostly (default: 1,4)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -106,15 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if counts, err = parseThreadList(*threadList); err == nil {
 			err = readMostlySweep(stdout, counts, *runs)
 		}
-	case "contention":
-		cb := benches
-		if *benchFlag == "all" {
-			cb = contentionBenches
-		}
-		var counts []int
-		if counts, err = parseThreadList(*threadList); err == nil {
-			err = contentionSweep(stdout, cb, counts, *runs)
-		}
 	default:
 		err = fmt.Errorf("unknown experiment %q (want %s)", *exp, experiments)
 	}
@@ -127,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func parseThreadList(s string) ([]int, error) {
 	if s == "" {
-		return nil, nil // the experiment's own default
+		return nil, nil // readMostlySweep's default
 	}
 	var counts []int
 	for _, part := range strings.Split(s, ",") {
@@ -231,72 +220,6 @@ func sweepProfiles() []tm.Profile {
 		out = append(out, p.With(tm.WithPhases(bench.PhaseRegimeSpecs()...)).Named(p.Name()+"+phases"))
 	}
 	return out
-}
-
-// contentionBenches are the contended mixes where the manager choice
-// is visible: the full message blend, its consumer-dominated variant
-// (hot cursor words, the queue manager's target), and the write-heavy
-// KV blend (encounter-time write locks held across block copies).
-var contentionBenches = []string{"tmmsg", "tmmsg-sub", "tmkv-write"}
-
-// contentionProfiles are the manager arms of the A/B: the optimized
-// engine under each runtime-wide contention manager, plus the
-// hand-tuned per-phase mix (publish→none, cursor→queue, scan→backoff
-// via PhaseRegimeSpecs) and the adaptive arm that must rediscover it
-// from epoch abort ratios. All arms compute identical results — the
-// cross-manager differential pins that — so the rows differ only in
-// how threads wait.
-func contentionProfiles() []tm.Profile {
-	base := tm.RuntimeAll(tm.LogTree).Perf()
-	out := make([]tm.Profile, 0, 5)
-	for _, m := range []tm.CM{tm.CMBackoff, tm.CMNone, tm.CMQueue} {
-		out = append(out, base.With(tm.WithContention(m)).Named(base.Name()+"+cm"+m))
-	}
-	return append(out,
-		base.With(tm.WithPhases(bench.PhaseRegimeSpecs()...)).Named(base.Name()+"+phases"),
-		base.With(tm.WithAdaptive(tm.AdaptiveConfig{})).Named(base.Name()+"+adaptive"),
-	)
-}
-
-// contentionSweep measures the manager arms over the contended mixes
-// at contended thread counts, then adds served open-loop rows —
-// srv-tmmsg per manager, unmerged and at width 8 — so the output
-// carries both the throughput and the tail-latency face of the same
-// policy question. No rig cell yet — goes with ROADMAP 1(b)
-// (msg-direct's per-manager sweep).
-func contentionSweep(w io.Writer, benches []string, counts []int, runs int) error {
-	if len(counts) == 0 {
-		counts = []int{4, 8} // past the core count: waiting policy dominates
-	}
-	var all []bench.Result
-	for _, b := range benches {
-		results, err := bench.SweepMatrix(b, contentionProfiles(), counts, runs)
-		if err != nil {
-			return err
-		}
-		all = append(all, results...)
-	}
-	for _, m := range []tm.CM{tm.CMBackoff, tm.CMNone, tm.CMQueue} {
-		for _, width := range []int{1, 8} {
-			res, err := bench.RunOpenLoop(bench.OpenLoopSpec{
-				Backend:    "srv-tmmsg",
-				Profile:    tm.RuntimeAll(tm.LogTree).Perf(),
-				Workers:    4,
-				MergeWidth: width,
-				Clients:    8,
-				Requests:   4096,
-				Seed:       17,
-				CM:         m,
-			})
-			if err != nil {
-				return err
-			}
-			all = append(all, res)
-		}
-	}
-	bench.WriteSweep(w, all)
-	bench.WriteLatencyTable(w, all)
-	return nil
 }
 
 // readMostlyBenches are the read-dominated workloads the read-mostly

@@ -19,9 +19,6 @@
 //	                                         # read-mostly engine
 //	tmsrv -backend all -mergewidths 1,4,8 -rates 100000,peak
 //	tmsrv -workers 1,4 -requests 8192 -stats # counters on (non-perf build)
-//	tmsrv -backend srv-tmmsg -cm all -mergewidths 1,8  # p95/p99 per
-//	                                         # contention manager,
-//	                                         # merged and unmerged
 //
 // -adaptive replaces the merge-width grid with a four-arm A/B at every
 // backend × workers × rate point: unmerged single-engine (mw1), fixed
@@ -33,8 +30,8 @@
 // Nothing here gates anything. The merged-vs-unmerged question at one
 // worker is the rig's (bash benchmark/run.sh -workload kv-serve:
 // batcher.merge_ratio, serve.open_merge_ratio, serve.open_p99_us); the
-// multi-worker grid, the -adaptive arms and the -cm arms have no rig
-// cell yet — they go with ROADMAP 1(b).
+// multi-worker grid and the -adaptive arms have no rig cell yet — they
+// go with ROADMAP 1(b).
 package main
 
 import (
@@ -73,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	requests := fs.Int("requests", 1<<14, "requests per sweep point")
 	clients := fs.Int("clients", 8, "open-loop client goroutines")
 	seed := fs.Uint64("seed", 1, "seed for interarrivals and the request stream")
-	cmFlag := fs.String("cm", "", "comma-separated contention managers (backoff|none|queue) to run as arms at every sweep point; 'all' = every manager, empty = the profile default")
 	adaptive := fs.Bool("adaptive", false, "run the adaptive A/B sweep (mw1 vs mwW vs +phases vs +adaptive, W = max of -mergewidths) instead of the plain width grid")
 	adaptEpoch := fs.Int("adaptepoch", 0, "adaptive engine-selection sampling window in commits (0 = runtime default)")
 	fs.Usage = func() { usage(fs) }
@@ -109,18 +105,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err == nil {
 		rates, err = parseRates(*ratesFlag)
 	}
-	var cms []tm.CM
-	if err == nil {
-		cms, err = parseCMs(*cmFlag)
-	}
 	if len(workers) == 0 {
 		workers = bench.DefaultThreadCounts()
 	}
 	if err == nil {
 		if *adaptive {
-			err = sweepAdaptive(stdout, backends, profile, workers, maxInt(widths), rates, cms, *requests, *clients, *seed, *adaptEpoch)
+			err = sweepAdaptive(stdout, backends, profile, workers, maxInt(widths), rates, *requests, *clients, *seed, *adaptEpoch)
 		} else {
-			err = sweep(stdout, backends, profile, workers, widths, rates, cms, *requests, *clients, *seed)
+			err = sweep(stdout, backends, profile, workers, widths, rates, *requests, *clients, *seed)
 		}
 	}
 	if err != nil {
@@ -201,53 +193,27 @@ func parseRates(s string) ([]float64, error) {
 	return out, nil
 }
 
-// parseCMs resolves the -cm flag into the contention-manager arms of
-// the sweep. The empty string is one arm on the profile's default
-// manager; "all" is one arm per manager, so a single table carries
-// every side of the waiting-policy A/B.
-func parseCMs(s string) ([]tm.CM, error) {
-	if s == "" {
-		return []tm.CM{""}, nil
-	}
-	if s == "all" {
-		return []tm.CM{tm.CMBackoff, tm.CMNone, tm.CMQueue}, nil
-	}
-	var out []tm.CM
-	for _, part := range strings.Split(s, ",") {
-		switch m := tm.CM(strings.TrimSpace(part)); m {
-		case tm.CMBackoff, tm.CMNone, tm.CMQueue:
-			out = append(out, m)
-		default:
-			return nil, fmt.Errorf("bad -cm entry %q (want backoff, none, or queue)", part)
-		}
-	}
-	return out, nil
-}
-
 // sweep measures every point of the grid and writes the latency table.
-func sweep(w io.Writer, backends []string, p tm.Profile, workers, widths []int, rates []float64, cms []tm.CM, requests, clients int, seed uint64) error {
+func sweep(w io.Writer, backends []string, p tm.Profile, workers, widths []int, rates []float64, requests, clients int, seed uint64) error {
 	var all []bench.Result
 	for _, be := range backends {
 		for _, nw := range workers {
 			for _, mw := range widths {
 				for _, rate := range rates {
-					for _, cm := range cms {
-						res, err := bench.RunOpenLoop(bench.OpenLoopSpec{
-							Backend:    be,
-							Profile:    p,
-							Workers:    nw,
-							MergeWidth: mw,
-							Clients:    clients,
-							Rate:       rate,
-							Requests:   requests,
-							Seed:       seed,
-							CM:         cm,
-						})
-						if err != nil {
-							return err
-						}
-						all = append(all, res)
+					res, err := bench.RunOpenLoop(bench.OpenLoopSpec{
+						Backend:    be,
+						Profile:    p,
+						Workers:    nw,
+						MergeWidth: mw,
+						Clients:    clients,
+						Rate:       rate,
+						Requests:   requests,
+						Seed:       seed,
+					})
+					if err != nil {
+						return err
 					}
+					all = append(all, res)
 				}
 			}
 		}
@@ -273,7 +239,7 @@ func maxInt(xs []int) int {
 // plus adaptive merge width up to W). The arms share the request
 // stream and seed, so their rows differ only in the machinery under
 // test.
-func sweepAdaptive(w io.Writer, backends []string, p tm.Profile, workers []int, width int, rates []float64, cms []tm.CM, requests, clients int, seed uint64, epoch int) error {
+func sweepAdaptive(w io.Writer, backends []string, p tm.Profile, workers []int, width int, rates []float64, requests, clients int, seed uint64, epoch int) error {
 	arms := []bench.OpenLoopSpec{
 		{MergeWidth: 1},
 		{MergeWidth: width},
@@ -284,18 +250,16 @@ func sweepAdaptive(w io.Writer, backends []string, p tm.Profile, workers []int, 
 	for _, be := range backends {
 		for _, nw := range workers {
 			for _, rate := range rates {
-				for _, cm := range cms {
-					for _, arm := range arms {
-						spec := arm
-						spec.Backend, spec.Profile, spec.Workers = be, p, nw
-						spec.Clients, spec.Rate, spec.CM = clients, rate, cm
-						spec.Requests, spec.Seed = requests, seed
-						res, err := bench.RunOpenLoop(spec)
-						if err != nil {
-							return err
-						}
-						all = append(all, res)
+				for _, arm := range arms {
+					spec := arm
+					spec.Backend, spec.Profile, spec.Workers = be, p, nw
+					spec.Clients, spec.Rate = clients, rate
+					spec.Requests, spec.Seed = requests, seed
+					res, err := bench.RunOpenLoop(spec)
+					if err != nil {
+						return err
 					}
+					all = append(all, res)
 				}
 			}
 		}

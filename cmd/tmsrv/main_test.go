@@ -7,9 +7,9 @@ import (
 )
 
 // TestRun drives the command line end to end at the smallest size: the
-// plain grid and -cm arms print one table row per point, -adaptive
-// prints its four arms, the selected column is filled on adaptive rows
-// only, and the flags removed with the JSON report path are refused.
+// plain grid prints one table row per point, -adaptive prints its four
+// arms, the selected column is filled on adaptive rows only, and
+// removed flags (the JSON report path, -cm) are refused.
 func TestRun(t *testing.T) {
 	small := []string{"-backend", "srv-tmmsg", "-workers", "1", "-mergewidths", "1,8", "-requests", "256"}
 	header := "fallbacks  aborted  selected"
@@ -22,13 +22,12 @@ func TestRun(t *testing.T) {
 	}{
 		{args: []string{"-list"}, stdout: []string{"srv-tmkv  ", "srv-tmmsg  "}},
 		{args: small, rows: 2, stdout: []string{header, "+mw1@peak", "+mw8@peak"}},
-		{args: append([]string{"-cm", "all"}, small...), rows: 6, stdout: []string{header, "+cmbackoff+mw1@peak", "+cmnone+mw8@peak", "+cmqueue+mw8@peak"}},
 		{args: append([]string{"-adaptive"}, small...), rows: 4, stdout: []string{header,
 			"+mw1@peak", "+mw8@peak", "+phases+mw8@peak", "+adaptive+amw8@peak", "publish→", "cursor→", " widths=["}},
 
 		{args: []string{"-format", "json"}, code: 2, stderr: []string{"not defined: -format", "-mergewidths"}},
 		{args: []string{"-o", "out.json"}, code: 2, stderr: []string{"not defined: -o", "-mergewidths"}},
-		{args: []string{"-cm", "bogus"}, code: 1, stderr: []string{`bad -cm entry "bogus"`}},
+		{args: []string{"-cm", "all"}, code: 2, stderr: []string{"not defined: -cm", "-mergewidths"}},
 		{args: []string{"-backend", "no-such-backend", "-workers", "1"}, code: 1, stderr: []string{"no-such-backend"}},
 	}
 	for _, c := range cases {

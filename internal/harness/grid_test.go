@@ -2,8 +2,8 @@ package harness
 
 // The differential grid. Capture analysis changes which barriers run,
 // never what the program computes (Sec. 3), so every optimization
-// profile, barrier engine, phase declaration, contention manager and
-// the redo log must drive a deterministic workload to the bit-identical
+// profile, barrier engine, phase declaration and the redo log must
+// drive a deterministic workload to the bit-identical
 // final state (mem.Space.Checksum). The grid-shaped tests at the end of
 // this file are views over one memoised table of cells — (workload,
 // profile variant, threads).
@@ -95,9 +95,7 @@ var (
 	// run entirely in the default phase, where the declaration alone must
 	// change nothing; tmmsg's driver hints every operation, so its runs
 	// cross engines mid-run.
-	phased  = variant("+phases", tm.WithPhases(PhaseRegimeSpecs()...))
-	cmNone  = variant("+cmnone", tm.WithContention(tm.CMNone))
-	cmQueue = variant("+cmqueue", tm.WithContention(tm.CMQueue))
+	phased = variant("+phases", tm.WithPhases(PhaseRegimeSpecs()...))
 )
 
 // gridCell is one configuration a workload runs under. A durable cell
@@ -137,22 +135,20 @@ var (
 	axPerf     = newAxis(1, false, perfProfiles(), asIs)
 	axReadMost = newAxis(1, false, allProfiles, readMostly)
 	axPhased   = newAxis(1, false, allProfiles, phased)
-	axCM       = newAxis(1, false, namedProfiles(), cmNone, cmQueue)
 	axDurable  = newAxis(1, true, namedProfiles(), asIs)
 
 	// The four-thread axes. runtimeTree is at once the instrumented
-	// engine, the unhinted arm and the backoff-default manager, so three
-	// of them name it and it runs once per workload.
+	// engine and the unhinted arm, so two of them name it and it runs
+	// once per workload.
 	axPar         = newAxis(4, false, []tm.Profile{tm.Baseline(), runtimeTree}, asIs)
 	axParEngine   = newAxis(4, false, []tm.Profile{perf(runtimeTree), forceGeneric(perf(runtimeTree)), runtimeTree}, asIs)
 	axParReadMost = newAxis(4, false, []tm.Profile{perf(runtimeTree), runtimeTree}, readMostly)
 	axParPhased   = newAxis(4, false, []tm.Profile{perf(runtimeTree), forceGeneric(perf(runtimeTree)), runtimeTree}, phased)
-	axParCM       = newAxis(4, false, []tm.Profile{runtimeTree}, asIs, cmNone, cmQueue)
 	axParDurable  = newAxis(4, true, []tm.Profile{runtimeTree}, asIs)
 
 	// grid lists every axis; an axis's position shifts its spine rotation.
-	grid = []*axis{axAsIs, axPerf, axReadMost, axPhased, axCM, axDurable,
-		axPar, axParEngine, axParReadMost, axParPhased, axParCM, axParDurable}
+	grid = []*axis{axAsIs, axPerf, axReadMost, axPhased, axDurable,
+		axPar, axParEngine, axParReadMost, axParPhased, axParDurable}
 )
 
 // extent returns the cells of ax that run on bench: all of them in the
@@ -286,7 +282,7 @@ func view(t *testing.T, benches []string, axes ...*axis) {
 // The spine gives every registered workload (the ones test files
 // register included) a cell on every axis by construction; it must
 // also reach every profile of every axis, and the one-thread axes must
-// between them hold every named profile under six variants and every
+// between them hold every named profile under four variants and every
 // perf profile under three — so that registering a workload or adding
 // a profile cannot silently fall out of the default `go test ./...`.
 func TestGridSpineCovers(t *testing.T) {
@@ -311,9 +307,9 @@ func TestGridSpineCovers(t *testing.T) {
 				k, ax.cells[0].p.Name(), len(picked), len(ax.cells), len(benches))
 		}
 	}
-	// as-is, read-mostly, phased, cm=none, cm=queue and durable on the
-	// named profiles; as-is, read-mostly and phased on the perf ones.
-	if want := 6*len(namedProfiles()) + 3*len(perfProfiles()); len(oneThread) != want {
+	// as-is, read-mostly, phased and durable on the named profiles;
+	// as-is, read-mostly and phased on the perf ones.
+	if want := 4*len(namedProfiles()) + 3*len(perfProfiles()); len(oneThread) != want {
 		t.Errorf("the spine runs %d distinct one-thread cells, want %d", len(oneThread), want)
 	}
 }
@@ -375,19 +371,6 @@ func TestPhaseHintsPreserveState(t *testing.T) {
 // lock may leak while threads switch engines mid-run, specialized and
 // forced-generic alike.
 func TestEnginePhasedParallelNoLeaks(t *testing.T) { view(t, AllWorkloads(), axParPhased) }
-
-// TestCMDifferentialProfiles: a contention manager decides how a
-// thread waits after a conflict — never what a transaction computes.
-// One thread means the managers never actually wait, so this pins that
-// merely compiling a manager (the none escalation counter, the queue
-// owner bookkeeping threaded through conflictAt) perturbs nothing.
-func TestCMDifferentialProfiles(t *testing.T) { view(t, AllWorkloads(), axCM) }
-
-// TestCMParallelNoLeaks contends each manager: the queue manager's
-// park/wake handshake in particular must not strand a waiter or a
-// lock, nor the none manager retry against state an abort failed to
-// roll back.
-func TestCMParallelNoLeaks(t *testing.T) { view(t, AllWorkloads(), axParCM) }
 
 // TestDurabilityCrashReplayDifferential is the crash-replay
 // differential: three states must be bit-identical — the non-durable

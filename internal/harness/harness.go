@@ -225,25 +225,19 @@ func Improvement(base, opt Result) float64 {
 // scan-shaped ones onto the read-mostly engine — the mapping the
 // scenario drivers' EnterPhase hints are written for. Everything that
 // A/Bs phase hints (the phased engine-equivalence differential,
-// stampbench -experiment readmostly|contention, BenchmarkTMMSGPhased)
+// stampbench -experiment readmostly, BenchmarkTMMSGPhased)
 // must build on this one declaration, or the certified mapping and the
 // measured one drift apart silently. The scan fragment carries the same
 // capture shape as publish so its upgrade target — and the adaptive
 // readmostly variant's configuration — match the capture engine exactly.
-// Each regime also declares its contention manager: publish
-// transactions are short and conflict rarely (immediate retry), the
-// cursor hot spot parks losers on the owner (queue), and scans keep
-// the backoff default — long read sets racing steady writers want the
-// randomized separation, not a park on one owner among many.
 func PhaseRegimeSpecs() []tm.PhaseSpec {
 	return []tm.PhaseSpec{
 		tm.PhaseProfile(tm.PhasePublish,
-			tm.WithRuntimeCapture(tm.StackAndHeap, tm.StackAndHeap), tm.WithLogKind(tm.LogTree),
-			tm.WithContention(tm.CMNone)),
-		tm.PhaseProfile(tm.PhaseCursor, tm.WithSkipSharedChecks(), tm.WithContention(tm.CMQueue)),
+			tm.WithRuntimeCapture(tm.StackAndHeap, tm.StackAndHeap), tm.WithLogKind(tm.LogTree)),
+		tm.PhaseProfile(tm.PhaseCursor, tm.WithSkipSharedChecks()),
 		tm.PhaseProfile(tm.PhaseScan,
 			tm.WithRuntimeCapture(tm.StackAndHeap, tm.StackAndHeap), tm.WithLogKind(tm.LogTree),
-			tm.WithReadMostly(), tm.WithContention(tm.CMBackoff)),
+			tm.WithReadMostly()),
 	}
 }
 

@@ -11,9 +11,9 @@ package harness
 //
 // No rig cell yet — goes with ROADMAP 1(b): benchmark/ measures the
 // served tier with its own load generator (kv-serve), but runs neither
-// more than one serve worker, an adaptive runtime, nor a contention-
-// manager arm, so this file stays as the text-table A/B behind
-// cmd/tmsrv and stampbench -experiment readmostly|contention.
+// more than one serve worker nor an adaptive runtime, so this file
+// stays as the text-table A/B behind cmd/tmsrv and stampbench
+// -experiment readmostly.
 
 import (
 	"fmt"
@@ -41,13 +41,6 @@ type OpenLoopSpec struct {
 	Rate       float64    // offered requests/sec; <=0 = unpaced (peak stress)
 	Requests   int        // total requests; <1 = 1
 	Seed       uint64     // drives interarrivals and the request stream
-
-	// CM selects a runtime-wide contention manager ("" keeps the
-	// profile's default). Applied via tm.WithContention, it is the
-	// manager arm of the served A/B: without Phases the whole runtime
-	// resolves conflicts through the named manager, so the p95/p99 delta
-	// between arms isolates the policy.
-	CM tm.CM
 
 	// Phases overlays the canonical hand-tuned per-phase engine
 	// declaration (PhaseRegimeSpecs) on the profile — the hinted arm of
@@ -112,9 +105,6 @@ func RunOpenLoop(spec OpenLoopSpec) (Result, error) {
 		return res, err
 	}
 	profile := spec.Profile
-	if spec.CM != "" {
-		profile = profile.With(tm.WithContention(spec.CM))
-	}
 	if spec.Phases {
 		profile = profile.With(tm.WithPhases(PhaseRegimeSpecs()...))
 	}
@@ -167,9 +157,6 @@ func openLoopConfig(spec OpenLoopSpec) string {
 		load = strconv.FormatFloat(spec.Rate, 'f', -1, 64) + "rps"
 	}
 	name := spec.Profile.Name()
-	if spec.CM != "" {
-		name += "+cm" + spec.CM
-	}
 	if spec.Phases {
 		name += "+phases"
 	}
@@ -232,9 +219,9 @@ func quantileNs(sorted []int64, q float64) int64 {
 // measurement point. Results without a Latency block are skipped. The
 // aborted column is the failure count (a refused request is a failed
 // one); the trailing selected column is filled only on adaptive rows,
-// with what the runtime settled on — per phase kind the engine variant
-// and contention manager, then each worker's final merge width — since
-// an adaptive arm's config string says only that it adapted.
+// with what the runtime settled on — per phase kind the engine variant,
+// then each worker's final merge width — since an adaptive arm's config
+// string says only that it adapted.
 func WriteLatencyTable(w io.Writer, results []Result) {
 	fmt.Fprintln(w, "Open-loop latency (per-request, from scheduled arrival)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -259,12 +246,12 @@ func WriteLatencyTable(w io.Writer, results []Result) {
 }
 
 // selected renders what an adaptive run chose, e.g.
-// "publish→capture/none cursor→skipshared/queue widths=[8]"; empty for
+// "publish→capture cursor→skipshared widths=[8]"; empty for
 // rows with neither adaptive selections nor final widths.
 func selected(r Result) string {
 	var parts []string
 	for _, sel := range r.Adaptive {
-		parts = append(parts, fmt.Sprintf("%s→%s/%s", sel.Kind, sel.Variant, sel.CM))
+		parts = append(parts, sel.Kind+"→"+sel.Variant)
 	}
 	if len(r.Latency.FinalWidths) > 0 {
 		parts = append(parts, fmt.Sprintf("widths=%v", r.Latency.FinalWidths))

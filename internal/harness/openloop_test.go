@@ -204,12 +204,12 @@ func TestRunOpenLoopAdaptive(t *testing.T) {
 		t.Errorf("requests = %d", l.Requests)
 	}
 	// The rendered row names what the run selected: every adaptive kind
-	// with its variant and manager, then the final widths.
+	// with its variant, then the final widths.
 	var buf bytes.Buffer
 	WriteLatencyTable(&buf, []Result{res})
 	row := strings.Split(strings.TrimSpace(buf.String()), "\n")[2]
 	for _, sel := range res.Adaptive {
-		if want := sel.Kind + "→" + sel.Variant + "/" + sel.CM; !strings.Contains(row, want) {
+		if want := sel.Kind + "→" + sel.Variant + " "; !strings.Contains(row, want) {
 			t.Errorf("selected column lacks %q: %q", want, row)
 		}
 	}

@@ -1,5 +1,5 @@
 // Package prng provides the deterministic pseudo-random generator used
-// by the workload generators and the contention manager's jitter. It
+// by the workload generators and the serving client. It
 // replaces STAMP's Mersenne twister; determinism across runs is what
 // matters for reproducibility, not the generator family.
 package prng

@@ -98,16 +98,6 @@ const (
 	// read-mostly epoch demotes back to the probe; the regime has
 	// started writing shared data, so measure it again.
 	DefaultUpgradePct = 0.05
-	// DefaultCMQueuePct: abort ratio at or above which an epoch selects
-	// the queue contention manager for its kind — the regime is a
-	// genuine hot spot, and parking on the conflicting owner beats
-	// burning the processor on randomized spinning.
-	DefaultCMQueuePct = 0.20
-	// DefaultCMNonePct: abort ratio at or below which an epoch selects
-	// the none manager — conflicts are rare enough that any imposed
-	// wait is pure added latency. Between the two bounds the kind runs
-	// the backoff default.
-	DefaultCMNonePct = 0.02
 )
 
 // normalizeAdaptive fills zero tuning knobs with the defaults and
@@ -137,17 +127,8 @@ func normalizeAdaptive(a AdaptiveConfig) AdaptiveConfig {
 	if a.UpgradePct <= 0 {
 		a.UpgradePct = DefaultUpgradePct
 	}
-	if a.CMQueuePct <= 0 {
-		a.CMQueuePct = DefaultCMQueuePct
-	}
-	if a.CMNonePct <= 0 {
-		a.CMNonePct = DefaultCMNonePct
-	}
 	if a.DemotePct >= a.PromotePct {
 		panic("stm: adaptive DemotePct must be below PromotePct")
-	}
-	if a.CMNonePct >= a.CMQueuePct {
-		panic("stm: adaptive CMNonePct must be below CMQueuePct")
 	}
 	return a
 }
@@ -161,12 +142,6 @@ type adaptState struct {
 	probe, capture, skip, rm int           // engine-table indices
 	cur                      atomic.Int32  // currently selected table index
 	baseAbort                atomic.Uint64 // Float64bits of the last probe epoch's abort ratio
-	// cmSel is the kind's currently selected contention manager, as a
-	// cmgrs table index. It moves independently of cur: the manager is
-	// re-decided from every epoch's abort-ratio delta whatever variant
-	// the epoch ran on, so a kind can change managers while its engine
-	// selection stays put.
-	cmSel atomic.Int32
 }
 
 // compileAdaptive appends the four variant entries per adaptive kind
@@ -216,15 +191,13 @@ func compileAdaptive(a AdaptiveConfig, phases []compiledPhase, idx map[string]in
 			kind:  kind,
 			probe: len(phases), capture: len(phases) + 1, skip: len(phases) + 2, rm: len(phases) + 3,
 		}
-		st.cur.Store(int32(st.probe))           // start by measuring
-		st.cmSel.Store(int32(cmIndex(base.CM))) // start on the base manager
+		st.cur.Store(int32(st.probe)) // start by measuring
 		idx[kind] = st.probe
-		cm := cmFor(base.CM)
 		phases = append(phases,
-			compiledPhase{kind: kind, variant: VariantProbe, cfg: probe, eng: newEngine(probe), cm: cm},
-			compiledPhase{kind: kind, variant: VariantCapture, cfg: capt, eng: newEngine(capt), cm: cm},
-			compiledPhase{kind: kind, variant: VariantSkipShared, cfg: skip, eng: newEngine(skip), cm: cm},
-			compiledPhase{kind: kind, variant: VariantReadMostly, cfg: rmc, eng: newEngine(rmc), cm: cm},
+			compiledPhase{kind: kind, variant: VariantProbe, cfg: probe, eng: newEngine(probe)},
+			compiledPhase{kind: kind, variant: VariantCapture, cfg: capt, eng: newEngine(capt)},
+			compiledPhase{kind: kind, variant: VariantSkipShared, cfg: skip, eng: newEngine(skip)},
+			compiledPhase{kind: kind, variant: VariantReadMostly, cfg: rmc, eng: newEngine(rmc)},
 		)
 		states = append(states, st)
 	}
@@ -236,7 +209,6 @@ type AdaptiveSelection struct {
 	Kind    string // adaptive phase kind
 	Variant string // one of the Variant* labels
 	Engine  string // engine name of the selected variant
-	CM      string // currently selected contention manager
 }
 
 // AdaptiveSelections reports the current selection of every adaptive
@@ -247,10 +219,7 @@ func (rt *Runtime) AdaptiveSelections() []AdaptiveSelection {
 	out := make([]AdaptiveSelection, 0, len(rt.adapt))
 	for _, st := range rt.adapt {
 		p := &rt.phases[st.cur.Load()]
-		out = append(out, AdaptiveSelection{
-			Kind: st.kind, Variant: p.variant, Engine: p.eng.name,
-			CM: cmgrs[st.cmSel.Load()].name,
-		})
+		out = append(out, AdaptiveSelection{Kind: st.kind, Variant: p.variant, Engine: p.eng.name})
 	}
 	return out
 }
@@ -272,10 +241,6 @@ func (th *Thread) adaptiveTick() {
 	if st == nil {
 		return // default or manual phase: nothing to adapt
 	}
-	// Adopt a published manager change. A manager-only move leaves cur
-	// (the engine-table index) in place, so the setPhase adoption below
-	// never fires for it; the refresh is a pointer copy.
-	th.cm = cmgrs[st.cmSel.Load()]
 	if cur := int(st.cur.Load()); cur != idx {
 		th.setPhase(cur) // adopt the published selection
 		th.adaptEpochStart(cur)
@@ -300,25 +265,6 @@ func (th *Thread) adaptiveDecide(st *adaptState, idx int, s, mark *Stats) {
 		commits = 1 // all-user-abort epoch: ratio over attempts that completed
 	}
 	abortRatio := float64(s.Aborts-mark.Aborts) / float64(commits)
-
-	// Manager selection is orthogonal to engine selection and decided
-	// from every epoch, whatever variant it ran on: a hot kind
-	// (abortRatio at/above CMQueuePct) parks on the conflicting owner,
-	// a quiet one (at/below CMNonePct) retries immediately, the band in
-	// between keeps the backoff default. A plain store publishes it —
-	// racing epochs that disagree are measuring the same regime and
-	// converge on the next window.
-	cmTarget := cmIdxBackoff
-	switch {
-	case abortRatio >= acfg.CMQueuePct:
-		cmTarget = cmIdxQueue
-	case abortRatio <= acfg.CMNonePct:
-		cmTarget = cmIdxNone
-	}
-	if st.cmSel.Load() != int32(cmTarget) {
-		st.cmSel.Store(int32(cmTarget))
-	}
-	th.cm = cmgrs[cmTarget]
 
 	target := idx
 	if idx == st.probe {

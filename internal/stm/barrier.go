@@ -165,7 +165,7 @@ func (tx *Tx) readFull(a mem.Addr) uint64 {
 			if orecOwner(v1) == tx.th.id {
 				return rt.space.Load(a) // read-after-write, in place
 			}
-			tx.conflictAt(oi, v1)
+			tx.conflict()
 		}
 		if orecVersion(v1) > tx.rv {
 			tx.extend()
@@ -173,7 +173,7 @@ func (tx *Tx) readFull(a mem.Addr) uint64 {
 		}
 		val := rt.space.Load(a)
 		if v2 := rt.orecs[oi].Load(); v2 != v1 {
-			tx.conflictAt(oi, v2)
+			tx.conflict()
 		}
 		if !tx.unlogged {
 			tx.logRead(oi, v1)
@@ -239,7 +239,7 @@ func (tx *Tx) writeFull(a mem.Addr, val uint64) {
 			if orecOwner(v) == tx.th.id {
 				break
 			}
-			tx.conflictAt(oi, v)
+			tx.conflict()
 		}
 		if orecVersion(v) > tx.rv {
 			tx.extend()
@@ -256,7 +256,7 @@ func (tx *Tx) writeFull(a mem.Addr, val uint64) {
 			tx.lockedPrev[oi] = v
 			break
 		}
-		tx.conflictAt(oi, rt.orecs[oi].Load())
+		tx.conflict()
 	}
 	tx.logUndo(a)
 	rt.space.Store(a, val)

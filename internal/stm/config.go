@@ -173,14 +173,6 @@ type OptConfig struct {
 	// access logged.
 	ReadMostly bool
 
-	// CM names the contention manager compiled for this configuration
-	// (cm.go): "backoff" (the default; "" selects it), "none", or
-	// "queue". Like the barrier engine it is compiled per phase, so a
-	// profile can give each regime its own conflict-resolution policy.
-	// Managers are perf-only — they change when a lost attempt retries,
-	// never what it computes.
-	CM string
-
 	// ForceGeneric forces the generic reference barrier engine instead
 	// of the specialized engine the profile would compile to. It is a
 	// debug/differential-testing knob (tm.WithEngine): the specialized
@@ -238,14 +230,6 @@ type AdaptiveConfig struct {
 	// an epoch's first-store upgrades per commit exceed it — the regime
 	// has started writing shared data and the upgrade toll is real.
 	UpgradePct float64
-	// CMQueuePct and CMNonePct bound the contention-manager selection,
-	// decided from every epoch's abort ratio alongside the engine
-	// choice: at or above CMQueuePct the kind parks on conflicting
-	// owners (queue), at or below CMNonePct it retries immediately
-	// (none), in between it keeps the backoff default. Kinds declared
-	// in OptConfig.Phases keep their declared manager.
-	CMQueuePct float64
-	CMNonePct  float64
 }
 
 // PhaseConfig binds a phase kind to the full optimization configuration

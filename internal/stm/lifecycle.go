@@ -25,15 +25,6 @@ type Tx struct {
 	epoch    uint64 // distinguishes attempts in the WAW filter
 	attempts int
 
-	// cmOwner/cmOrec carry the conflict that aborted the current
-	// attempt to the contention manager (cm.go): the conflicting orec's
-	// owner thread id (-1 when the conflict has no owner to wait on —
-	// version overtakes, validation failures, CAS races that resolved
-	// unlocked) and the orec index itself. Set by conflict/conflictAt,
-	// read by the queue manager's park path.
-	cmOwner int32
-	cmOrec  uint64
-
 	readset []readEntry
 	writes  []writeEntry
 	undo    []undoEntry
@@ -245,25 +236,8 @@ func (tx *Tx) beginTop() {
 	tx.curSP = tx.startSP
 }
 
-// conflict abandons the current attempt. The conflict carries no owner
-// to wait on (the queue manager falls back to backoff).
+// conflict abandons the current attempt; Atomic backs off and retries.
 func (tx *Tx) conflict() {
-	tx.cmOwner = -1
-	panic(retrySignal{})
-}
-
-// conflictAt abandons the current attempt over orec oi, whose observed
-// word was v. When v is locked by another thread, the owner is recorded
-// for the contention manager — the queue policy parks on it until its
-// next release; any other word (a version overtake, a concurrent
-// release) leaves no one to wait on.
-func (tx *Tx) conflictAt(oi, v uint64) {
-	if orecLocked(v) && orecOwner(v) != tx.th.id {
-		tx.cmOwner = int32(orecOwner(v))
-		tx.cmOrec = oi
-	} else {
-		tx.cmOwner = -1
-	}
 	panic(retrySignal{})
 }
 
@@ -323,7 +297,6 @@ func (tx *Tx) commitTop() {
 		for i := range tx.writes {
 			rt.orecs[tx.writes[i].oi].Store(rel)
 		}
-		tx.th.wakeWaiters()
 	} else if rt.durable != nil && tx.durableDirty() {
 		// No orecs acquired, but memory changed anyway: annotated-private
 		// writes, captured allocations, or stack growth.
@@ -372,7 +345,6 @@ func (tx *Tx) abortTop(retried bool) {
 		for i := range tx.writes {
 			rt.orecs[tx.writes[i].oi].Store(rel)
 		}
-		tx.th.wakeWaiters()
 	}
 	// Speculative allocations die with the transaction.
 	for i := len(tx.allocs) - 1; i >= 0; i-- {
@@ -483,7 +455,6 @@ func (tx *Tx) abortNested() {
 			rt.orecs[tx.writes[i].oi].Store(rel)
 			delete(tx.lockedPrev, tx.writes[i].oi)
 		}
-		tx.th.wakeWaiters()
 		// The version bump protects concurrent optimistic readers from
 		// the speculative values (ABA), but it must not invalidate the
 		// *enclosing* transaction's own reads: the undo replay above

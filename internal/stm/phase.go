@@ -25,7 +25,6 @@ type compiledPhase struct {
 	variant string // "" for manual/default entries; Variant* otherwise
 	cfg     OptConfig
 	eng     *engine
-	cm      *cmgr // the phase's compiled contention manager (cm.go)
 }
 
 // compilePhases builds the engine table for cfg: the base configuration
@@ -34,7 +33,7 @@ func compilePhases(cfg OptConfig) ([]compiledPhase, map[string]int) {
 	base := cfg
 	base.Phases = nil
 	validatePhaseCfg("", base)
-	phases := []compiledPhase{{kind: "", cfg: base, eng: newEngine(base), cm: cmFor(base.CM)}}
+	phases := []compiledPhase{{kind: "", cfg: base, eng: newEngine(base)}}
 	idx := make(map[string]int, len(cfg.Phases))
 	for _, pc := range cfg.Phases {
 		if pc.Kind == "" {
@@ -55,7 +54,7 @@ func compilePhases(cfg OptConfig) ([]compiledPhase, map[string]int) {
 		c.ForceGeneric = c.ForceGeneric || base.ForceGeneric
 		validatePhaseCfg(pc.Kind, c)
 		idx[pc.Kind] = len(phases)
-		phases = append(phases, compiledPhase{kind: pc.Kind, cfg: c, eng: newEngine(c), cm: cmFor(c.CM)})
+		phases = append(phases, compiledPhase{kind: pc.Kind, cfg: c, eng: newEngine(c)})
 	}
 	return phases, idx
 }
@@ -66,12 +65,6 @@ func validatePhaseCfg(kind string, c OptConfig) {
 			panic("stm: VerifyElision requires Counting")
 		}
 		panic("stm: phase " + kind + ": VerifyElision requires Counting")
-	}
-	if !ValidCM(c.CM) {
-		if kind == "" {
-			panic("stm: unknown contention manager " + c.CM)
-		}
-		panic("stm: phase " + kind + ": unknown contention manager " + c.CM)
 	}
 }
 
@@ -85,7 +78,6 @@ type PhaseStats struct {
 	Kind    string
 	Variant string
 	Engine  string
-	CM      string // active contention manager (live selection for adaptive kinds)
 	Stats   Stats
 }
 
@@ -122,7 +114,7 @@ func (rt *Runtime) PhaseStats() []PhaseStats {
 	defer rt.mu.Unlock()
 	out := make([]PhaseStats, len(rt.phases))
 	for i, p := range rt.phases {
-		out[i] = PhaseStats{Kind: p.kind, Variant: p.variant, Engine: p.eng.name, CM: rt.cmAt(i).name}
+		out[i] = PhaseStats{Kind: p.kind, Variant: p.variant, Engine: p.eng.name}
 	}
 	for _, th := range rt.threads {
 		for i := range th.phaseStats {
@@ -153,15 +145,11 @@ func (th *Thread) EnterPhase(kind string) {
 // ("" for the default phase). A deferred switch is not yet visible.
 func (th *Thread) Phase() string { return th.rt.phases[th.phase].kind }
 
-// setPhase applies a phase switch: the statistics accumulator, the
-// contention manager, and the transaction descriptor's compiled engine
-// all move to the new phase. It must only run between transactions.
-// The manager is refreshed even when the entry is unchanged — for an
-// adaptive kind the manager selection can move while the engine entry
-// stays put (adaptive.go).
+// setPhase applies a phase switch: the statistics accumulator and the
+// transaction descriptor's compiled engine move to the new phase. It
+// must only run between transactions.
 func (th *Thread) setPhase(idx int) {
 	th.pendingPhase = -1
-	th.cm = th.rt.cmAt(idx)
 	if th.phase == idx {
 		return
 	}

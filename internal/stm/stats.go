@@ -15,9 +15,8 @@ type Stats struct {
 	// PerfMode — the adaptive sampler demotes a read-mostly kind on it.
 	Upgrades uint64
 
-	// Waits counts conflicts where the contention manager imposed a
-	// wait — a backoff spin, the none policy's engaged escalation, or a
-	// queue park (cm.go); WaitNs is the time spent in those waits. Like
+	// Waits counts the backoff spins between a conflict abort and its
+	// retry (Thread.backoffSpin); WaitNs is the time spent in them. Like
 	// Aborts they are lifecycle accounting, kept under PerfMode and
 	// attributed to the phase the conflicting transaction ran in.
 	Waits  uint64

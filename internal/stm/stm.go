@@ -2,9 +2,9 @@
 // the paper's optimizations live in: a McRT/Intel-C++-STM-class system
 // with cache-line-granularity ownership records, encounter-time (eager)
 // write locking, in-place updates with an undo log, optimistic
-// invisible readers validated against a global version clock, and a
-// per-phase compiled contention manager (cm.go; the paper's policy,
-// randomized exponential backoff, is the default).
+// invisible readers validated against a global version clock, and the
+// paper's contention management: randomized exponential backoff
+// between a conflict abort and the retry.
 //
 // Every read and write barrier contains the paper's runtime capture
 // analysis fast path (Fig. 2): if the accessed location is captured by
@@ -18,11 +18,10 @@
 // The files, outermost layer first (the slow paths call back up into
 // lifecycle.go only to extend or abandon the attempt):
 //
-//	stm.go        Runtime, Thread, the Atomic retry loop
-//	adaptive.go   online per-kind selection of engine variant and manager
+//	stm.go        Runtime, Thread, the Atomic retry loop and its backoff
+//	adaptive.go   online per-kind selection of engine variant
 //	phase.go      the compiled engine table; EnterPhase switches between
 //	              transactions
-//	cm.go         contention managers: what a lost attempt waits for
 //	lifecycle.go  begin/commit/abort, closed nesting, extension
 //	durable.go    redo records emitted from the commit/abort paths
 //	engine.go     barrier engine: a profile compiled into a Load/Store
@@ -44,8 +43,10 @@ package stm
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/capture"
 	"repro/internal/mem"
@@ -106,12 +107,6 @@ type Runtime struct {
 	// atomic load and scans only those threads' seqs slots.
 	created atomic.Pointer[[]int32]
 
-	// gates[i] is thread i's park point for the queue contention
-	// manager (cm.go): conflicting threads park on the owner that beat
-	// them and are woken at its next orec release. Sized like seqs so
-	// any owner id read out of a locked orec word indexes safely.
-	gates []waitGate
-
 	// durable, when non-nil, is the redo log every state-changing event
 	// is serialized into (durable.go). Off, every durability hook is one
 	// nil check — the commit path is otherwise unchanged.
@@ -159,7 +154,6 @@ func New(mcfg mem.Config, cfg OptConfig) *Runtime {
 		adapt:      adapt,
 		adaptByIdx: adaptByIdx,
 		seqs:       make([]seqSlot, mcfg.MaxThreads),
-		gates:      newGates(mcfg.MaxThreads),
 		threads:    make(map[int]*Thread),
 	}
 }
@@ -241,11 +235,9 @@ type Thread struct {
 	phase        int
 	pendingPhase int // deferred EnterPhase target; -1 = none
 
-	// cm is the current phase's compiled contention manager (cm.go),
-	// retargeted with stats at phase switches; backoffAcc sinks the
-	// backoff spin loop's result so it cannot be optimized away —
-	// per-thread, so backing off never touches shared cache lines.
-	cm         *cmgr
+	// backoffAcc sinks the backoff spin loop's result so it cannot be
+	// optimized away — per-thread, so backing off never touches shared
+	// cache lines.
 	backoffAcc uint64
 
 	// Adaptive epoch sampling (adaptive.go), allocated only when the
@@ -346,7 +338,6 @@ func (rt *Runtime) Thread(id int) *Thread {
 		pendingPhase: -1,
 	}
 	th.stats = &th.phaseStats[0]
-	th.cm = rt.cmAt(0)
 	if rt.acfg.Enabled {
 		th.adaptMark = make([]Stats, len(rt.phases))
 		th.adaptFast = make([]uint32, len(rt.phases))
@@ -493,12 +484,9 @@ func (th *Thread) Atomic(fn func(*Tx)) bool {
 		tx.beginTop()
 		retry, aborted := th.run(tx, fn)
 		if retry {
-			// The phase's compiled contention manager decides what to do
-			// with the lost attempt (cm.go): spin, retry immediately, or
-			// park on the conflicting owner. The attempt has fully
-			// unwound — abortTop released every orec — so the manager
-			// runs lock-free.
-			th.cm.wait(th, tx)
+			// The attempt has fully unwound — abortTop released every
+			// orec — so the thread backs off holding nothing.
+			th.backoffSpin(tx.attempts)
 			continue
 		}
 		tx.attempts = 0
@@ -513,6 +501,35 @@ func (th *Thread) Atomic(fn func(*Tx)) bool {
 		}
 		return !aborted
 	}
+}
+
+// backoffSpin is the paper's contention management, randomized
+// exponential backoff: between a conflict abort and the retry, spin a
+// random number of iterations below a bound that doubles with each lost
+// attempt (up to 16<<10), and yield the processor once the transaction
+// keeps losing. Stats.Waits counts the spins and Stats.WaitNs is the
+// time they took — lifecycle accounting like Commits/Aborts, kept
+// under PerfMode and attributed to the phase the transaction ran in.
+func (th *Thread) backoffSpin(attempt int) {
+	if attempt <= 0 {
+		return
+	}
+	start := time.Now()
+	k := attempt
+	if k > 10 {
+		k = 10
+	}
+	spins := int(th.nextRand() % uint64(16<<k))
+	var acc uint64
+	for i := 0; i < spins; i++ {
+		acc += uint64(i)
+	}
+	th.backoffAcc += acc
+	if attempt > 4 {
+		runtime.Gosched()
+	}
+	th.stats.Waits++
+	th.stats.WaitNs += uint64(time.Since(start))
 }
 
 // run executes one attempt; it reports whether to retry and whether

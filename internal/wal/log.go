@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Segment files are named seg-%08d.wal and begin with a 16-byte header:
@@ -26,11 +25,6 @@ type Options struct {
 	// SegmentBytes rotates to a new segment file once the current one
 	// reaches this size. Default 8 MiB.
 	SegmentBytes int
-	// GroupInterval is how long the flusher lingers after waking to
-	// accumulate more records into one write+fsync. Zero flushes as soon
-	// as the flusher observes pending bytes (still batching whatever
-	// arrived while the previous fsync was in flight).
-	GroupInterval time.Duration
 	// NoFsync skips fsync after each batch write. Crash simulations run
 	// in-process, so tests use this to keep the differential fast; real
 	// deployments leave it off.
@@ -326,12 +320,6 @@ func (l *Log) flusher() {
 			l.mu.Unlock()
 			return
 		case <-l.wake:
-		}
-		if d := l.opts.GroupInterval; d > 0 {
-			select {
-			case <-time.After(d):
-			case <-l.quit:
-			}
 		}
 		l.flushOnce()
 	}

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func sampleRecords() []Record {
@@ -75,7 +74,7 @@ func TestDecodeTruncationIsTorn(t *testing.T) {
 
 func TestLogAppendSyncReadBack(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, 0, 0, Options{GroupInterval: time.Millisecond})
+	l, err := OpenLog(dir, 0, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

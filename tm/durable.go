@@ -39,7 +39,6 @@ import (
 type durSettings struct {
 	dir        string
 	scratch    bool // dir is created fresh at Open and removed at Close
-	group      time.Duration
 	noFsync    bool
 	segBytes   int
 	chunkWords int
@@ -48,14 +47,6 @@ type durSettings struct {
 
 // DurOption tunes WithDurability.
 type DurOption func(*durSettings)
-
-// DurGroupInterval sets how long the log flusher lingers to accumulate
-// records from other threads into one write+fsync (0, the default,
-// flushes as soon as the flusher observes pending records — which still
-// batches whatever arrived during the previous fsync).
-func DurGroupInterval(d time.Duration) DurOption {
-	return func(ds *durSettings) { ds.group = d }
-}
 
 // DurNoFsync skips fsync on log batches and is intended for tests: the
 // crash-replay differential simulates crashes in-process, where the
@@ -160,9 +151,8 @@ func openDurable(rt *Runtime, ds *durSettings, startSeg, startSeq uint64, initia
 		return err
 	}
 	log, err := wal.OpenLog(ds.dir, startSeg, startSeq, wal.Options{
-		SegmentBytes:  ds.segBytes,
-		GroupInterval: ds.group,
-		NoFsync:       ds.noFsync,
+		SegmentBytes: ds.segBytes,
+		NoFsync:      ds.noFsync,
 	})
 	if err != nil {
 		return fail(err)

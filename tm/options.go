@@ -196,36 +196,6 @@ func WithoutWAWFilter() Option {
 	return func(s *settings) { s.cfg.NoWAWFilter = true }
 }
 
-// CM names a contention manager: the policy a thread runs between a
-// conflict abort and the retry of its transaction.
-type CM = string
-
-const (
-	// CMBackoff is the paper's randomized exponential backoff — the
-	// default manager.
-	CMBackoff CM = stm.CMBackoff
-	// CMNone retries immediately, escalating into backoff only after a
-	// transaction has lost several attempts in a row (so symmetric
-	// writers cannot livelock). Right for short transactions whose
-	// conflicts are rare.
-	CMNone CM = stm.CMNone
-	// CMQueue parks the loser on the conflicting owner thread and wakes
-	// it at that owner's next commit or abort, FIFO. Right for contended
-	// hot spots, where spinning burns the processor the owner needs.
-	CMQueue CM = stm.CMQueue
-)
-
-// WithContention selects the contention manager conflict-aborted
-// transactions resolve through. Like the barrier engine it is compiled
-// per phase: a runtime-wide choice here is inherited by every declared
-// phase, and a PhaseProfile fragment can override it per regime.
-// Managers are perf-only — they change when a lost attempt retries,
-// never what it computes — so any choice preserves results bit for
-// bit. The default is CMBackoff.
-func WithContention(m CM) Option {
-	return func(s *settings) { s.cfg.CM = m }
-}
-
 // Engine selects the barrier-engine family a Runtime compiles its
 // Load/Store hot paths into.
 type Engine int

@@ -72,9 +72,6 @@ func (s *settings) conflicts() error {
 		if cfg.Counting && cfg.PerfMode && !cfg.VerifyElision {
 			errs = append(errs, fmt.Errorf("tm: WithCounting classification is disabled by WithPerfMode (the counters live in the instrumented chain)%s", ctx))
 		}
-		if !stm.ValidCM(cfg.CM) {
-			errs = append(errs, fmt.Errorf("tm: WithContention(%q) names no contention manager (want backoff, none, or queue)%s", cfg.CM, ctx))
-		}
 	}
 	check("", &s.cfg)
 	declared := make(map[string]bool, len(s.cfg.Phases))

@@ -127,12 +127,6 @@ func (rt *Runtime) Engine() string { return rt.rt.Engine() }
 // default engine, mirroring EnterPhase's hint semantics).
 func (rt *Runtime) EngineFor(kind Phase) string { return rt.rt.EngineFor(kind) }
 
-// CMFor names the contention manager active for the given declared
-// phase kind ("" is the default phase; undeclared kinds report the
-// default phase's manager). For an adaptive kind this follows the
-// current online selection.
-func (rt *Runtime) CMFor(kind Phase) string { return rt.rt.CMFor(kind) }
-
 // Phases returns the phase kinds declared with WithPhases, in
 // declaration order (empty without phases; the implicit default phase
 // is not listed).
