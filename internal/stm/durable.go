@@ -2,6 +2,7 @@ package stm
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repro/internal/mem"
 	"repro/internal/wal"
@@ -45,9 +46,42 @@ import (
 // contents, stack scribbles) cannot race foreign commits and is
 // covered once, by the top-level record.
 //
-// Commit durability: commitTop waits for the group-commit ack after
-// releasing ownership and draining limbo, so the fsync wait overlaps
-// other threads' progress. Aborts never wait.
+// Commit durability: commitTop leaves its record's group-commit ack on
+// the Thread and waits for nothing. Thread.Atomic waits for that ack
+// before it returns, after ownership is released and limbo drained, so
+// the flush overlaps other threads' progress. Inside a Deferred scope
+// the ack goes to the scope's caller instead, which overlaps the flush
+// with its own next transactions as well. Aborts never wait.
+
+// DurableWords counts the words redo records carry, by the source
+// emitDurable reads them from. Header words of allocation blocks count
+// as Alloc.
+type DurableWords struct {
+	Undo       uint64 // undo-logged addresses, one one-word span each
+	Alloc      uint64 // allocation-log blocks, carried whole
+	AllocFreed uint64 // the part of Alloc in blocks the same transaction freed
+	Stack      uint64 // the transaction-local stack region
+}
+
+// durWords is a thread's DurableWords, added to once per record and
+// summed by Runtime.DurableWords while threads may run.
+type durWords struct {
+	undo, alloc, allocFreed, stack atomic.Uint64
+}
+
+// DurableWords sums every thread's record word counts.
+func (rt *Runtime) DurableWords() DurableWords {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	var w DurableWords
+	for _, th := range rt.threads {
+		w.Undo += th.dwords.undo.Load()
+		w.Alloc += th.dwords.alloc.Load()
+		w.AllocFreed += th.dwords.allocFreed.Load()
+		w.Stack += th.dwords.stack.Load()
+	}
+	return w
+}
 
 // SetDurable attaches (or detaches, with nil) the redo log. Must be
 // called before worker threads run. With no log attached every hook
@@ -143,15 +177,24 @@ func (tx *Tx) emitDurable(kind wal.Kind, version uint64, undoFrom, allocFrom int
 	rec.GlobalsNext = space.GlobalsNext()
 	rec.HeapNext = space.HeapNext()
 
-	need := len(tx.undo) - undoFrom
+	undoWords := len(tx.undo) - undoFrom
+	allocWords, freedWords := 0, 0
 	for i := allocFrom; i < len(tx.allocs); i++ {
-		need += tx.allocs[i].size + 1 // header word at addr-1
+		n := tx.allocs[i].size + 1 // header word at addr-1
+		allocWords += n
+		if tx.allocs[i].dead {
+			freedWords += n
+		}
 	}
 	stackWords := 0
 	if withStack {
 		stackWords = int(tx.startSP - tx.curSP)
-		need += stackWords
 	}
+	need := undoWords + allocWords + stackWords
+	th.dwords.undo.Add(uint64(undoWords))
+	th.dwords.alloc.Add(uint64(allocWords))
+	th.dwords.allocFreed.Add(uint64(freedWords))
+	th.dwords.stack.Add(uint64(stackWords))
 	if cap(th.dvals) < need {
 		th.dvals = make([]uint64, 0, need)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/capture"
 	"repro/internal/mem"
-	"repro/internal/wal"
 )
 
 // This file is the transaction lifecycle layer: the Tx descriptor, top-
@@ -266,9 +265,8 @@ func (tx *Tx) verifyCaptured(a mem.Addr) {
 // --- Commit / abort ---
 
 func (tx *Tx) commitTop() {
-	rt := tx.th.rt
-	var ack wal.Ack
-	durable := false
+	th := tx.th
+	rt := th.rt
 	if len(tx.writes) > 0 {
 		wv := rt.clock.Add(1)
 		if wv != tx.rv+1 {
@@ -288,39 +286,37 @@ func (tx *Tx) commitTop() {
 		}
 		if rt.durable != nil {
 			// Enqueue the redo record while we still own every orec, so
-			// log order respects conflict order; the fsync wait happens
-			// after release (end of this function).
-			ack = tx.durableCommit(wv)
-			durable = true
+			// log order respects conflict order. Nobody waits here: the
+			// ack goes to Thread.Atomic, or to the Deferred scope's caller.
+			th.ack = tx.durableCommit(wv)
 		}
 		rel := wv << 1
 		for i := range tx.writes {
 			rt.orecs[tx.writes[i].oi].Store(rel)
 		}
-	} else if rt.durable != nil && tx.durableDirty() {
-		// No orecs acquired, but memory changed anyway: annotated-private
-		// writes, captured allocations, or stack growth.
-		ack = tx.durableCommit(rt.clock.Load())
-		durable = true
+	} else if rt.durable != nil {
+		if tx.durableDirty() {
+			// No orecs acquired, but memory changed anyway: annotated-
+			// private writes, captured allocations, or stack growth.
+			th.ack = tx.durableCommit(rt.clock.Load())
+		} else if th.deferred {
+			// Nothing to log, but what the transaction read may be a
+			// commit whose record is not yet durable.
+			th.ack = rt.durable.TailAck()
+		}
 	}
-	// Deferred frees become effective now that the transaction is
-	// durable, but the blocks are recycled only after every in-flight
+	// Deferred frees become effective now that the transaction has
+	// committed, but the blocks are recycled only after every in-flight
 	// transaction has finished (zombie readers may still dereference
 	// into them), via the per-thread limbo list.
 	if len(tx.frees) > 0 {
-		tx.th.enqueueLimbo(tx.frees)
+		th.enqueueLimbo(tx.frees)
 	}
-	tx.th.stack.Pop(tx.startSP)
-	tx.th.stats.Commits++
+	th.stack.Pop(tx.startSP)
+	th.stats.Commits++
 	tx.finish()
-	tx.th.rt.seqs[tx.th.id].Add(1) // now even: quiescent
-	tx.th.drainLimbo()
-	if durable {
-		// Group-commit barrier: return to the application only once the
-		// record (batched with everything the flusher accumulated) is on
-		// disk. Sticky log errors surface at Sync/Close.
-		ack.Wait()
-	}
+	rt.seqs[th.id].Add(1) // now even: quiescent
+	th.drainLimbo()
 }
 
 // abortTop rolls the whole transaction back. retried distinguishes
@@ -337,6 +333,11 @@ func (tx *Tx) abortTop(retried bool) {
 		// stack garbage) is checksum-visible state; record it before the
 		// orecs are released so no conflicting commit can order ahead.
 		tx.durableAbort()
+	}
+	if !retried && tx.th.deferred && rt.durable != nil {
+		// The abort is a result too, and it may rest on reads of a
+		// commit that is not yet durable.
+		tx.th.ack = rt.durable.TailAck()
 	}
 	// Release ownership with a fresh version so concurrent optimistic
 	// readers of our speculative values cannot validate (ABA safety).

@@ -250,9 +250,17 @@ type Thread struct {
 	limbo []limboBatch // committed frees awaiting quiescence
 
 	// Redo-record scratch (durable.go): the record descriptor and the
-	// flat value buffer its spans are carved from, reused per thread.
-	drec  wal.Record
-	dvals []uint64
+	// flat value buffer its spans are carved from, reused per thread,
+	// and the words the thread's records carried, by source.
+	drec   wal.Record
+	dvals  []uint64
+	dwords durWords
+
+	// ack is the redo-log ack the latest top-level transaction's result
+	// must wait for. Atomic waits for it and clears it, except inside a
+	// Deferred scope (deferred set), which returns it to its caller.
+	ack      wal.Ack
+	deferred bool
 
 	// rar is the read-after-read filter's table (Tx.logRead), allocated
 	// on the thread's first long transaction: short ones never consult
@@ -491,6 +499,12 @@ func (th *Thread) Atomic(fn func(*Tx)) bool {
 		}
 		tx.attempts = 0
 		tx.upNext = false // full-engine fallback is per transaction
+		if th.ack != (wal.Ack{}) && !th.deferred {
+			// Return once the commit is durable. Sticky log errors
+			// surface at Sync/Close.
+			th.ack.Wait()
+			th.ack = wal.Ack{}
+		}
 		if th.pendingPhase >= 0 {
 			th.setPhase(th.pendingPhase)
 		}
@@ -501,6 +515,29 @@ func (th *Thread) Atomic(fn func(*Tx)) bool {
 		}
 		return !aborted
 	}
+}
+
+// Deferred runs fn with the durability wait lifted from this thread's
+// top-level transactions: inside fn, Atomic returns at commit, before
+// the commit's redo record is durable. Deferred returns the ack that
+// covers all of them — the latest one's, since one flusher writes the
+// log in append order. A transaction that wrote no record (read-only,
+// or user-aborted) contributes the log's tail ack at its end, so a
+// result that only read another thread's commit is not revealed before
+// that commit is durable either. The caller must wait for the ack
+// before it reveals anything fn computed. Without a redo log the ack
+// is zero. A nested scope belongs to the outermost one.
+func (th *Thread) Deferred(fn func()) wal.Ack {
+	if th.deferred {
+		fn()
+		return th.ack
+	}
+	th.deferred = true
+	defer func() { th.deferred = false }()
+	fn()
+	ack := th.ack
+	th.ack = wal.Ack{}
+	return ack
 }
 
 // backoffSpin is the paper's contention management, randomized

@@ -75,7 +75,9 @@ type Log struct {
 	segs    []*segBuf // oldest first; tail = segs[len-1]
 	spare   []byte    // buffer of the last released segment, for newSeg
 	nextSeq uint64
-	doneCh  chan struct{} // closed when the current batch is durable
+	doneCh  chan struct{} // closed when the next batch is durable
+	queued  bool          // a record was appended since flushOnce last took the tail
+	writing chan struct{} // the done channel of the batch being written, nil when idle
 	err     error         // sticky I/O error
 	closed  bool
 
@@ -98,6 +100,16 @@ type Log struct {
 // RecoveredState's NextSeg/NextSeq so old and new segments never
 // collide.
 func OpenLog(dir string, startSeg, startSeq uint64, opts Options) (*Log, error) {
+	l, err := newLog(dir, startSeg, startSeq, opts)
+	if err != nil {
+		return nil, err
+	}
+	go l.flusher()
+	return l, nil
+}
+
+// newLog is OpenLog without the flusher goroutine.
+func newLog(dir string, startSeg, startSeq uint64, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 8 << 20
 	}
@@ -114,7 +126,6 @@ func OpenLog(dir string, startSeg, startSeq uint64, opts Options) (*Log, error) 
 		flusherDone: make(chan struct{}),
 	}
 	l.segs = append(l.segs, l.newSeg(startSeg))
-	go l.flusher()
 	return l, nil
 }
 
@@ -148,7 +159,8 @@ type Ack struct {
 }
 
 // Wait blocks until the record's batch has been written (and fsynced,
-// unless NoFsync) and returns the log's sticky error state.
+// unless NoFsync) and returns the log's sticky error state. The zero
+// Ack returns nil at once.
 func (a Ack) Wait() error {
 	if a.ch == nil {
 		return nil
@@ -158,6 +170,19 @@ func (a Ack) Wait() error {
 	err := a.l.err
 	a.l.mu.Unlock()
 	return err
+}
+
+// Done reports, without blocking, whether Wait would return at once.
+func (a Ack) Done() bool {
+	if a.ch == nil {
+		return true
+	}
+	select {
+	case <-a.ch:
+		return true
+	default:
+		return false
+	}
 }
 
 // Append assigns rec the next sequence number, serializes it into the
@@ -187,10 +212,28 @@ func (l *Log) Append(rec *Record) (Ack, error) {
 	if len(tail.data) >= l.opts.SegmentBytes {
 		l.segs = append(l.segs, l.newSeg(tail.idx+1))
 	}
+	l.queued = true
 	ack := Ack{l: l, ch: l.doneCh}
 	l.mu.Unlock()
 	l.wakeFlusher()
 	return ack, nil
+}
+
+// TailAck returns the ack of the pending flush — the one after which
+// every record appended so far is durable — or the zero Ack when every
+// record has been written. One flusher writes batches in append order,
+// so an ack also covers every earlier record: a reader that saw a
+// commit it did not log itself waits on TailAck before revealing it.
+func (l *Log) TailAck() Ack {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case l.queued: // Append woke the flusher for this batch
+		return Ack{l: l, ch: l.doneCh}
+	case l.writing != nil:
+		return Ack{l: l, ch: l.writing}
+	}
+	return Ack{}
 }
 
 func (l *Log) wakeFlusher() {
@@ -357,6 +400,12 @@ func (l *Log) flushOnce() {
 	l.chunks = chunks
 	done := l.doneCh
 	l.doneCh = make(chan struct{})
+	l.queued = false
+	if len(chunks) > 0 {
+		// An empty flush (a second wake for bytes an earlier batch
+		// took) leaves TailAck zero: nothing appended is unwritten.
+		l.writing = done
+	}
 	l.mu.Unlock()
 
 	var ioErr error
@@ -384,6 +433,7 @@ func (l *Log) flushOnce() {
 	l.batches.Add(1)
 
 	l.mu.Lock()
+	l.writing = nil
 	if ioErr != nil {
 		if l.err == nil {
 			l.err = ioErr

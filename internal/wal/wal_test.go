@@ -5,8 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func sampleRecords() []Record {
@@ -618,4 +620,94 @@ func BenchmarkAppendRecord(b *testing.B) {
 		buf = AppendRecord(buf[:0], &rec)
 	}
 	b.SetBytes(int64(len(buf)))
+}
+
+// TestTailAck drives the flusher's batches by hand: the tail ack is
+// the pending batch's, it is not done until that batch is written, and
+// it is zero once everything appended is.
+func TestTailAck(t *testing.T) {
+	l, err := newLog(t.TempDir(), 0, 0, Options{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := Record{Kind: KindCommit, Spans: []Span{{Addr: 1, Vals: []uint64{2}}}}
+	ack1, err := l.Append(&rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := l.TailAck()
+	if tail.Done() || tail.ch != ack1.ch {
+		t.Fatal("tail ack is not the pending batch's")
+	}
+	ack2, _ := l.Append(&rec)
+	if l.TailAck().ch != ack2.ch || ack2.ch != ack1.ch {
+		t.Fatal("records appended before one flush got different acks")
+	}
+	if tail.Done() {
+		t.Fatal("tail ack done before any flush")
+	}
+	l.flushOnce()
+	if !tail.Done() || !ack2.Done() {
+		t.Fatal("flush left the tail ack pending")
+	}
+	if got := l.TailAck(); got != (Ack{}) || !got.Done() {
+		t.Fatal("tail ack is not zero with everything written")
+	}
+	ack3, _ := l.Append(&rec)
+	if tail3 := l.TailAck(); tail3.Done() || tail3.ch != ack3.ch {
+		t.Fatal("tail ack after a new append is not the next batch's")
+	}
+	l.flushOnce()
+	if !ack3.Done() {
+		t.Fatal("second flush left its ack pending")
+	}
+	go l.flusher() // Close stops it
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTailAckCoversAppended races appends against the real flusher:
+// whenever a tail ack reports done, every byte appended before it was
+// taken is in the segment file, and no tail ack stays pending forever
+// (one taken while a batch is being written must be that batch's).
+func TestTailAckCoversAppended(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, 0, 0, Options{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := Record{Kind: KindCommit, Spans: []Span{{Addr: 1, Vals: make([]uint64, 8)}}}
+	pending := 0
+	for i := 0; i < 2000; i++ {
+		if i%3 != 2 { // every third tail ack is taken with nothing new appended
+			if _, err := l.Append(&rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		appended := l.Stats().Bytes
+		tail := l.TailAck()
+		if !tail.Done() {
+			pending++
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for !tail.Done() {
+			if time.Now().After(deadline) {
+				t.Fatalf("append %d: tail ack never completed", i)
+			}
+			runtime.Gosched()
+		}
+		fi, err := os.Stat(filepath.Join(dir, SegName(0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if written := uint64(fi.Size() - segHdrLen); written < appended {
+			t.Fatalf("append %d: tail ack done with %d of %d appended bytes written", i, written, appended)
+		}
+	}
+	if pending == 0 {
+		t.Fatal("no tail ack was ever pending: the test exercised nothing")
+	}
+	t.Logf("%d of 2000 tail acks pending when taken", pending)
 }

@@ -1,5 +1,7 @@
 package tm
 
+import "repro/internal/wal"
+
 // Application-side transaction merging: a Batcher coalesces several
 // small units of work (server requests, typically) into ONE merged
 // transaction when their declared footprints are compatible, amortizing
@@ -260,6 +262,12 @@ func (b *Batcher) Admit(it BatchItem) bool {
 // transaction rolls back and every item re-runs in its own transaction
 // (per-request fallback). A single queued item runs solo. Flush on an
 // empty batch is a no-op returning an empty result.
+//
+// On a durable runtime Flush returns at commit, before the batch's redo
+// records are durable: the replies must not leave the process until
+// BatchResult.Wait returns or Durable reports true. Results of
+// successive Flush calls become durable in the order they were
+// returned. Without durability the result is durable on return.
 func (b *Batcher) Flush() BatchResult {
 	n := len(b.items)
 	if n == 0 {
@@ -277,11 +285,13 @@ func (b *Batcher) Flush() BatchResult {
 	// declares no phases.
 	b.th.EnterPhase(b.items[0].Phase)
 
-	if n > 1 && b.runMerged(res.Replies) {
-		res.Merged = true
-		b.stats.Merged++
-		b.stats.Txns++
-	} else {
+	res.ack = b.th.th.Deferred(func() {
+		if n > 1 && b.runMerged(res.Replies) {
+			res.Merged = true
+			b.stats.Merged++
+			b.stats.Txns++
+			return
+		}
 		if n > 1 {
 			// The aborted merged attempt was a top-level transaction too
 			// (it user-aborted); Txns must count it or MergeRatio
@@ -293,7 +303,7 @@ func (b *Batcher) Flush() BatchResult {
 			b.runSolo(&b.items[i], &res.Replies[i])
 			b.stats.Txns++
 		}
-	}
+	})
 	if b.adaptive {
 		b.adaptWidth(n, res.Merged)
 	}
@@ -364,7 +374,19 @@ type BatchResult struct {
 	// Replies holds one reply per item, in admission order. The slice
 	// is reused by the batcher's next Flush; the replies' Words are not.
 	Replies []BatchReply
+
+	ack wal.Ack // covers every transaction the Flush ran
 }
+
+// Wait blocks until the batch's commits are durable and returns the
+// redo log's sticky error, if any. It returns nil at once on a
+// runtime without durability.
+func (r BatchResult) Wait() error { return r.ack.Wait() }
+
+// Durable reports, without blocking, whether Wait would return at once:
+// the batch's commits — and every commit its transactions read — are
+// durable, so its replies may be revealed.
+func (r BatchResult) Durable() bool { return r.ack.Done() }
 
 // replySlab is how many reply blocks one allocation supplies.
 const replySlab = 64

@@ -2,7 +2,6 @@ package tm
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -13,9 +12,11 @@ import (
 // Durability tier. WithDurability(dir) attaches a segmented redo log
 // with group commit and a content-addressed checkpoint store to the
 // runtime: every committed transaction's effects are serialized into
-// the log before Atomic returns (batched across threads, acked after
-// fsync), and Checkpoint streams the allocated extent of the live space
-// into deduplicated, SHA-256-addressed pack chunks (time proportional
+// the log, and Atomic returns once they are durable (batched across
+// threads, acked after fsync) — except inside Batcher.Flush and the
+// stm-level Thread.Deferred scope, which hand the ack to their caller —
+// and Checkpoint streams the allocated extent of the live space into
+// deduplicated, SHA-256-addressed pack chunks (time proportional
 // to memory in use, one chunk of extra space). Recover(dir) rebuilds a
 // runtime — in place, verifying every chunk against its score — from
 // the newest checkpoint plus the redo tail — bit-identical
@@ -38,7 +39,6 @@ import (
 // durSettings is the configuration WithDurability accumulates.
 type durSettings struct {
 	dir        string
-	scratch    bool // dir is created fresh at Open and removed at Close
 	noFsync    bool
 	segBytes   int
 	chunkWords int
@@ -89,30 +89,11 @@ func WithDurability(dir string, tune ...DurOption) Option {
 	}
 }
 
-// WithDurabilityScratch persists the runtime into a fresh directory
-// under the system temp dir, deleted again on Close. Benchmarks use it
-// to measure the durability tier's overhead: tm/bench reopens the same
-// profile for every repetition, so a fixed directory would collide with
-// the previous run's log. Real deployments want WithDurability with a
-// stable directory — a scratch runtime leaves nothing to Recover.
-func WithDurabilityScratch(tune ...DurOption) Option {
-	return func(s *settings) {
-		ds := &durSettings{scratch: true}
-		for _, o := range tune {
-			if o != nil {
-				o(ds)
-			}
-		}
-		s.dur = ds
-	}
-}
-
 // durRuntime is the live durability state of one Runtime.
 type durRuntime struct {
-	dir     string
-	scratch bool
-	log     *wal.Log
-	store   *wal.CheckpointStore
+	dir   string
+	log   *wal.Log
+	store *wal.CheckpointStore
 
 	cpMu    sync.Mutex // serializes checkpoints
 	cpBytes uint64     // log bytes at the last checkpoint (auto trigger)
@@ -127,16 +108,8 @@ type durRuntime struct {
 // openDurable wires a fresh (or recovered) runtime to its log and
 // checkpoint store. startSeg/startSeq are zero for a fresh directory
 // and the recovered continuation point otherwise. On failure nothing
-// stays behind: the log is closed, the runtime is not durable, and a
-// scratch directory is removed.
+// stays behind: the log is closed and the runtime is not durable.
 func openDurable(rt *Runtime, ds *durSettings, startSeg, startSeq uint64, initialCP bool) error {
-	if ds.scratch && ds.dir == "" {
-		dir, err := os.MkdirTemp("", "tmdur-")
-		if err != nil {
-			return err
-		}
-		ds.dir = dir
-	}
 	var log *wal.Log
 	fail := func(err error) error {
 		if log != nil {
@@ -144,10 +117,6 @@ func openDurable(rt *Runtime, ds *durSettings, startSeg, startSeq uint64, initia
 		}
 		rt.dur = nil
 		rt.rt.SetDurable(nil)
-		if ds.scratch {
-			os.RemoveAll(ds.dir)
-			ds.dir = ""
-		}
 		return err
 	}
 	log, err := wal.OpenLog(ds.dir, startSeg, startSeq, wal.Options{
@@ -161,7 +130,7 @@ func openDurable(rt *Runtime, ds *durSettings, startSeg, startSeq uint64, initia
 	if err != nil {
 		return fail(err)
 	}
-	d := &durRuntime{dir: ds.dir, scratch: ds.scratch, log: log, store: store, auto: ds.autoBytes}
+	d := &durRuntime{dir: ds.dir, log: log, store: store, auto: ds.autoBytes}
 	rt.dur = d
 	rt.rt.SetDurable(log)
 	if initialCP {
@@ -279,11 +248,6 @@ func (rt *Runtime) Close() error {
 			d.closeErr = err
 		}
 		rt.rt.SetDurable(nil)
-		if d.scratch {
-			if err := os.RemoveAll(d.dir); err != nil && d.closeErr == nil {
-				d.closeErr = err
-			}
-		}
 	})
 	return d.closeErr
 }
@@ -379,17 +343,22 @@ func (rt *Runtime) durabilityStats() *DurabilityStats {
 	}
 	ls := d.log.Stats()
 	ss := d.store.Stats()
+	dw := rt.rt.DurableWords()
 	return &DurabilityStats{
-		Records:       ls.Records,
-		LogBytes:      ls.Bytes,
-		Batches:       ls.Batches,
-		Fsyncs:        ls.Fsyncs,
-		Segments:      ls.Segments,
-		Checkpoints:   ss.Checkpoints,
-		ChunksWritten: ss.ChunksWritten,
-		ChunksDeduped: ss.ChunksDeduped,
-		PackBytes:     ss.BytesWritten,
-		ChunksHashed:  ss.ChunksHashed,
-		ChunksZero:    ss.ChunksZero,
+		Records:         ls.Records,
+		LogBytes:        ls.Bytes,
+		Batches:         ls.Batches,
+		Fsyncs:          ls.Fsyncs,
+		Segments:        ls.Segments,
+		UndoWords:       dw.Undo,
+		AllocWords:      dw.Alloc,
+		AllocFreedWords: dw.AllocFreed,
+		StackWords:      dw.Stack,
+		Checkpoints:     ss.Checkpoints,
+		ChunksWritten:   ss.ChunksWritten,
+		ChunksDeduped:   ss.ChunksDeduped,
+		PackBytes:       ss.BytesWritten,
+		ChunksHashed:    ss.ChunksHashed,
+		ChunksZero:      ss.ChunksZero,
 	}
 }

@@ -12,9 +12,9 @@ import (
 )
 
 // TestOpenDurableCleansUpOnFailure forces each failure return of
-// openDurable on a scratch directory and asserts the error comes back,
-// no goroutine (the log's flusher) outlives the call, the runtime is
-// not left durable, and nothing stays on disk. The suite runs as root,
+// openDurable and asserts the error comes back, no goroutine (the
+// log's flusher) outlives the call, and the runtime is not left
+// durable. The suite runs as root,
 // so the failures are squatters, not permissions. wal.OpenLog touches
 // nothing but the directory itself (segments are created lazily by the
 // flusher), so its failure is a regular file where the directory
@@ -42,22 +42,16 @@ func TestOpenDurableCleansUpOnFailure(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "scratch")
+			dir := filepath.Join(t.TempDir(), "dur")
 			tc.plant(t, dir)
 			before := runtime.NumGoroutine()
 			rt := newRuntime(fold([]Option{WithMemory(mem.Config{GlobalWords: 64, HeapWords: 1 << 12, StackWords: 64, MaxThreads: 2})}))
-			ds := &durSettings{dir: dir, scratch: true, noFsync: true}
+			ds := &durSettings{dir: dir, noFsync: true}
 			if err := openDurable(rt, ds, 0, 0, true); err == nil {
 				t.Fatal("openDurable succeeded")
 			}
 			if rt.Durable() || rt.dur != nil {
 				t.Error("runtime left durable after a failed open")
-			}
-			if ds.dir != "" {
-				t.Errorf("ds.dir still points at %s", ds.dir)
-			}
-			if _, err := os.Lstat(dir); !os.IsNotExist(err) {
-				t.Errorf("scratch directory survives the failure (stat: %v)", err)
 			}
 			deadline := time.Now().Add(2 * time.Second)
 			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

@@ -2,11 +2,14 @@ package tm_test
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/wal"
 	"repro/tm"
 )
 
@@ -152,5 +155,68 @@ func TestCheckpointWhileAllocating(t *testing.T) {
 		if checkpoints == 0 {
 			t.Errorf("round %d: no checkpoint completed while the workers ran", round)
 		}
+	}
+}
+
+// TestAtomicReturnsDurable pins Atomic's contract on a durable runtime:
+// it returns only once its commit's ack is done, so with one thread
+// nothing is pending in the log and the segment file holds every
+// appended byte the moment Atomic returns — also when a Deferred scope
+// just before it left a record pending.
+func TestAtomicReturnsDurable(t *testing.T) {
+	dir := t.TempDir()
+	rt := tm.Open(tm.WithMemory(tm.MemConfig{GlobalWords: 64, HeapWords: 1 << 12, StackWords: 256, MaxThreads: 1}),
+		tm.WithDurability(dir, tm.DurNoFsync()))
+	defer rt.Close()
+	log := rt.Unwrap().Durable()
+	cell := rt.AllocGlobal(1)
+	th := rt.Thread(0)
+	add := func(tx *tm.Tx) { cell.Word(0).Add(tx, 1) }
+	for i := 0; i < 200; i++ {
+		if i%2 == 1 {
+			rt.Unwrap().Thread(0).Deferred(func() { th.Atomic(add) }) // leaves a record pending
+		}
+		th.Atomic(add)
+		if !log.TailAck().Done() {
+			t.Fatalf("transaction %d: Atomic returned with the log still pending", i)
+		}
+		fi, err := os.Stat(filepath.Join(dir, wal.SegName(0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if written, appended := uint64(fi.Size()-16), log.Stats().Bytes; written != appended {
+			t.Fatalf("transaction %d: %d of %d appended bytes written when Atomic returned", i, written, appended)
+		}
+	}
+}
+
+// TestDurabilityWordSplit pins DurabilityStats' per-source word counts
+// on one hand-built transaction: one shared store (an undo word), a
+// kept and a freed allocation (whole blocks with their header words),
+// and a stack block.
+func TestDurabilityWordSplit(t *testing.T) {
+	rt := tm.Open(tm.WithMemory(tm.MemConfig{GlobalWords: 64, HeapWords: 1 << 16, StackWords: 256, MaxThreads: 1}),
+		tm.WithDurability(t.TempDir(), tm.DurNoFsync()))
+	defer rt.Close()
+	cell := rt.AllocGlobal(1)
+	th := rt.Thread(0)
+	before := *rt.Snapshot().Durability
+	th.Atomic(func(tx *tm.Tx) {
+		cell.Word(0).Store(tx, 7)
+		tx.Alloc(3)
+		tx.Free(tx.Alloc(2))
+		tx.StackAlloc(5)
+	})
+	after := *rt.Snapshot().Durability
+	got := [...]uint64{
+		after.Records - before.Records,
+		after.UndoWords - before.UndoWords,
+		after.AllocWords - before.AllocWords,
+		after.AllocFreedWords - before.AllocFreedWords,
+		after.StackWords - before.StackWords,
+	}
+	want := [...]uint64{1, 1, 4 + 3, 3, 5}
+	if got != want {
+		t.Errorf("records, undo, alloc, alloc freed, stack words = %v, want %v", got, want)
 	}
 }

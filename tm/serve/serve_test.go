@@ -7,11 +7,14 @@ package serve_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
 
 	_ "repro/internal/scenarios/tmkv" // registers srv-tmkv for the allocation budget
+	"repro/internal/wal"
 	"repro/tm"
 	"repro/tm/serve"
 )
@@ -582,5 +585,111 @@ func TestServeRequestAllocBudget(t *testing.T) {
 				t.Errorf("per request: %.1f B and %.2f mallocs, budget %.0f B and %.1f", bytes, mallocs, c.maxBytes, c.maxAlloc)
 			}
 		})
+	}
+}
+
+// ackBackend is countBackend with each request's Apply noting how many
+// log bytes had been appended when it last executed. Request i carries
+// i in Key / n.
+type ackBackend struct {
+	countBackend
+	log  *wal.Log
+	seen []uint64
+}
+
+func (b *ackBackend) Item(req serve.Request) tm.BatchItem {
+	it := b.countBackend.Item(req)
+	apply, i := it.Apply, req.Key/uint64(b.n)
+	it.Apply = func(tx *tm.Tx, reply tm.Struct) bool {
+		b.seen[i] = b.log.Stats().Bytes
+		return apply(tx, reply)
+	}
+	return it
+}
+
+// TestServeRepliesOnlyWhenDurable runs adds, reads and refusals through
+// two durable workers and fails if a done callback runs before the log
+// file holds every byte appended before its request executed: a reply
+// must not reveal a commit — its own, or another worker's it may have
+// read — that a crash could still lose.
+func TestServeRepliesOnlyWhenDurable(t *testing.T) {
+	const (
+		goroutines = 4
+		perG       = 500
+		cells      = 4
+	)
+	dir := t.TempDir()
+	be := &ackBackend{countBackend: countBackend{n: cells}, seen: make([]uint64, goroutines*perG)}
+	s := serve.NewServer(be, serve.Config{
+		Workers: 2, MergeWidth: 4, Requests: goroutines * perG,
+		Options: []tm.Option{tm.WithDurability(dir, tm.DurNoFsync())},
+	})
+	be.log = s.Runtime().Unwrap().Durable()
+	seg := filepath.Join(dir, wal.SegName(0))
+	s.Start()
+	var done sync.WaitGroup
+	done.Add(goroutines * perG)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			for k := 0; k < perG; k++ {
+				i := g*perG + k
+				op := uint8(opAdd)
+				switch {
+				case i%10 == 3:
+					op = opFail
+				case i%3 == 0:
+					op = opGet
+				}
+				s.SubmitRequest(serve.Request{Op: op, Key: uint64(i*cells + i%cells), Arg: 1}, func(serve.Reply) {
+					defer done.Done()
+					fi, err := os.Stat(seg)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if written := uint64(fi.Size() - 16); written < be.seen[i] {
+						t.Errorf("request %d replied with %d log bytes written, %d appended before it ran", i, written, be.seen[i])
+					}
+				})
+			}
+		}(g)
+	}
+	done.Wait()
+	if err := s.Stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNewServerPreloadDurable checks that the preload, run without a
+// durability wait per commit, is durable when NewServer returns: the
+// log has nothing pending, and a crash right then recovers the
+// preloaded space exactly.
+func TestNewServerPreloadDurable(t *testing.T) {
+	be, err := serve.New("srv-tmkv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts := tm.RuntimeAll(tm.LogTree).Perf().Options()
+	s := serve.NewServer(be, serve.Config{
+		Workers: 1, Requests: 1000,
+		Options: append(opts[:len(opts):len(opts)], tm.WithDurability(dir, tm.DurNoFsync())),
+	})
+	rt := s.Runtime()
+	if !rt.Unwrap().Durable().TailAck().Done() {
+		t.Fatal("NewServer returned with preload records not yet written")
+	}
+	want := rt.Unwrap().Space().Checksum()
+	rt.Crash()
+	rt2, err := tm.Recover(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt2.Close()
+	if got := rt2.Unwrap().Space().Checksum(); got != want {
+		t.Errorf("recovered checksum %#x, preload left %#x", got, want)
+	}
+	if err := s.Stop(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -36,6 +36,12 @@ type DurabilityStats struct {
 	Fsyncs   uint64 // fsync calls on log segments
 	Segments uint64 // log segment files created
 
+	// The words records carry, by source, counted once per record.
+	UndoWords       uint64 // undo-logged addresses, one one-word span each
+	AllocWords      uint64 // allocation-log blocks, carried whole (header words included)
+	AllocFreedWords uint64 // the part of AllocWords in blocks freed by the same transaction
+	StackWords      uint64 // the transaction-local stack region
+
 	Checkpoints   uint64 // checkpoints written
 	ChunksWritten uint64 // content-addressed chunks appended to packs
 	ChunksDeduped uint64 // chunks skipped because their score was stored
