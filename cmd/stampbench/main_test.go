@@ -14,7 +14,7 @@ import (
 func TestRun(t *testing.T) {
 	one := []string{"-bench", "ssca2", "-runs", "1"}
 	sweep := []string{"-threadlist", "1", "-runs", "1"}
-	sweepTables := []string{"Thread sweep (median of runs)", "Open-loop latency", "aborted  selected"}
+	sweepTables := []string{"Thread sweep (median of runs)", "Open-loop latency", "fallbacks  aborted"}
 	cases := []struct {
 		args   []string
 		code   int

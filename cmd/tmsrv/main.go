@@ -14,24 +14,19 @@
 //
 //	tmsrv -list                              # registered backends
 //	tmsrv -backend srv-tmkv                  # default sweep
-//	tmsrv -backend srv-tmkv-read -adaptive   # scan-phased read mix: +phases
-//	                                         # arm batches onto the
-//	                                         # read-mostly engine
+//	tmsrv -backend srv-tmkv-read             # scan-heavy read mix, one engine
 //	tmsrv -backend all -mergewidths 1,4,8 -rates 100000,peak
 //	tmsrv -workers 1,4 -requests 8192 -stats # counters on (non-perf build)
 //
-// -adaptive replaces the merge-width grid with a four-arm A/B at every
-// backend × workers × rate point: unmerged single-engine (mw1), fixed
-// merge width W = max(-mergewidths) single-engine (mwW), fixed width
-// with the hand-tuned per-phase engine declaration (+phases), and full
-// adaptation (+adaptive/amwW: online per-phase engine selection plus
-// adaptive merge width up to W), whose row names what it selected.
+// Every point runs one fixed engine per profile and a fixed merge width.
+// The served read mix with and without the per-phase engine declaration
+// (scan-shaped batches on the read-mostly engine) is an arm of
+// stampbench -experiment readmostly.
 //
 // Nothing here gates anything. The merged-vs-unmerged question at one
 // worker is the rig's (bash benchmark/run.sh -workload kv-serve:
 // batcher.merge_ratio, serve.open_merge_ratio, serve.open_p99_us); the
-// multi-worker grid and the -adaptive arms have no rig cell yet — they
-// go with ROADMAP 1(b).
+// multi-worker grid has no rig cell yet — it goes with ROADMAP 1(b).
 package main
 
 import (
@@ -70,8 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	requests := fs.Int("requests", 1<<14, "requests per sweep point")
 	clients := fs.Int("clients", 8, "open-loop client goroutines")
 	seed := fs.Uint64("seed", 1, "seed for interarrivals and the request stream")
-	adaptive := fs.Bool("adaptive", false, "run the adaptive A/B sweep (mw1 vs mwW vs +phases vs +adaptive, W = max of -mergewidths) instead of the plain width grid")
-	adaptEpoch := fs.Int("adaptepoch", 0, "adaptive engine-selection sampling window in commits (0 = runtime default)")
 	fs.Usage = func() { usage(fs) }
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -109,11 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers = bench.DefaultThreadCounts()
 	}
 	if err == nil {
-		if *adaptive {
-			err = sweepAdaptive(stdout, backends, profile, workers, maxInt(widths), rates, *requests, *clients, *seed, *adaptEpoch)
-		} else {
-			err = sweep(stdout, backends, profile, workers, widths, rates, *requests, *clients, *seed)
-		}
+		err = sweep(stdout, backends, profile, workers, widths, rates, *requests, *clients, *seed)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "tmsrv:", err)
@@ -210,52 +199,6 @@ func sweep(w io.Writer, backends []string, p tm.Profile, workers, widths []int, 
 						Requests:   requests,
 						Seed:       seed,
 					})
-					if err != nil {
-						return err
-					}
-					all = append(all, res)
-				}
-			}
-		}
-	}
-	bench.WriteLatencyTable(w, all)
-	return nil
-}
-
-func maxInt(xs []int) int {
-	m := 1
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// sweepAdaptive measures the adaptive A/B grid: at every backend ×
-// workers × rate point, four arms — unmerged single-engine, fixed
-// merge width W single-engine, fixed width under the hand-tuned
-// per-phase declaration, and full adaptation (online engine selection
-// plus adaptive merge width up to W). The arms share the request
-// stream and seed, so their rows differ only in the machinery under
-// test.
-func sweepAdaptive(w io.Writer, backends []string, p tm.Profile, workers []int, width int, rates []float64, requests, clients int, seed uint64, epoch int) error {
-	arms := []bench.OpenLoopSpec{
-		{MergeWidth: 1},
-		{MergeWidth: width},
-		{MergeWidth: width, Phases: true},
-		{MergeWidth: width, Adaptive: true, AdaptiveEpoch: epoch},
-	}
-	var all []bench.Result
-	for _, be := range backends {
-		for _, nw := range workers {
-			for _, rate := range rates {
-				for _, arm := range arms {
-					spec := arm
-					spec.Backend, spec.Profile, spec.Workers = be, p, nw
-					spec.Clients, spec.Rate = clients, rate
-					spec.Requests, spec.Seed = requests, seed
-					res, err := bench.RunOpenLoop(spec)
 					if err != nil {
 						return err
 					}

@@ -30,11 +30,6 @@ type Result struct {
 	// only when the profile declares phases (tm.WithPhases).
 	PhaseStats []tm.PhaseStats
 
-	// Adaptive holds the final engine selection of every adaptive phase
-	// kind, populated only under online engine selection
-	// (tm.WithAdaptive).
-	Adaptive []tm.AdaptiveSelection
-
 	// Latency is the open-loop service-time block, populated only by
 	// RunOpenLoop (nil for throughput results).
 	Latency *LatencyStats
@@ -65,7 +60,6 @@ func Run(bench string, p tm.Profile, threads, runs int) (Result, error) {
 		if len(rt.Phases()) > 0 {
 			res.PhaseStats = snap.Phases
 		}
-		res.Adaptive = snap.Adaptive
 		if err := w.Validate(rt); err != nil {
 			rt.Close()
 			return res, fmt.Errorf("%s [%s, %d threads]: %w", bench, p.Name(), threads, err)
@@ -110,7 +104,6 @@ func RunMatrix(bench string, profiles []tm.Profile, threads, runs int) ([]Result
 			results[i].Times = append(results[i].Times, one.Times[0])
 			results[i].Stats = one.Stats
 			results[i].PhaseStats = one.PhaseStats
-			results[i].Adaptive = one.Adaptive
 		}
 	}
 	return results, nil
@@ -228,8 +221,8 @@ func Improvement(base, opt Result) float64 {
 // stampbench -experiment readmostly, BenchmarkTMMSGPhased)
 // must build on this one declaration, or the certified mapping and the
 // measured one drift apart silently. The scan fragment carries the same
-// capture shape as publish so its upgrade target — and the adaptive
-// readmostly variant's configuration — match the capture engine exactly.
+// capture shape as publish so its upgrade target matches the capture
+// engine exactly.
 func PhaseRegimeSpecs() []tm.PhaseSpec {
 	return []tm.PhaseSpec{
 		tm.PhaseProfile(tm.PhasePublish,

@@ -11,7 +11,7 @@ package harness
 //
 // No rig cell yet — goes with ROADMAP 1(b): benchmark/ measures the
 // served tier with its own load generator (kv-serve), but runs neither
-// more than one serve worker nor an adaptive runtime, so this file
+// more than one serve worker nor a phase-hinted runtime, so this file
 // stays as the text-table A/B behind cmd/tmsrv and stampbench
 // -experiment readmostly.
 
@@ -22,7 +22,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -42,17 +41,10 @@ type OpenLoopSpec struct {
 	Requests   int        // total requests; <1 = 1
 	Seed       uint64     // drives interarrivals and the request stream
 
-	// Phases overlays the canonical hand-tuned per-phase engine
-	// declaration (PhaseRegimeSpecs) on the profile — the hinted arm of
-	// the adaptive/hinted/single-engine A/B.
+	// Phases overlays the canonical per-phase engine declaration
+	// (PhaseRegimeSpecs) on the profile — the hinted arm of the
+	// hinted/single-engine A/B.
 	Phases bool
-	// Adaptive turns on the runtime's online selection instead: adaptive
-	// per-phase engines (tm.WithAdaptive) and adaptive merge width
-	// (MergeWidth becomes the ceiling, each worker starting at width 1).
-	Adaptive bool
-	// AdaptiveEpoch overrides the engine-selection sampling window
-	// (0 = the stm default). Only meaningful with Adaptive.
-	AdaptiveEpoch int
 }
 
 // LatencyStats is the open-loop block of a result: the service-time
@@ -75,10 +67,6 @@ type LatencyStats struct {
 	MergeRatio    float64 // requests per transaction
 	Fallbacks     uint64
 	Txns          uint64
-
-	// FinalWidths is each worker's merge width after Stop (present only
-	// under OpenLoopSpec.Adaptive).
-	FinalWidths []int
 }
 
 // RunOpenLoop builds a server over the named backend, drives the
@@ -108,15 +96,11 @@ func RunOpenLoop(spec OpenLoopSpec) (Result, error) {
 	if spec.Phases {
 		profile = profile.With(tm.WithPhases(PhaseRegimeSpecs()...))
 	}
-	if spec.Adaptive {
-		profile = profile.With(tm.WithAdaptive(tm.AdaptiveConfig{Epoch: spec.AdaptiveEpoch}))
-	}
 	srv := serve.NewServer(be, serve.Config{
-		Workers:       spec.Workers,
-		MergeWidth:    spec.MergeWidth,
-		AdaptiveWidth: spec.Adaptive,
-		Requests:      spec.Requests,
-		Options:       profile.Options(),
+		Workers:    spec.Workers,
+		MergeWidth: spec.MergeWidth,
+		Requests:   spec.Requests,
+		Options:    profile.Options(),
 	})
 	rt := srv.Runtime()
 	res.Engine = rt.Engine()
@@ -140,12 +124,8 @@ func RunOpenLoop(spec OpenLoopSpec) (Result, error) {
 	if len(rt.Phases()) > 0 {
 		res.PhaseStats = snap.Phases
 	}
-	res.Adaptive = snap.Adaptive
 	rt.Validate() // panics on a leaked orec — merged txns must release all
 	res.Latency = newLatencyStats(spec, olr, srv.BatchStats())
-	if spec.Adaptive {
-		res.Latency.FinalWidths = srv.Widths()
-	}
 	return res, nil
 }
 
@@ -160,15 +140,7 @@ func openLoopConfig(spec OpenLoopSpec) string {
 	if spec.Phases {
 		name += "+phases"
 	}
-	mw := fmt.Sprintf("mw%d", spec.MergeWidth)
-	if spec.Adaptive {
-		// Adaptive selects engines and width online: the key must not
-		// collide with the fixed-width, fixed-engine point of the same
-		// profile.
-		name += "+adaptive"
-		mw = fmt.Sprintf("amw%d", spec.MergeWidth)
-	}
-	return fmt.Sprintf("%s+%s@%s", name, mw, load)
+	return fmt.Sprintf("%s+mw%d@%s", name, spec.MergeWidth, load)
 }
 
 func newLatencyStats(spec OpenLoopSpec, olr serve.OpenLoopResult, bs tm.BatchStats) *LatencyStats {
@@ -218,14 +190,11 @@ func quantileNs(sorted []int64, q float64) int64 {
 // WriteLatencyTable prints the open-loop results, one row per
 // measurement point. Results without a Latency block are skipped. The
 // aborted column is the failure count (a refused request is a failed
-// one); the trailing selected column is filled only on adaptive rows,
-// with what the runtime settled on — per phase kind the engine variant,
-// then each worker's final merge width — since an adaptive arm's config
-// string says only that it adapted.
+// one).
 func WriteLatencyTable(w io.Writer, results []Result) {
 	fmt.Fprintln(w, "Open-loop latency (per-request, from scheduled arrival)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "benchmark\tconfig\tengine\tworkers\toffered\tachieved\tp50\tp95\tp99\tmerge\tfallbacks\taborted\tselected")
+	fmt.Fprintln(tw, "benchmark\tconfig\tengine\tworkers\toffered\tachieved\tp50\tp95\tp99\tmerge\tfallbacks\taborted")
 	for _, r := range results {
 		l := r.Latency
 		if l == nil {
@@ -235,26 +204,12 @@ func WriteLatencyTable(w io.Writer, results []Result) {
 		if l.OfferedRPS > 0 {
 			offered = fmt.Sprintf("%.0f/s", l.OfferedRPS)
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%s\t%.0f/s\t%v\t%v\t%v\t%.2fx\t%d\t%d\t%s\n",
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%s\t%.0f/s\t%v\t%v\t%v\t%.2fx\t%d\t%d\n",
 			r.Bench, r.Config, r.Engine, r.Threads, offered, l.AchievedRPS,
 			time.Duration(l.P50Ns).Round(time.Microsecond),
 			time.Duration(l.P95Ns).Round(time.Microsecond),
 			time.Duration(l.P99Ns).Round(time.Microsecond),
-			l.MergeRatio, l.Fallbacks, l.Aborted, selected(r))
+			l.MergeRatio, l.Fallbacks, l.Aborted)
 	}
 	tw.Flush()
-}
-
-// selected renders what an adaptive run chose, e.g.
-// "publish→capture cursor→skipshared widths=[8]"; empty for
-// rows with neither adaptive selections nor final widths.
-func selected(r Result) string {
-	var parts []string
-	for _, sel := range r.Adaptive {
-		parts = append(parts, sel.Kind+"→"+sel.Variant)
-	}
-	if len(r.Latency.FinalWidths) > 0 {
-		parts = append(parts, fmt.Sprintf("widths=%v", r.Latency.FinalWidths))
-	}
-	return strings.Join(parts, " ")
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -83,15 +82,14 @@ func TestRunOpenLoop(t *testing.T) {
 	if !strings.Contains(buf.String(), "srv-tmkv") || !strings.Contains(buf.String(), "mw4") {
 		t.Errorf("latency table:\n%s", buf.String())
 	}
-	// The table carries the failure count, and a non-adaptive row leaves
-	// the trailing selected column empty (so the count is its last field).
+	// The table carries the failure count as its last column.
 	fields := func(r Result, line int) []string {
 		var buf bytes.Buffer
 		WriteLatencyTable(&buf, []Result{r})
 		return strings.Fields(strings.Split(buf.String(), "\n")[line])
 	}
-	if h := fields(res, 1); h[len(h)-2] != "aborted" || h[len(h)-1] != "selected" {
-		t.Errorf("header does not end in aborted, selected: %q", h)
+	if h := fields(res, 1); h[len(h)-1] != "aborted" {
+		t.Errorf("header does not end in aborted: %q", h)
 	}
 	if f := fields(res, 2); f[len(f)-1] != "0" {
 		t.Errorf("row does not end in aborted=0: %q", f)
@@ -148,10 +146,6 @@ func TestOpenLoopConfigKeys(t *testing.T) {
 		{OpenLoopSpec{Profile: p, MergeWidth: 2, Rate: 1500.5}, "baseline+mw2@1500.5rps"},
 		{OpenLoopSpec{Profile: p, MergeWidth: 8, Rate: 1e6, Phases: true},
 			"baseline+phases+mw8@1000000rps"},
-		{OpenLoopSpec{Profile: p, MergeWidth: 8, Rate: 1e6, Adaptive: true},
-			"baseline+adaptive+amw8@1000000rps"},
-		{OpenLoopSpec{Profile: p, MergeWidth: 8, Phases: true, Adaptive: true},
-			"baseline+phases+adaptive+amw8@peak"},
 	}
 	for _, c := range cases {
 		if got := openLoopConfig(c.spec); got != c.want {
@@ -160,61 +154,6 @@ func TestOpenLoopConfigKeys(t *testing.T) {
 		if strings.ContainsAny(openLoopConfig(c.spec), "eE+") != strings.ContainsAny(c.want, "eE+") {
 			t.Errorf("key %q leaked scientific notation", openLoopConfig(c.spec))
 		}
-	}
-}
-
-// TestRunOpenLoopAdaptive: the adaptive spec wires online engine
-// selection and adaptive width through the server, and the result rows
-// carry the trajectory (selections, width moves, final widths).
-func TestRunOpenLoopAdaptive(t *testing.T) {
-	res, err := RunOpenLoop(OpenLoopSpec{
-		Backend:       "srv-tmmsg",
-		Profile:       tm.RuntimeAll(tm.LogTree).Perf(),
-		Workers:       1,
-		MergeWidth:    8,
-		Clients:       2,
-		Requests:      2048,
-		Seed:          11,
-		Adaptive:      true,
-		AdaptiveEpoch: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "runtime-rw-stack-heap-tree+adaptive+amw8@peak"; res.Config != want {
-		t.Errorf("config = %q, want %q", res.Config, want)
-	}
-	if !strings.HasSuffix(res.Engine, "+adaptive") {
-		t.Errorf("engine = %q, want +adaptive marker", res.Engine)
-	}
-	if len(res.Adaptive) != 3 {
-		t.Fatalf("adaptive selections = %+v, want publish, cursor, and scan rows", res.Adaptive)
-	}
-	if len(res.PhaseStats) == 0 {
-		t.Error("no per-phase rows for an adaptive run")
-	}
-	l := res.Latency
-	if len(l.FinalWidths) != 1 {
-		t.Fatalf("final widths = %v, want one worker", l.FinalWidths)
-	}
-	if l.FinalWidths[0] < 1 || l.FinalWidths[0] > 8 {
-		t.Errorf("final width %d outside [1, 8]", l.FinalWidths[0])
-	}
-	if l.Requests != 2048 {
-		t.Errorf("requests = %d", l.Requests)
-	}
-	// The rendered row names what the run selected: every adaptive kind
-	// with its variant, then the final widths.
-	var buf bytes.Buffer
-	WriteLatencyTable(&buf, []Result{res})
-	row := strings.Split(strings.TrimSpace(buf.String()), "\n")[2]
-	for _, sel := range res.Adaptive {
-		if want := sel.Kind + "→" + sel.Variant + " "; !strings.Contains(row, want) {
-			t.Errorf("selected column lacks %q: %q", want, row)
-		}
-	}
-	if want := " widths=[" + strconv.Itoa(l.FinalWidths[0]) + "]"; !strings.HasSuffix(row, want) {
-		t.Errorf("row does not end in %q: %q", want, row)
 	}
 }
 

@@ -185,51 +185,6 @@ type OptConfig struct {
 	// engines with Thread.EnterPhase; switches only take effect between
 	// transactions. An empty slice is the classic one-engine runtime.
 	Phases []PhaseConfig
-
-	// Adaptive enables online engine selection for phase kinds the
-	// workload hints but the profile does not declare (adaptive.go):
-	// each listed kind is epoch-sampled on an instrumented probe engine
-	// and promoted to the capture-checking fast path or the
-	// definitely-shared bypass from what the sample shows. Kinds also
-	// present in Phases keep their manual declaration.
-	Adaptive AdaptiveConfig
-}
-
-// AdaptiveConfig tunes the online engine selection of adaptive.go.
-// Zero knobs select the package defaults (DefaultAdaptive*).
-type AdaptiveConfig struct {
-	// Enabled turns adaptation on for Kinds.
-	Enabled bool
-	// Kinds lists the phase kinds to adapt (must be non-empty when
-	// Enabled; kinds declared in OptConfig.Phases are skipped — the
-	// manual declaration is ground truth).
-	Kinds []string
-	// Epoch is the sampling window: completed top-level transactions
-	// (commits + user aborts) per thread between decisions.
-	Epoch int
-	// ProbeEvery schedules a re-probe after this many consecutive fast
-	// epochs, so drifting workloads are re-measured.
-	ProbeEvery int
-	// PromotePct and DemotePct bound the captured-access share: a probe
-	// epoch at or above PromotePct selects the capture-checking variant,
-	// at or below DemotePct the definitely-shared bypass; in between the
-	// kind stays on the instrumented probe.
-	PromotePct float64
-	DemotePct  float64
-	// RegressPct demotes a fast variant back to the probe when an
-	// epoch's abort ratio exceeds the probe baseline by more than this.
-	RegressPct float64
-	// ReadMostlyPct bounds the share of accesses that are *shared*
-	// writes (writes the capture classification could not prove
-	// captured): a probe epoch at or below it — and below PromotePct
-	// captured share — selects the read-mostly variant, whose loads
-	// skip the capture checks entirely and whose write machinery
-	// materializes only on an in-flight upgrade.
-	ReadMostlyPct float64
-	// UpgradePct demotes the read-mostly variant back to the probe when
-	// an epoch's first-store upgrades per commit exceed it — the regime
-	// has started writing shared data and the upgrade toll is real.
-	UpgradePct float64
 }
 
 // PhaseConfig binds a phase kind to the full optimization configuration

@@ -17,14 +17,11 @@ package stm
 // compiledPhase is one entry of a Runtime's engine table: a declared
 // phase kind, the full configuration its engine compiles from, and the
 // compiled engine itself. Index 0 of the table is always the default
-// phase (kind ""), compiled from the base configuration. Adaptive
-// kinds contribute several entries that share one kind and differ in
-// variant (adaptive.go); manual entries have an empty variant.
+// phase (kind ""), compiled from the base configuration.
 type compiledPhase struct {
-	kind    string
-	variant string // "" for manual/default entries; Variant* otherwise
-	cfg     OptConfig
-	eng     *engine
+	kind string
+	cfg  OptConfig
+	eng  *engine
 }
 
 // compilePhases builds the engine table for cfg: the base configuration
@@ -69,41 +66,30 @@ func validatePhaseCfg(kind string, c OptConfig) {
 }
 
 // PhaseStats is one row of the per-phase statistics breakdown: the
-// declared kind ("" for the default phase), the adaptive variant ("",
-// for manual and default entries), the engine the entry compiled to,
-// and the summed counters of every transaction threads ran on it. An
-// adaptive kind reports one row per variant, so the engine trajectory
-// (how much ran on the probe vs. the promoted fast path) is visible.
+// declared kind ("" for the default phase), the engine the phase
+// compiled to, and the summed counters of every transaction threads ran
+// on it.
 type PhaseStats struct {
-	Kind    string
-	Variant string
-	Engine  string
-	Stats   Stats
+	Kind   string
+	Engine string
+	Stats  Stats
 }
 
-// PhaseKinds returns the declared phase kinds in declaration order —
-// manual kinds first, then adaptive ones, each listed once; the
+// PhaseKinds returns the declared phase kinds in declaration order; the
 // implicit default phase is not listed.
 func (rt *Runtime) PhaseKinds() []string {
-	return append([]string(nil), rt.kinds...)
+	kinds := make([]string, 0, len(rt.phases)-1)
+	for _, p := range rt.phases[1:] {
+		kinds = append(kinds, p.kind)
+	}
+	return kinds
 }
 
 // EngineFor names the barrier engine compiled for the given phase kind;
 // "" names the default phase. An undeclared kind reports the default
-// engine, mirroring EnterPhase's hint semantics. For an adaptive kind
-// this follows the current selection.
+// engine, mirroring EnterPhase's hint semantics.
 func (rt *Runtime) EngineFor(kind string) string {
-	return rt.phases[rt.phaseIndex(kind)].eng.name
-}
-
-func (rt *Runtime) phaseIndex(kind string) int {
-	if i, ok := rt.phaseIdx[kind]; ok {
-		if st := rt.adaptByIdx[i]; st != nil {
-			return int(st.cur.Load())
-		}
-		return i
-	}
-	return 0
+	return rt.phases[rt.phaseIdx[kind]].eng.name
 }
 
 // PhaseStats sums every thread's counters by phase. Index 0 is the
@@ -114,7 +100,7 @@ func (rt *Runtime) PhaseStats() []PhaseStats {
 	defer rt.mu.Unlock()
 	out := make([]PhaseStats, len(rt.phases))
 	for i, p := range rt.phases {
-		out[i] = PhaseStats{Kind: p.kind, Variant: p.variant, Engine: p.eng.name}
+		out[i] = PhaseStats{Kind: p.kind, Engine: p.eng.name}
 	}
 	for _, th := range rt.threads {
 		for i := range th.phaseStats {
@@ -133,7 +119,7 @@ func (rt *Runtime) PhaseStats() []PhaseStats {
 // until the enclosing top-level transaction (and any retries of it) has
 // ended — engines never change mid-transaction.
 func (th *Thread) EnterPhase(kind string) {
-	idx := th.rt.phaseIndex(kind)
+	idx := th.rt.phaseIdx[kind]
 	if th.tx.active {
 		th.pendingPhase = idx
 		return

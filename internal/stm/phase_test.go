@@ -55,6 +55,17 @@ func TestPhaseCompilation(t *testing.T) {
 	if got := prt.EngineFor("cursor"); got != "perf-skipshared" {
 		t.Errorf("perf EngineFor(cursor) = %q", got)
 	}
+	// PhaseStats has one row per kind, in declaration order, naming the
+	// engine EngineFor reports for that kind.
+	rows := prt.PhaseStats()
+	if len(rows) != 3 {
+		t.Fatalf("PhaseStats rows = %d, want 3", len(rows))
+	}
+	for i, kind := range []string{"", "publish", "cursor"} {
+		if rows[i].Kind != kind || rows[i].Engine != prt.EngineFor(kind) {
+			t.Errorf("PhaseStats row %d = %q/%q, want %q/%q", i, rows[i].Kind, rows[i].Engine, kind, prt.EngineFor(kind))
+		}
+	}
 
 	// The engine-force knob pins every phase, not just the default.
 	forced := perf

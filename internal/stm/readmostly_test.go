@@ -304,57 +304,3 @@ func TestReadMostlyUpgradeStress(t *testing.T) {
 	}
 	rt.Validate()
 }
-
-// runScanHeavy executes one read-dominated transaction: many shared
-// reads plus a couple of captured stack stores, the shape a scan phase
-// presents to the adaptive probe (captured share well under the
-// promote threshold, zero shared writes).
-func runScanHeavy(th *Thread, g mem.Addr) {
-	th.Atomic(func(tx *Tx) {
-		f := tx.StackAlloc(1)
-		tx.Store(f, 0, AccStack)
-		var sum uint64
-		for i := 0; i < 16; i++ {
-			sum += tx.Load(g+mem.Addr(i), AccShared)
-		}
-		tx.Store(f, sum, AccStack)
-	})
-}
-
-// TestAdaptiveReadMostlyConvergence pins the fourth variant's promotion
-// rule: a kind whose probe epochs observe zero shared writes converges
-// to the read-mostly engine with no hints, and a later shift to
-// write-heavy work demotes it back to the probe via the upgrade-rate
-// fast check.
-func TestAdaptiveReadMostlyConvergence(t *testing.T) {
-	const epoch = 8
-	cfg := adaptiveCfg(epoch)
-	cfg.Adaptive.ProbeEvery = 1 << 20 // isolate the upgrade-rate demotion
-	rt := newRT(cfg)
-	th := rt.Thread(0)
-	g := rt.Space().AllocGlobal(16)
-
-	th.EnterPhase("publish")
-	for i := 0; i < 3*epoch; i++ {
-		runScanHeavy(th, g)
-	}
-	sel := rt.AdaptiveSelections()
-	if sel[0].Variant != VariantReadMostly {
-		t.Fatalf("scan-shaped kind selected %q, want %q", sel[0].Variant, VariantReadMostly)
-	}
-	if got := rt.EngineFor("publish"); got != "perf-readmostly" {
-		t.Errorf("EngineFor(publish) = %q", got)
-	}
-
-	// The workload turns write-heavy: every transaction now upgrades, so
-	// the upgrade-per-commit rate blows through UpgradePct and the kind
-	// returns to the probe for remeasurement.
-	for i := 0; i < 3*epoch; i++ {
-		runShared(th, g)
-	}
-	sel = rt.AdaptiveSelections()
-	if sel[0].Variant == VariantReadMostly {
-		t.Errorf("write-heavy shift left kind on %q, want demotion", sel[0].Variant)
-	}
-	rt.Validate()
-}

@@ -12,7 +12,7 @@ type Stats struct {
 	// Upgrades counts read-mostly attempts that reached the full write
 	// barrier and left unlogged mode (Tx.upgrade, barrier.go). Like
 	// the outcome counters it is lifecycle accounting, kept under
-	// PerfMode — the adaptive sampler demotes a read-mostly kind on it.
+	// PerfMode, the mode read-mostly phases run in.
 	Upgrades uint64
 
 	// Waits counts the backoff spins between a conflict abort and its

@@ -19,7 +19,6 @@
 // lifecycle.go only to extend or abandon the attempt):
 //
 //	stm.go        Runtime, Thread, the Atomic retry loop and its backoff
-//	adaptive.go   online per-kind selection of engine variant
 //	phase.go      the compiled engine table; EnterPhase switches between
 //	              transactions
 //	lifecycle.go  begin/commit/abort, closed nesting, extension
@@ -77,21 +76,10 @@ type Runtime struct {
 
 	// phases is the compiled engine table (phase.go): index 0 is the
 	// default phase's engine, compiled once from cfg; declared phases
-	// follow in declaration order, then the adaptive variant entries
-	// (adaptive.go). phaseIdx maps kind → table index (for an adaptive
-	// kind, its probe entry; phaseIndex follows the live selection).
+	// follow in declaration order. phaseIdx maps a declared kind to its
+	// table index; an undeclared kind reads 0, the default phase.
 	phases   []compiledPhase
 	phaseIdx map[string]int
-	kinds    []string // declared kinds: manual then adaptive, once each
-	manual   int      // count of manually declared phases
-
-	// Adaptive engine selection (adaptive.go): acfg is the normalized
-	// configuration, adapt one shared selection state per adaptive kind,
-	// adaptByIdx the per-table-entry view of the same states (nil for
-	// non-adaptive entries) so the per-transaction tick is one load.
-	acfg       AdaptiveConfig
-	adapt      []*adaptState
-	adaptByIdx []*adaptState
 
 	// seqs[i] is thread i's quiescence counter: odd while inside a
 	// transaction, even otherwise. It drives the epoch-based deferred
@@ -126,35 +114,15 @@ func New(mcfg mem.Config, cfg OptConfig) *Runtime {
 		panic("stm: OrecBits out of range")
 	}
 	phases, phaseIdx := compilePhases(cfg)
-	manual := len(phases) - 1
-	acfg := normalizeAdaptive(cfg.Adaptive)
-	phases, adapt := compileAdaptive(acfg, phases, phaseIdx)
-	kinds := make([]string, 0, manual+len(adapt))
-	for _, p := range phases[1 : 1+manual] {
-		kinds = append(kinds, p.kind)
-	}
-	adaptByIdx := make([]*adaptState, len(phases))
-	for _, st := range adapt {
-		kinds = append(kinds, st.kind)
-		adaptByIdx[st.probe] = st
-		adaptByIdx[st.capture] = st
-		adaptByIdx[st.skip] = st
-		adaptByIdx[st.rm] = st
-	}
 	return &Runtime{
-		space:      mem.NewSpace(mcfg),
-		orecs:      make([]atomic.Uint64, 1<<bits),
-		orecShift:  64 - uint(bits),
-		cfg:        cfg,
-		phases:     phases,
-		phaseIdx:   phaseIdx,
-		kinds:      kinds,
-		manual:     manual,
-		acfg:       acfg,
-		adapt:      adapt,
-		adaptByIdx: adaptByIdx,
-		seqs:       make([]seqSlot, mcfg.MaxThreads),
-		threads:    make(map[int]*Thread),
+		space:     mem.NewSpace(mcfg),
+		orecs:     make([]atomic.Uint64, 1<<bits),
+		orecShift: 64 - uint(bits),
+		cfg:       cfg,
+		phases:    phases,
+		phaseIdx:  phaseIdx,
+		seqs:      make([]seqSlot, mcfg.MaxThreads),
+		threads:   make(map[int]*Thread),
 	}
 }
 
@@ -171,16 +139,12 @@ type seqSlot struct {
 
 // Engine names the barrier engine compiled for this runtime's default
 // phase ("generic", "counting", or a "perf-*" specialization). When
-// phases are declared the name carries a "+phases" marker, and when
-// adaptive selection is on an "+adaptive" marker — the per-phase
-// breakdown is EngineFor, PhaseStats, and AdaptiveSelections.
+// phases are declared the name carries a "+phases" marker — the
+// per-phase breakdown is EngineFor and PhaseStats.
 func (rt *Runtime) Engine() string {
 	name := rt.phases[0].eng.name
-	if rt.manual > 0 {
+	if len(rt.phases) > 1 {
 		name += "+phases"
-	}
-	if len(rt.adapt) > 0 {
-		name += "+adaptive"
 	}
 	return name
 }
@@ -239,13 +203,6 @@ type Thread struct {
 	// optimized away — per-thread, so backing off never touches shared
 	// cache lines.
 	backoffAcc uint64
-
-	// Adaptive epoch sampling (adaptive.go), allocated only when the
-	// runtime adapts: adaptMark[i] snapshots phaseStats[i] at the start
-	// of this thread's current epoch on entry i; adaptFast[i] counts
-	// consecutive fast epochs since the last probe there.
-	adaptMark []Stats
-	adaptFast []uint32
 
 	limbo []limboBatch // committed frees awaiting quiescence
 
@@ -346,10 +303,6 @@ func (rt *Runtime) Thread(id int) *Thread {
 		pendingPhase: -1,
 	}
 	th.stats = &th.phaseStats[0]
-	if rt.acfg.Enabled {
-		th.adaptMark = make([]Stats, len(rt.phases))
-		th.adaptFast = make([]uint32, len(rt.phases))
-	}
 	th.tx.init(th)
 	rt.threads[id] = th
 	var ids []int32
@@ -372,12 +325,6 @@ func (rt *Runtime) ResetStats() {
 	for _, th := range rt.threads {
 		for i := range th.phaseStats {
 			th.phaseStats[i] = Stats{}
-		}
-		// Epoch marks snapshot absolute counter values, so they must be
-		// cleared with them or the next adaptive epoch would compute
-		// deltas against pre-reset counts.
-		for i := range th.adaptMark {
-			th.adaptMark[i] = Stats{}
 		}
 	}
 }
@@ -507,11 +454,6 @@ func (th *Thread) Atomic(fn func(*Tx)) bool {
 		}
 		if th.pendingPhase >= 0 {
 			th.setPhase(th.pendingPhase)
-		}
-		// Adaptive runtimes sample at this boundary: one nil check for
-		// everyone else.
-		if th.adaptMark != nil {
-			th.adaptiveTick()
 		}
 		return !aborted
 	}

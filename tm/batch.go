@@ -78,10 +78,6 @@ type BatchStats struct {
 	Merged    uint64 // batches that committed as one merged transaction
 	Fallbacks uint64 // merged attempts that aborted and re-ran per item
 	Txns      uint64 // top-level transactions executed (committed or user-aborted)
-
-	// Adaptive-width trajectory (zero for fixed-width batchers).
-	WidthGrows   uint64 // epoch decisions that grew the merge width
-	WidthShrinks uint64 // decisions (epoch or burst) that shrank it
 }
 
 // MergeRatio returns requests per transaction — 1.0 means merging
@@ -98,8 +94,7 @@ func (s BatchStats) MergeRatio() float64 {
 // used by one goroutine at a time.
 type Batcher struct {
 	th         *Thread
-	width      int // current admission width (== maxWidth when fixed)
-	maxWidth   int
+	width      int
 	replyWords int
 
 	items  []BatchItem
@@ -112,16 +107,6 @@ type Batcher struct {
 	// allocator a fraction of one object here instead of one.
 	replies []BatchReply
 	slab    []uint64
-
-	// Adaptive-width state (adaptive batchers only): the policy, the
-	// current decision window's batch outcomes, and the running count of
-	// consecutive fallback batches for burst detection.
-	adaptive    bool
-	policy      WidthPolicy
-	winBatches  int
-	winMerged   int
-	winFallback int
-	fallRun     int
 
 	stats BatchStats
 }
@@ -137,77 +122,16 @@ func NewBatcher(th *Thread, width, replyWords int) *Batcher {
 		replyWords = 1
 	}
 	return &Batcher{
-		th: th, width: width, maxWidth: width, replyWords: replyWords,
+		th: th, width: width, replyWords: replyWords,
 		reads:   make(map[uint64]struct{}),
 		writes:  make(map[uint64]struct{}),
 		replies: make([]BatchReply, width),
 	}
 }
 
-// WidthPolicy tunes adaptive merge-width selection
-// (NewAdaptiveBatcher). Zero knobs select the Default* constants.
-type WidthPolicy struct {
-	// Epoch is the decision window: executed batches per width decision.
-	Epoch int
-	// GrowPct is the merged share (merged batches / batches in the
-	// window) at or above which the width doubles, up to the maximum.
-	GrowPct float64
-	// ShrinkPct is the fallback share at or above which the width
-	// halves, down to 1.
-	ShrinkPct float64
-	// Burst shrinks immediately — without waiting for the window — after
-	// this many consecutive fallback batches.
-	Burst int
-}
-
-// Defaults for WidthPolicy's knobs (0 selects them).
-const (
-	DefaultWidthEpoch     = 16
-	DefaultWidthGrowPct   = 0.5
-	DefaultWidthShrinkPct = 0.25
-	DefaultWidthBurst     = 4
-)
-
-func (p WidthPolicy) normalize() WidthPolicy {
-	if p.Epoch <= 0 {
-		p.Epoch = DefaultWidthEpoch
-	}
-	if p.GrowPct <= 0 {
-		p.GrowPct = DefaultWidthGrowPct
-	}
-	if p.ShrinkPct <= 0 {
-		p.ShrinkPct = DefaultWidthShrinkPct
-	}
-	if p.Burst <= 0 {
-		p.Burst = DefaultWidthBurst
-	}
-	return p
-}
-
-// NewAdaptiveBatcher creates a batcher whose merge width starts at 1
-// and adapts between 1 and maxWidth: every policy window it doubles the
-// width while merging keeps succeeding (merged share ≥ GrowPct, and a
-// width-1 window always grows — solo batches carry no merge signal) and
-// halves it when fallbacks are eating the merge win (fallback share ≥
-// ShrinkPct, or Burst consecutive fallback batches, which shrink
-// immediately). Width moves only at Flush boundaries, so a queued batch
-// is never truncated retroactively.
-func NewAdaptiveBatcher(th *Thread, maxWidth, replyWords int, p WidthPolicy) *Batcher {
-	b := NewBatcher(th, maxWidth, replyWords)
-	b.width = 1
-	b.adaptive = true
-	b.policy = p.normalize()
-	return b
-}
-
-// Width returns the current admission width: the fixed width for
-// NewBatcher, the live selection for NewAdaptiveBatcher. Callers using
-// it as a flush threshold adapt automatically.
+// Width returns the admission width: at most this many items merge
+// into one transaction.
 func (b *Batcher) Width() int { return b.width }
-
-// MaxWidth returns the configured width ceiling (equal to Width for
-// fixed-width batchers).
-func (b *Batcher) MaxWidth() int { return b.maxWidth }
 
 // Len returns the number of queued items.
 func (b *Batcher) Len() int { return len(b.items) }
@@ -273,7 +197,7 @@ func (b *Batcher) Flush() BatchResult {
 	if n == 0 {
 		return BatchResult{}
 	}
-	res := BatchResult{Replies: b.replies[:n]} // Admit keeps n ≤ maxWidth
+	res := BatchResult{Replies: b.replies[:n]} // Admit keeps n ≤ width
 	for i := range res.Replies {
 		res.Replies[i] = BatchReply{Words: b.carveReply()}
 	}
@@ -304,67 +228,11 @@ func (b *Batcher) Flush() BatchResult {
 			b.stats.Txns++
 		}
 	})
-	if b.adaptive {
-		b.adaptWidth(n, res.Merged)
-	}
 
 	b.items = b.items[:0]
 	clear(b.reads)
 	clear(b.writes)
 	return res
-}
-
-// adaptWidth records one executed batch's outcome and moves the
-// admission width at window boundaries (or immediately on a fallback
-// burst). Single-item batches are counted in the window but carry no
-// merge/fallback signal.
-func (b *Batcher) adaptWidth(n int, merged bool) {
-	b.winBatches++
-	fallback := false
-	switch {
-	case merged:
-		b.winMerged++
-		b.fallRun = 0
-	case n > 1:
-		b.winFallback++
-		b.fallRun++
-		fallback = true
-	}
-	if fallback && b.fallRun >= b.policy.Burst {
-		b.shrink()
-		return
-	}
-	if b.winBatches < b.policy.Epoch {
-		return
-	}
-	mergedShare := float64(b.winMerged) / float64(b.winBatches)
-	fallShare := float64(b.winFallback) / float64(b.winBatches)
-	switch {
-	case fallShare >= b.policy.ShrinkPct:
-		b.shrink()
-	case b.width < b.maxWidth && (b.width == 1 || mergedShare >= b.policy.GrowPct):
-		b.width *= 2
-		if b.width > b.maxWidth {
-			b.width = b.maxWidth
-		}
-		b.stats.WidthGrows++
-		b.resetWindow()
-	default:
-		b.resetWindow()
-	}
-}
-
-// shrink halves the width (floor 1) and opens a fresh window.
-func (b *Batcher) shrink() {
-	if b.width > 1 {
-		b.width /= 2
-		b.stats.WidthShrinks++
-	}
-	b.resetWindow()
-}
-
-func (b *Batcher) resetWindow() {
-	b.winBatches, b.winMerged, b.winFallback, b.fallRun = 0, 0, 0, 0
 }
 
 // BatchResult is the outcome of one Flush.

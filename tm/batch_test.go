@@ -219,126 +219,6 @@ func TestBatcherSoloAndEmpty(t *testing.T) {
 	rt.Validate()
 }
 
-// abortItem returns a batch item that always asks to abort — in a
-// merged batch it forces the per-item fallback.
-func abortItem(key int) tm.BatchItem {
-	return tm.BatchItem{
-		Footprint: tm.Footprint{Writes: []uint64{uint64(key)}},
-		Apply:     func(tx *tm.Tx, reply tm.Struct) bool { return false },
-	}
-}
-
-// fillAndFlush admits one compatible item per current width slot and
-// flushes, returning the result.
-func fillAndFlush(b *tm.Batcher, g tm.Struct) tm.BatchResult {
-	for j := 0; j < b.Width(); j++ {
-		if !b.Admit(incItem(g, j, 1)) {
-			break
-		}
-	}
-	return b.Flush()
-}
-
-// TestAdaptiveBatcherGrows: a fallback-free workload climbs from width
-// 1 to the configured maximum, one doubling per policy window.
-func TestAdaptiveBatcherGrows(t *testing.T) {
-	rt := tm.Open(smallMem())
-	b := tm.NewAdaptiveBatcher(rt.Thread(0), 8, 1, tm.WidthPolicy{Epoch: 4})
-	g := rt.AllocGlobal(8)
-
-	if b.Width() != 1 || b.MaxWidth() != 8 {
-		t.Fatalf("initial width=%d max=%d, want 1 and 8", b.Width(), b.MaxWidth())
-	}
-	widths := []int{}
-	for i := 0; i < 5*4; i++ {
-		fillAndFlush(b, g)
-		widths = append(widths, b.Width())
-	}
-	if b.Width() != 8 {
-		t.Errorf("width after 5 windows = %d (trajectory %v), want 8", b.Width(), widths)
-	}
-	s := b.Stats()
-	if s.WidthGrows != 3 || s.WidthShrinks != 0 {
-		t.Errorf("grows=%d shrinks=%d, want 3 and 0", s.WidthGrows, s.WidthShrinks)
-	}
-	rt.Validate()
-}
-
-// TestAdaptiveBatcherBurstShrink: consecutive fallback batches shrink
-// the width immediately, without waiting for the window.
-func TestAdaptiveBatcherBurstShrink(t *testing.T) {
-	rt := tm.Open(smallMem())
-	b := tm.NewAdaptiveBatcher(rt.Thread(0), 4, 1, tm.WidthPolicy{Epoch: 2, Burst: 2})
-	g := rt.AllocGlobal(8)
-
-	// One window of solo batches climbs to width 2.
-	fillAndFlush(b, g)
-	fillAndFlush(b, g)
-	if b.Width() != 2 {
-		t.Fatalf("width after solo window = %d, want 2", b.Width())
-	}
-	// Two consecutive fallback batches trip the burst.
-	for i := 0; i < 2; i++ {
-		b.Admit(incItem(g, 0, 1))
-		b.Admit(abortItem(1))
-		if res := b.Flush(); res.Merged {
-			t.Fatal("aborting batch reported merged")
-		}
-	}
-	if b.Width() != 1 {
-		t.Errorf("width after burst = %d, want 1", b.Width())
-	}
-	if s := b.Stats(); s.WidthShrinks != 1 {
-		t.Errorf("shrinks = %d, want 1", s.WidthShrinks)
-	}
-	rt.Validate()
-}
-
-// TestAdaptiveBatcherShareShrink: a window whose fallback share reaches
-// the policy threshold shrinks even without a burst.
-func TestAdaptiveBatcherShareShrink(t *testing.T) {
-	rt := tm.Open(smallMem())
-	b := tm.NewAdaptiveBatcher(rt.Thread(0), 4, 1,
-		tm.WidthPolicy{Epoch: 4, ShrinkPct: 0.25, Burst: 100})
-	g := rt.AllocGlobal(8)
-
-	fillAndFlush(b, g)
-	fillAndFlush(b, g)
-	fillAndFlush(b, g)
-	fillAndFlush(b, g)
-	if b.Width() != 2 {
-		t.Fatalf("width after solo window = %d, want 2", b.Width())
-	}
-	// One fallback spread among merges: share 1/4 hits the threshold.
-	b.Admit(incItem(g, 0, 1))
-	b.Admit(abortItem(1))
-	b.Flush()
-	fillAndFlush(b, g)
-	fillAndFlush(b, g)
-	fillAndFlush(b, g)
-	if b.Width() != 1 {
-		t.Errorf("width after fallback-heavy window = %d, want 1", b.Width())
-	}
-	rt.Validate()
-}
-
-// TestFixedBatcherWidthStats: fixed-width batchers never move.
-func TestFixedBatcherWidthStats(t *testing.T) {
-	rt := tm.Open(smallMem())
-	b := tm.NewBatcher(rt.Thread(0), 4, 1)
-	g := rt.AllocGlobal(8)
-	for i := 0; i < 40; i++ {
-		fillAndFlush(b, g)
-	}
-	if b.Width() != 4 || b.MaxWidth() != 4 {
-		t.Errorf("fixed width moved: width=%d max=%d", b.Width(), b.MaxWidth())
-	}
-	if s := b.Stats(); s.WidthGrows != 0 || s.WidthShrinks != 0 {
-		t.Errorf("fixed batcher recorded width moves: %+v", s)
-	}
-	rt.Validate()
-}
-
 // TestBatcherReplyAssemblyElides: under runtime capture analysis, the
 // stores assembling replies in the merged batch's stack block are
 // elided — the mechanism the merging optimization leans on.

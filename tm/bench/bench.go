@@ -77,7 +77,7 @@ type LatencyStats = harness.LatencyStats
 func RunOpenLoop(spec OpenLoopSpec) (Result, error) { return harness.RunOpenLoop(spec) }
 
 // WriteLatencyTable prints the open-loop latency table, including the
-// failure count and, on adaptive rows, what the runtime selected.
+// failure count.
 func WriteLatencyTable(w io.Writer, results []Result) { harness.WriteLatencyTable(w, results) }
 
 // WriteSweep prints the scaling-curve table.

@@ -238,8 +238,9 @@ const (
 	PhaseCursor Phase = "cursor"
 	// PhaseScan is the read-dominated regime: transactions that read
 	// broadly and store only into captured memory (accumulators, result
-	// vectors), where the read-mostly engine's unlogged
-	// snapshot-validated reads and zero write-path setup win.
+	// vectors). Declare it with PhaseProfile(PhaseScan, WithReadMostly())
+	// to run it on the read-mostly engine: unlogged snapshot-validated
+	// reads and no write-path setup.
 	PhaseScan Phase = "scan"
 )
 
@@ -282,32 +283,6 @@ func (ph PhaseSpec) compile(base *settings) stm.PhaseConfig {
 // behaves exactly like the classic one-engine runtime.
 func WithPhases(specs ...PhaseSpec) Option {
 	return func(s *settings) { s.phases = append(s.phases, specs...) }
-}
-
-// AdaptiveConfig tunes online engine selection (WithAdaptive). The
-// zero value selects the defaults: adapt the two conventional phase
-// kinds with the package's epoch and threshold defaults.
-type AdaptiveConfig = stm.AdaptiveConfig
-
-// WithAdaptive enables online engine selection for phase kinds the
-// workload hints: instead of declaring each kind's engine by hand
-// (WithPhases), the runtime samples every listed kind on an
-// instrumented probe engine and promotes it to the capture-checking
-// fast path (mostly-captured epochs) or the definitely-shared bypass
-// (capture-free epochs), demoting back to the probe on abort-ratio
-// regression and on a re-probe schedule. Kinds an explicit WithPhases
-// declaration also covers keep their manual engine — hints stay ground
-// truth. An empty Kinds list adapts PhasePublish, PhaseCursor, and
-// PhaseScan, the three regimes the paper's workloads exhibit. Current
-// selections are observable via Runtime.Snapshot (its Adaptive rows).
-func WithAdaptive(a AdaptiveConfig) Option {
-	return func(s *settings) {
-		a.Enabled = true
-		if len(a.Kinds) == 0 {
-			a.Kinds = []string{PhasePublish, PhaseCursor, PhaseScan}
-		}
-		s.cfg.Adaptive = a
-	}
 }
 
 // --- Profiles ---

@@ -362,51 +362,6 @@ func TestWorkerFlushOnIncompatible(t *testing.T) {
 	s.Runtime().Validate()
 }
 
-// TestServerAdaptiveWidth: under AdaptiveWidth a merge-friendly request
-// stream grows the worker's width from 1 toward the ceiling, and the
-// trajectory is visible in BatchStats and Widths.
-func TestServerAdaptiveWidth(t *testing.T) {
-	const requests = 64
-	be := &countBackend{n: requests}
-	s := serve.NewServer(be, serve.Config{
-		Workers: 1, MergeWidth: 8, QueueDepth: requests,
-		AdaptiveWidth: true, WidthPolicy: tm.WidthPolicy{Epoch: 2},
-	})
-	if w := s.Widths(); len(w) != 1 || w[0] != 1 {
-		t.Fatalf("initial widths = %v, want [1]", w)
-	}
-	var served sync.WaitGroup
-	served.Add(requests)
-	for i := 0; i < requests; i++ {
-		if err := s.SubmitRequest(serve.Request{Op: opAdd, Key: uint64(i), Arg: 1},
-			func(serve.Reply) { served.Done() }); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	s.Start()
-	served.Wait()
-	s.Stop()
-
-	if w := s.Widths(); w[0] <= 1 {
-		t.Errorf("final width = %v, want growth above 1", w)
-	}
-	st := s.BatchStats()
-	if st.WidthGrows == 0 {
-		t.Errorf("no width grows recorded: %+v", st)
-	}
-	if st.Requests != requests {
-		t.Errorf("served %d requests, want %d", st.Requests, requests)
-	}
-	var total uint64
-	for k := 0; k < be.n; k++ {
-		total += be.cells.Word(k).Peek(s.Runtime())
-	}
-	if total != requests {
-		t.Errorf("committed adds = %d, want %d", total, requests)
-	}
-	s.Runtime().Validate()
-}
-
 // TestOpenLoop drives the population against a small server and checks
 // the accounting: every request completes, latencies are measured, and
 // the committed state matches the deterministic request stream.

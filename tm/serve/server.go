@@ -18,15 +18,6 @@ type Config struct {
 	// 1 disables merging (every request runs in its own transaction).
 	// <1 defaults to 1.
 	MergeWidth int
-	// AdaptiveWidth makes MergeWidth a ceiling instead of the fixed
-	// width: each worker's batcher starts at width 1 and adapts within
-	// [1, MergeWidth] from its own merge/fallback history
-	// (tm.NewAdaptiveBatcher). The workers' flush thresholds follow the
-	// live width automatically.
-	AdaptiveWidth bool
-	// WidthPolicy tunes adaptive width selection; the zero value uses
-	// the tm package defaults. Ignored unless AdaptiveWidth is set.
-	WidthPolicy tm.WidthPolicy
 	// QueueDepth is the accept-queue capacity; Submit blocks when it
 	// is full. <1 defaults to 4 × Workers × MergeWidth.
 	QueueDepth int
@@ -116,11 +107,7 @@ func NewServer(be Backend, cfg Config) *Server {
 		batchers: make([]*tm.Batcher, cfg.Workers),
 	}
 	for i := range s.batchers {
-		if cfg.AdaptiveWidth {
-			s.batchers[i] = tm.NewAdaptiveBatcher(rt.Thread(i), cfg.MergeWidth, be.ReplyWords(), cfg.WidthPolicy)
-		} else {
-			s.batchers[i] = tm.NewBatcher(rt.Thread(i), cfg.MergeWidth, be.ReplyWords())
-		}
+		s.batchers[i] = tm.NewBatcher(rt.Thread(i), cfg.MergeWidth, be.ReplyWords())
 	}
 	return s
 }
@@ -205,20 +192,8 @@ func (s *Server) BatchStats() tm.BatchStats {
 		sum.Merged += st.Merged
 		sum.Fallbacks += st.Fallbacks
 		sum.Txns += st.Txns
-		sum.WidthGrows += st.WidthGrows
-		sum.WidthShrinks += st.WidthShrinks
 	}
 	return sum
-}
-
-// Widths returns each worker's current merge width, in worker order —
-// the final widths adaptive selection settled on when read after Stop.
-func (s *Server) Widths() []int {
-	out := make([]int, len(s.batchers))
-	for i, b := range s.batchers {
-		out[i] = b.Width()
-	}
-	return out
 }
 
 // ringCap is how many flushed batches a worker holds while their redo
@@ -290,7 +265,7 @@ func (r *replyRing) deliver(block bool) bool {
 func (s *Server) worker(i int) {
 	defer s.wg.Done()
 	b := s.batchers[i]
-	pending := make([]func(Reply), 0, b.MaxWidth())
+	pending := make([]func(Reply), 0, b.Width())
 	var ring replyRing
 
 	flush := func() {

@@ -8,11 +8,11 @@ import (
 )
 
 // Snapshot is the consolidated observability view of a Runtime: totals,
-// per-phase rows, adaptive selections and durability counters in one
-// struct. Take it after worker threads have joined.
+// per-phase rows and durability counters in one struct. Take it after
+// worker threads have joined.
 type Snapshot struct {
-	// Engine names the compiled barrier engine (with "+phases" /
-	// "+adaptive" markers when those features are on).
+	// Engine names the compiled barrier engine (with a "+phases" marker
+	// when phases are declared).
 	Engine string
 	// Stats sums every thread's counters across all phases.
 	Stats Stats
@@ -20,9 +20,6 @@ type Snapshot struct {
 	// declared phases follow in declaration order. Always at least one
 	// row.
 	Phases []PhaseStats
-	// Adaptive reports the current engine selection of every adaptively
-	// managed phase kind (empty without WithAdaptive).
-	Adaptive []AdaptiveSelection
 	// Durability carries the redo-log and checkpoint counters, nil when
 	// the runtime was opened without WithDurability.
 	Durability *DurabilityStats
@@ -56,7 +53,6 @@ func (rt *Runtime) Snapshot() Snapshot {
 		Engine:     rt.rt.Engine(),
 		Stats:      rt.rt.Stats(),
 		Phases:     rt.rt.PhaseStats(),
-		Adaptive:   rt.rt.AdaptiveSelections(),
 		Durability: rt.durabilityStats(),
 	}
 }
@@ -80,18 +76,9 @@ func (s *settings) conflicts() error {
 		}
 	}
 	check("", &s.cfg)
-	declared := make(map[string]bool, len(s.cfg.Phases))
 	for i := range s.cfg.Phases {
 		ph := &s.cfg.Phases[i]
-		declared[ph.Kind] = true
 		check(ph.Kind, &ph.Cfg)
-	}
-	if s.cfg.Adaptive.Enabled {
-		for _, k := range s.cfg.Adaptive.Kinds {
-			if declared[k] {
-				errs = append(errs, fmt.Errorf("tm: adaptive kind %q is shadowed by an explicit WithPhases declaration (manual hints stay ground truth)", k))
-			}
-		}
 	}
 	return errors.Join(errs...)
 }

@@ -25,14 +25,6 @@ func TestOpenErrConflicts(t *testing.T) {
 		{"conflict inside phase fragment", []tm.Option{
 			tm.WithPhases(tm.PhaseProfile(tm.PhaseScan, tm.WithReadMostly(), tm.WithCounting())),
 		}, `phase "scan"`},
-		{"adaptive kind shadowed by phases", []tm.Option{
-			tm.WithPhases(tm.PhaseProfile(tm.PhasePublish, tm.WithCompilerElision())),
-			tm.WithAdaptive(tm.AdaptiveConfig{}),
-		}, "shadowed"},
-		{"adaptive with disjoint phases", []tm.Option{
-			tm.WithPhases(tm.PhaseProfile("etl", tm.WithCompilerElision())),
-			tm.WithAdaptive(tm.AdaptiveConfig{Kinds: []string{tm.PhaseCursor}}),
-		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,9 +76,6 @@ func TestSnapshotConsolidatesGetters(t *testing.T) {
 	}
 	if snap.Durability != nil {
 		t.Errorf("Snapshot.Durability = %+v, want nil without WithDurability", snap.Durability)
-	}
-	if len(snap.Adaptive) != 0 {
-		t.Errorf("Snapshot.Adaptive = %+v, want empty without WithAdaptive", snap.Adaptive)
 	}
 }
 

@@ -137,20 +137,6 @@ func (rt *Runtime) Phases() []Phase { return rt.rt.PhaseKinds() }
 // compiled to, and the counters of every transaction run in the phase.
 type PhaseStats = stm.PhaseStats
 
-// AdaptiveSelection is the current engine choice for one adaptive
-// phase kind: the kind, the selected variant ("probe", "capture",
-// "skipshared", or "readmostly"), and the engine name it runs on.
-type AdaptiveSelection = stm.AdaptiveSelection
-
-// Adaptive variant labels, as reported by AdaptiveSelection.Variant
-// and PhaseStats.Variant.
-const (
-	VariantProbe      = stm.VariantProbe
-	VariantCapture    = stm.VariantCapture
-	VariantSkipShared = stm.VariantSkipShared
-	VariantReadMostly = stm.VariantReadMostly
-)
-
 // ResetStats zeroes every thread's counters (e.g. between an untimed
 // setup phase and the timed parallel phase). Not safe to call while
 // worker threads are running.
