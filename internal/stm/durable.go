@@ -49,9 +49,11 @@ import (
 // Commit durability: commitTop leaves its record's group-commit ack on
 // the Thread and waits for nothing. Thread.Atomic waits for that ack
 // before it returns, after ownership is released and limbo drained, so
-// the flush overlaps other threads' progress. Inside a Deferred scope
-// the ack goes to the scope's caller instead, which overlaps the flush
-// with its own next transactions as well. Aborts never wait.
+// the fsync overlaps other threads' progress. Inside a Deferred scope
+// the ack goes to the scope's caller instead, which overlaps the fsync
+// with its own next transactions as well. Under NoFsync the log acks a
+// record when it is appended — it is in the page cache then — so the
+// ack is already done and neither waits. Aborts never wait.
 
 // DurableWords counts the words redo records carry, by the source
 // emitDurable reads them from. Header words of allocation blocks count

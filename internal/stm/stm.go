@@ -462,7 +462,7 @@ func (th *Thread) Atomic(fn func(*Tx)) bool {
 // Deferred runs fn with the durability wait lifted from this thread's
 // top-level transactions: inside fn, Atomic returns at commit, before
 // the commit's redo record is durable. Deferred returns the ack that
-// covers all of them — the latest one's, since one flusher writes the
+// covers all of them — the latest one's, since one flusher syncs the
 // log in append order. A transaction that wrote no record (read-only,
 // or user-aborted) contributes the log's tail ack at its end, so a
 // result that only read another thread's commit is not revealed before

@@ -22,11 +22,16 @@ func SegName(idx uint64) string { return fmt.Sprintf("seg-%08d.wal", idx) }
 
 // Options tune the log. The zero value is usable.
 type Options struct {
-	// SegmentBytes rotates to a new segment file once the current one
-	// reaches this size. Default 8 MiB.
+	// SegmentBytes is the length each segment file is reserved at. The
+	// log rotates to a new segment when a record does not fit in the
+	// rest of the tail, and trims the finished one to the bytes it
+	// holds. A larger record gets a segment of its own size. Default
+	// 8 MiB.
 	SegmentBytes int
-	// NoFsync skips fsync after each batch write. Crash simulations run
-	// in-process, so tests use this to keep the differential fast; real
+	// NoFsync skips fsync: a record is durable once it is in the page
+	// cache, which it is when Append returns, so every ack is done at
+	// once. Crash simulations run in-process, where the page cache
+	// survives, so tests use this to keep the differential fast; real
 	// deployments leave it off.
 	NoFsync bool
 }
@@ -36,56 +41,51 @@ type Options struct {
 type LogStats struct {
 	Records  uint64 // records appended
 	Bytes    uint64 // payload+frame bytes appended
-	Batches  uint64 // flusher write batches
-	Fsyncs   uint64 // fsync calls issued
+	Batches  uint64 // flusher fsync batches (none under NoFsync)
+	Fsyncs   uint64 // fdatasync calls issued
 	Segments uint64 // segment files created
 }
 
-// chunk is one segment's share of a flush batch: bytes [from, upto) of
-// the segment, copied to scratch at off.
-type chunk struct {
-	seg  *segBuf
-	from int
-	upto int
-	off  int
+// segment is one log file, reserved at its full length when created.
+// Append writes each record to the file at the end of the last one.
+type segment struct {
+	idx  uint64
+	f    *os.File // closed once the segment is finished and durable
+	size int      // reserved length
+	used int      // bytes appended, header included
+	// changes counts the writes and the trim that an fsync must cover;
+	// an fsync batch takes syncing and, once done, sets synced to it.
+	changes, syncing, synced uint64
 }
 
-// segBuf is one segment: the full byte image (header included) plus how
-// much of it has reached the file.
-type segBuf struct {
-	idx     uint64
-	data    []byte
-	size    int // len(data) frozen once the buffer is released
-	flushed int
-	file    *os.File
-}
-
-// Log is a segmented append-only redo log with group commit. Append
-// serializes a record into the in-memory tail under a mutex; a
-// dedicated flusher goroutine batches everything that accumulated —
-// across all appending threads — into one write+fsync and then closes
-// that batch's done channel, acking every commit in the batch at once.
-// This amortizes the write barrier across threads the same way
-// tm.Batcher amortizes transactions.
+// Log is a segmented append-only redo log. Append serializes a record
+// under a mutex and writes it to the tail segment, so its bytes are in
+// the page cache when Append returns. Under NoFsync that is durable:
+// Append returns the zero (done) Ack and nothing else runs. With fsync
+// on, a dedicated flusher goroutine batches everything that
+// accumulated — across all appending threads — into one fdatasync per
+// touched file and closes that batch's done channel, acking every
+// commit in the batch at once, the way tm.Batcher amortizes
+// transactions.
 type Log struct {
 	dir  string
 	opts Options
+	seam seam
 
-	mu      sync.Mutex
-	segs    []*segBuf // oldest first; tail = segs[len-1]
-	spare   []byte    // buffer of the last released segment, for newSeg
-	nextSeq uint64
-	doneCh  chan struct{} // closed when the next batch is durable
-	queued  bool          // a record was appended since flushOnce last took the tail
-	writing chan struct{} // the done channel of the batch being written, nil when idle
-	err     error         // sticky I/O error
-	closed  bool
+	mu       sync.Mutex
+	segs     []*segment // segment files this log owns, oldest first; tail = segs[len-1]
+	buf      []byte     // the record being written, reused
+	nextSeq  uint64
+	doneCh   chan struct{} // closed when the next batch is durable
+	queued   bool          // a record was appended since flushOnce last took the batch
+	writing  chan struct{} // the done channel of the batch being synced, nil when idle
+	dirDirty bool          // a segment was named since the last batch
+	err      error         // sticky I/O error
+	closed   bool
 
 	wake        chan struct{}
 	quit        chan struct{}
 	flusherDone chan struct{}
-	scratch     []byte  // flushOnce's copy of the batch, reused
-	chunks      []chunk // flushOnce's batch description, reused
 
 	records  atomic.Uint64
 	bytes    atomic.Uint64
@@ -94,22 +94,34 @@ type Log struct {
 	segments atomic.Uint64
 }
 
+// seam is the log's unexported test seam, the first piece of a
+// fault-injecting file layer: it fails segment creation and holds the
+// flusher between taking a batch and syncing it.
+type seam struct {
+	// fault runs once a segment file is reserved, before the log names
+	// it its tail, and an error fails the creation. Rotation runs it
+	// under l.mu.
+	fault func(name string) error
+	hold  func() // runs in flushOnce after the batch is taken
+}
+
 // OpenLog creates (or reuses) dir and starts a log whose first segment
 // has index startSeg and whose first record gets sequence startSeq.
 // A fresh log starts at (0, 0); a recovered runtime passes the
 // RecoveredState's NextSeg/NextSeq so old and new segments never
-// collide.
+// collide. The first segment is created and reserved before OpenLog
+// returns, so a failure there is OpenLog's error.
 func OpenLog(dir string, startSeg, startSeq uint64, opts Options) (*Log, error) {
-	l, err := newLog(dir, startSeg, startSeq, opts)
+	l, err := newLog(dir, startSeg, startSeq, opts, seam{})
 	if err != nil {
 		return nil, err
 	}
-	go l.flusher()
+	l.startFlusher()
 	return l, nil
 }
 
 // newLog is OpenLog without the flusher goroutine.
-func newLog(dir string, startSeg, startSeq uint64, opts Options) (*Log, error) {
+func newLog(dir string, startSeg, startSeq uint64, opts Options, sm seam) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 8 << 20
 	}
@@ -119,37 +131,81 @@ func newLog(dir string, startSeg, startSeq uint64, opts Options) (*Log, error) {
 	l := &Log{
 		dir:         dir,
 		opts:        opts,
+		seam:        sm,
 		nextSeq:     startSeq,
 		doneCh:      make(chan struct{}),
 		wake:        make(chan struct{}, 1),
 		quit:        make(chan struct{}),
 		flusherDone: make(chan struct{}),
 	}
-	l.segs = append(l.segs, l.newSeg(startSeg))
+	if err := l.startSegment(startSeg, opts.SegmentBytes); err != nil {
+		return nil, err
+	}
 	return l, nil
 }
 
-// segSlack is the room a segment buffer has past SegmentBytes: rotation
-// happens after the append that crosses the limit, so the last record
-// overshoots it. A larger record still fits; append then grows the
-// buffer.
-const segSlack = 4 << 10
-
-// newSeg starts segment idx in a buffer sized for the whole segment, so
-// appends under the mutex never reallocate it: the one flushOnce
-// released at the last rotation if there is one, else a fresh one.
-// Callers hold l.mu (or own l exclusively).
-func (l *Log) newSeg(idx uint64) *segBuf {
-	data := l.spare
-	l.spare = nil
-	if data == nil {
-		data = make([]byte, 0, l.opts.SegmentBytes+segSlack)
+// startFlusher starts the goroutine that runs fsync batches. Under
+// NoFsync there are none, and no goroutine.
+func (l *Log) startFlusher() {
+	if l.opts.NoFsync {
+		close(l.flusherDone)
+		return
 	}
-	data = data[:segHdrLen]
-	copy(data, segMagic)
-	binary.LittleEndian.PutUint64(data[8:], idx)
+	go l.flusher()
+}
+
+// startSegment creates segment idx, reserved at size bytes, writes its
+// header and makes it the tail. On failure it leaves no file behind.
+// Callers hold l.mu (or own l exclusively).
+func (l *Log) startSegment(idx uint64, size int) error {
+	name := SegName(idx)
+	path := filepath.Join(l.dir, name)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	s := &segment{idx: idx, f: f, size: size}
+	err = reserve(f, size)
+	if err == nil && l.seam.fault != nil {
+		err = l.seam.fault(name)
+	}
+	if err == nil {
+		var hdr [segHdrLen]byte
+		copy(hdr[:], segMagic)
+		binary.LittleEndian.PutUint64(hdr[8:], idx)
+		err = s.write(hdr[:])
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return err
+	}
+	l.segs = append(l.segs, s)
 	l.segments.Add(1)
-	return &segBuf{idx: idx, data: data}
+	l.dirDirty = true
+	return nil
+}
+
+// write puts b in s after its last write.
+func (s *segment) write(b []byte) error {
+	if _, err := s.f.WriteAt(b, int64(s.used)); err != nil {
+		return err
+	}
+	s.used += len(b)
+	s.changes++
+	return nil
+}
+
+// durable reports whether every write to s, and its trim, is durable.
+// Callers hold l.mu.
+func (l *Log) durable(s *segment) bool { return l.opts.NoFsync || s.synced == s.changes }
+
+// closeFile closes s's file, once. Callers hold l.mu.
+func (s *segment) closeFile() {
+	if s.f != nil {
+		s.f.Close()
+		s.f = nil
+	}
 }
 
 // Ack is a handle on the durability of one appended record.
@@ -158,9 +214,9 @@ type Ack struct {
 	ch chan struct{}
 }
 
-// Wait blocks until the record's batch has been written (and fsynced,
-// unless NoFsync) and returns the log's sticky error state. The zero
-// Ack returns nil at once.
+// Wait blocks until the record's batch has been fsynced and returns the
+// log's sticky error state. The zero Ack — what Append returns under
+// NoFsync — returns nil at once.
 func (a Ack) Wait() error {
 	if a.ch == nil {
 		return nil
@@ -185,13 +241,18 @@ func (a Ack) Done() bool {
 	}
 }
 
-// Append assigns rec the next sequence number, serializes it into the
-// tail segment, and wakes the flusher. The returned Ack waits for the
-// batch containing this record; callers that don't need the barrier
-// (aborts, non-transactional journal entries) ignore it.
+// Append assigns rec the next sequence number, serializes it and
+// writes it to the tail segment, rotating first if it does not fit; its
+// bytes are in the page cache when Append returns. Under NoFsync the
+// returned Ack is the zero one, already done; otherwise it waits for
+// the fsync batch containing this record, and callers that don't need
+// the barrier (aborts, non-transactional journal entries) ignore it.
+// An error is sticky: this and every later Append, Sync and Close
+// return it.
 func (l *Log) Append(rec *Record) (Ack, error) {
+	n := recordLen(rec)
 	l.mu.Lock()
-	if l.closed {
+	if l.err != nil || l.closed {
 		err := l.err
 		l.mu.Unlock()
 		if err == nil {
@@ -199,18 +260,31 @@ func (l *Log) Append(rec *Record) (Ack, error) {
 		}
 		return Ack{}, err
 	}
-	rec.Seq = l.nextSeq
-	l.nextSeq++
 	tail := l.segs[len(l.segs)-1]
-	before := len(tail.data)
-	tail.data = AppendRecord(tail.data, rec)
+	if tail.used+n > tail.size {
+		if err := l.rotate(n); err != nil {
+			l.mu.Unlock()
+			return Ack{}, err
+		}
+		tail = l.segs[len(l.segs)-1]
+	}
+	rec.Seq = l.nextSeq
+	if cap(l.buf) < n {
+		l.buf = make([]byte, n)
+	}
+	b := l.buf[:n]
+	putRecord(b, rec)
+	if err := tail.write(b); err != nil {
+		l.err = err
+		l.mu.Unlock()
+		return Ack{}, err
+	}
+	l.nextSeq++
 	l.records.Add(1)
-	l.bytes.Add(uint64(len(tail.data) - before))
-	// Rotate at append time so Position() values stay stable: a
-	// (segment, offset) pair captured now is never shifted by a later
-	// rotation.
-	if len(tail.data) >= l.opts.SegmentBytes {
-		l.segs = append(l.segs, l.newSeg(tail.idx+1))
+	l.bytes.Add(uint64(n))
+	if l.opts.NoFsync {
+		l.mu.Unlock()
+		return Ack{}, nil
 	}
 	l.queued = true
 	ack := Ack{l: l, ch: l.doneCh}
@@ -219,11 +293,32 @@ func (l *Log) Append(rec *Record) (Ack, error) {
 	return ack, nil
 }
 
-// TailAck returns the ack of the pending flush — the one after which
-// every record appended so far is durable — or the zero Ack when every
-// record has been written. One flusher writes batches in append order,
-// so an ack also covers every earlier record: a reader that saw a
-// commit it did not log itself waits on TailAck before revealing it.
+// rotate trims the tail to its used length and starts the next segment
+// with room for an n-byte record. The trim comes before the successor
+// has a name, so only the final segment can end in reserved zero
+// bytes. A failure is the log's sticky error. Callers hold l.mu.
+func (l *Log) rotate(n int) error {
+	tail := l.segs[len(l.segs)-1]
+	err := tail.f.Truncate(int64(tail.used))
+	if err == nil {
+		tail.changes++ // the trim: the next fsync batch covers it
+		if l.durable(tail) {
+			tail.closeFile()
+		}
+		err = l.startSegment(tail.idx+1, max(l.opts.SegmentBytes, segHdrLen+n))
+	}
+	if err != nil {
+		l.err = err
+	}
+	return err
+}
+
+// TailAck returns the ack of the pending fsync batch — the one after
+// which every record appended so far is durable — or the zero Ack when
+// every record is: always under NoFsync. One flusher syncs batches in
+// append order, so an ack also covers every earlier record: a reader
+// that saw a commit it did not log itself waits on TailAck before
+// revealing it.
 func (l *Log) TailAck() Ack {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -243,32 +338,36 @@ func (l *Log) wakeFlusher() {
 	}
 }
 
-// Sync blocks until everything appended so far is durable.
+// Sync blocks until everything appended so far is durable, and returns
+// the sticky error. Under NoFsync it returns at once.
 func (l *Log) Sync() error {
-	l.mu.Lock()
-	if l.err != nil {
+	for {
+		l.mu.Lock()
 		err := l.err
+		if err != nil || l.closed || !l.pending() {
+			l.mu.Unlock()
+			return err
+		}
+		ch := l.doneCh
 		l.mu.Unlock()
-		return err
+		l.wakeFlusher()
+		// One batch may not cover everything appended after our
+		// snapshot of doneCh; loop until clean.
+		<-ch
 	}
-	pending := false
+}
+
+// pending reports whether an fsync batch has work. Callers hold l.mu.
+func (l *Log) pending() bool {
+	if l.opts.NoFsync {
+		return false
+	}
 	for _, s := range l.segs {
-		if s.flushed < len(s.data) {
-			pending = true
-			break
+		if s.synced < s.changes {
+			return true
 		}
 	}
-	if !pending || l.closed {
-		l.mu.Unlock()
-		return nil
-	}
-	ch := l.doneCh
-	l.mu.Unlock()
-	l.wakeFlusher()
-	<-ch
-	// One batch may not have drained everything appended after our
-	// snapshot of doneCh; loop until clean.
-	return l.Sync()
+	return l.dirDirty
 }
 
 // Position returns the current append position: the tail segment index
@@ -277,32 +376,30 @@ func (l *Log) Sync() error {
 func (l *Log) Position() (seg, off uint64) {
 	l.mu.Lock()
 	tail := l.segs[len(l.segs)-1]
-	seg, off = tail.idx, uint64(len(tail.data))
+	seg, off = tail.idx, uint64(tail.used)
 	l.mu.Unlock()
 	return seg, off
 }
 
-// TruncateBefore deletes segment files wholly below seg. Only fully
-// flushed, non-tail segments are removed; the checkpointer calls Sync
-// first so everything below its cut qualifies.
+// TruncateBefore deletes segment files wholly below seg. Only durable,
+// non-tail segments are removed; the checkpointer calls Sync first so
+// everything below its cut qualifies.
 func (l *Log) TruncateBefore(seg uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var firstErr error
 	kept := l.segs[:0]
 	for i, s := range l.segs {
-		if s.idx >= seg || i == len(l.segs)-1 || s.flushed < len(s.data) {
+		if s.idx >= seg || i == len(l.segs)-1 || !l.durable(s) {
 			kept = append(kept, s)
 			continue
 		}
-		if s.file != nil {
-			s.file.Close()
-			s.file = nil
-		}
+		s.closeFile() // a file must be closed to be removed on some platforms
 		if err := os.Remove(filepath.Join(l.dir, SegName(s.idx))); err != nil && !os.IsNotExist(err) && firstErr == nil {
 			firstErr = err
 		}
 	}
+	clear(l.segs[len(kept):])
 	l.segs = kept
 	return firstErr
 }
@@ -318,10 +415,22 @@ func (l *Log) Stats() LogStats {
 	}
 }
 
-// Close flushes everything pending and closes the segment files. It is
-// idempotent. Close writes no seal record; the runtime layer appends
-// one (and waits for its ack) before calling Close.
-func (l *Log) Close() error {
+// Close syncs everything pending, trims the tail to its used length,
+// and closes every file. It is idempotent and returns the sticky error.
+// Close writes no seal record; the runtime layer appends one (and waits
+// for its ack) before calling Close.
+func (l *Log) Close() error { return l.stop(true) }
+
+// Kill simulates a crash for tests: the log refuses further appends and
+// closes its files, but writes no seal and trims nothing — the tail
+// keeps its reserved, zero-filled length, as after a killed process.
+// Every appended record survives (an in-process "crash" cannot lose
+// the page cache); acked records are durable at ack time regardless,
+// and "all of them survived" is one of the legal crash outcomes for the
+// rest.
+func (l *Log) Kill() { l.stop(false) }
+
+func (l *Log) stop(clean bool) error {
 	l.mu.Lock()
 	if l.closed {
 		err := l.err
@@ -333,102 +442,77 @@ func (l *Log) Close() error {
 	close(l.quit)
 	<-l.flusherDone
 	l.mu.Lock()
-	err := l.err
-	l.mu.Unlock()
-	return err
+	defer l.mu.Unlock()
+	if tail := l.segs[len(l.segs)-1]; clean && l.err == nil {
+		err := tail.f.Truncate(int64(tail.used))
+		if err == nil && !l.opts.NoFsync {
+			err = datasync(tail.f)
+		}
+		l.err = err
+	}
+	for _, s := range l.segs {
+		s.closeFile()
+	}
+	close(l.doneCh) // release late Sync/Ack waiters; appends are rejected
+	return l.err
 }
 
-// Kill simulates a crash for tests: pending bytes are flushed (an
-// in-process "crash" cannot lose the page cache) and files are closed,
-// but no seal is written and the log refuses further appends. Acked
-// records are durable at ack time regardless; Kill only decides the
-// fate of unacked tail records, and "all of them survived" is one of
-// the legal crash outcomes.
-func (l *Log) Kill() { l.Close() }
-
+// flusher runs fsync batches until the log stops.
 func (l *Log) flusher() {
 	defer close(l.flusherDone)
 	for {
 		select {
 		case <-l.quit:
 			l.flushOnce()
-			l.mu.Lock()
-			close(l.doneCh) // release late Sync/Ack waiters; appends are rejected
-			for _, s := range l.segs {
-				if s.file != nil {
-					s.file.Close()
-					s.file = nil
-				}
-			}
-			l.mu.Unlock()
 			return
 		case <-l.wake:
+			l.flushOnce()
 		}
-		l.flushOnce()
 	}
 }
 
-// flushOnce writes every byte appended since the last flush — across
-// all segments — fsyncs the touched files, and closes the batch's done
-// channel. Bytes are copied out under the mutex because appenders may
-// grow (and reallocate) a segment's buffer while the write is in
-// flight.
+// flushOnce fdatasyncs every segment written or trimmed since the last
+// batch, and the directory if a segment was named, closes the batch's
+// done channel, and closes the files of finished segments it made
+// durable. The bytes are in the page cache already: nothing is copied.
 func (l *Log) flushOnce() {
-	// Even a batch with no unflushed bytes swaps and closes the done
-	// channel: Sync may be waiting on it after a spurious wake (the
-	// segment header counts as pending until its first flush).
+	// Even a batch with nothing to sync swaps and closes the done
+	// channel: Sync may be waiting on it after a spurious wake.
+	var buf [4]*segment
+	todo := buf[:0]
 	l.mu.Lock()
-	chunks := l.chunks[:0]
-	need := 0
 	for _, s := range l.segs {
-		if s.flushed < len(s.data) {
-			need += len(s.data) - s.flushed
+		if s.synced < s.changes {
+			s.syncing = s.changes
+			todo = append(todo, s)
 		}
 	}
-	if cap(l.scratch) < need {
-		l.scratch = make([]byte, need)
-	}
-	buf := l.scratch[:0]
-	for _, s := range l.segs {
-		if s.flushed >= len(s.data) {
-			continue
-		}
-		upto := len(s.data)
-		chunks = append(chunks, chunk{seg: s, from: s.flushed, upto: upto, off: len(buf)})
-		buf = append(buf, s.data[s.flushed:upto]...)
-	}
-	l.chunks = chunks
+	dir := l.dirDirty
+	l.dirDirty = false
 	done := l.doneCh
 	l.doneCh = make(chan struct{})
 	l.queued = false
-	if len(chunks) > 0 {
-		// An empty flush (a second wake for bytes an earlier batch
-		// took) leaves TailAck zero: nothing appended is unwritten.
+	if len(todo) > 0 || dir {
+		// An empty batch (a second wake for changes an earlier batch
+		// took) leaves TailAck zero: nothing appended is unsynced.
 		l.writing = done
 	}
 	l.mu.Unlock()
+	if l.seam.hold != nil {
+		l.seam.hold()
+	}
 
+	// A segment in todo is not durable, so nothing closes its file
+	// while the batch runs.
 	var ioErr error
-	for _, c := range chunks {
-		if c.seg.file == nil {
-			f, err := os.OpenFile(filepath.Join(l.dir, SegName(c.seg.idx)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				ioErr = err
-				break
-			}
-			c.seg.file = f
-		}
-		if _, err := c.seg.file.Write(buf[c.off : c.off+(c.upto-c.from)]); err != nil {
-			ioErr = err
+	for _, s := range todo {
+		if ioErr = datasync(s.f); ioErr != nil {
 			break
 		}
-		if !l.opts.NoFsync {
-			if err := c.seg.file.Sync(); err != nil {
-				ioErr = err
-				break
-			}
-			l.fsyncs.Add(1)
-		}
+		l.fsyncs.Add(1)
+	}
+	if ioErr == nil && dir {
+		ioErr = syncDir(l.dir)
 	}
 	l.batches.Add(1)
 
@@ -439,19 +523,13 @@ func (l *Log) flushOnce() {
 			l.err = ioErr
 		}
 	} else {
-		tail := l.segs[len(l.segs)-1]
-		for _, c := range chunks {
-			c.seg.flushed = c.upto
-			// A fully flushed non-tail segment is immutable: release its
-			// buffer and file handle.
-			if c.seg != tail && c.seg.flushed == len(c.seg.data) {
-				c.seg.size = len(c.seg.data)
-				l.spare, c.seg.data = c.seg.data, nil
-				if c.seg.file != nil {
-					c.seg.file.Close()
-					c.seg.file = nil
-				}
-			}
+		for _, s := range todo {
+			s.synced = s.syncing
+		}
+	}
+	for _, s := range l.segs[:len(l.segs)-1] {
+		if l.durable(s) {
+			s.closeFile()
 		}
 	}
 	l.mu.Unlock()

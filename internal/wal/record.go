@@ -1,6 +1,8 @@
 // Package wal is the durability tier of the runtime: a segmented
 // append-only redo log with group commit, content-addressed checkpoint
-// packs, and recovery (last checkpoint + redo tail replay).
+// packs, and recovery (last checkpoint + redo tail replay). A record's
+// bytes are in the page cache when Log.Append returns; with fsync on,
+// its ack completes after the flusher's fdatasync.
 //
 // The package speaks raw words and addresses (uint64), not STM types:
 // the stm layer serializes each committed transaction's write log into
@@ -11,6 +13,8 @@
 //
 //	record.go     the redo-record codec (framing, CRC, torn-tail)
 //	log.go        segmented append-only log + group-commit flusher
+//	seg_linux.go  the platform pair: reserve a segment file, sync it
+//	seg_other.go  and its directory
 //	checkpoint.go content-addressed snapshot packs + manifests
 //	recover.go    checkpoint load + redo-tail replay
 package wal
@@ -129,15 +133,26 @@ var ErrCorrupt = errors.New("wal: corrupt record payload")
 // AppendRecord serializes r onto dst and returns the extended slice. It
 // allocates only if dst lacks the capacity.
 func AppendRecord(dst []byte, r *Record) []byte {
-	plen := payloadFixed
-	for i := range r.Spans {
-		plen += spanHdrLen + 8*len(r.Spans[i].Vals)
-	}
-	base, n := len(dst), frameHdrLen+plen
+	base, n := len(dst), recordLen(r)
 	dst = slices.Grow(dst, n)[:base+n]
-	b := dst[base:] // not cleared: every byte is written below
+	putRecord(dst[base:], r)
+	return dst
+}
+
+// recordLen is the framed length of r.
+func recordLen(r *Record) int {
+	n := frameHdrLen + payloadFixed
+	for i := range r.Spans {
+		n += spanHdrLen + 8*len(r.Spans[i].Vals)
+	}
+	return n
+}
+
+// putRecord serializes r into b, which is exactly recordLen(r) bytes.
+// It writes every byte of b, so b need not be cleared.
+func putRecord(b []byte, r *Record) {
 	binary.LittleEndian.PutUint32(b[0:], recordMagic)
-	binary.LittleEndian.PutUint32(b[4:], uint32(plen))
+	binary.LittleEndian.PutUint32(b[4:], uint32(len(b)-frameHdrLen))
 	p := b[frameHdrLen:]
 	p[0] = byte(r.Kind)
 	binary.LittleEndian.PutUint64(p[1:], r.Seq)
@@ -157,7 +172,6 @@ func AppendRecord(dst []byte, r *Record) []byte {
 		}
 	}
 	binary.LittleEndian.PutUint32(b[8:], crc32.ChecksumIEEE(p))
-	return dst
 }
 
 // DecodeRecord parses one record from the front of b into r (reusing

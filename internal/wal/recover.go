@@ -39,7 +39,8 @@ type RecoveredState struct {
 	NextSeg, NextSeq uint64
 	// CheckpointSeq is the manifest the recovery started from; Records
 	// counts redo records replayed on top of it. Truncated reports that
-	// a torn final record was cut off the last segment.
+	// a torn final record was cut off the last segment; the zero-filled
+	// rest of its reservation is trimmed without it.
 	CheckpointSeq, Records uint64
 	Truncated              bool
 }
@@ -218,9 +219,8 @@ func (st *RecoveredState) replayTail(dir string, m *Manifest, words []uint64) er
 		}
 	}
 	sort.Slice(segIdxs, func(i, j int) bool { return segIdxs[i] < segIdxs[j] })
-	// Segment files are created lazily by the flusher, so the cut
-	// segment may legitimately not exist (nothing after the cut was ever
-	// flushed) — but a gap in the middle of the tail is corruption.
+	// The cut segment may not exist (a cut past every segment), but a
+	// gap in the middle of the tail is corruption.
 	for i, idx := range segIdxs {
 		if want := segIdxs[0] + uint64(i); idx != want {
 			return fmt.Errorf("wal: segment gap: have %d, want %d", idx, want)
@@ -240,8 +240,8 @@ func (st *RecoveredState) replayTail(dir string, m *Manifest, words []uint64) er
 		}
 		if len(b) < segHdrLen || string(b[:8]) != segMagic {
 			if last {
-				// Torn header: the flusher crashed before the segment's
-				// first batch completed. Nothing in it was acked.
+				// Torn header: the segment was created but its header
+				// never reached the file. Nothing in it was acked.
 				if err := os.Remove(path); err != nil {
 					return err
 				}
@@ -270,7 +270,9 @@ func (st *RecoveredState) replayTail(dir string, m *Manifest, words []uint64) er
 					if err := os.Truncate(path, int64(off)); err != nil {
 						return err
 					}
-					st.Truncated = true
+					// Zeros to the end are the unused rest of the
+					// segment's reservation, not a torn record.
+					st.Truncated = !allZero(b[off:])
 					break
 				}
 				return fmt.Errorf("wal: segment %d offset %d: %w", idx, off, err)
@@ -281,6 +283,19 @@ func (st *RecoveredState) replayTail(dir string, m *Manifest, words []uint64) er
 		st.NextSeg = idx + 1
 	}
 	return nil
+}
+
+// allZero reports whether every byte of b is zero.
+func allZero(b []byte) bool {
+	var zero [4096]byte
+	for len(b) > 0 {
+		n := min(len(b), len(zero))
+		if !bytes.Equal(b[:n], zero[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
 }
 
 // RemoveSegmentsBelow deletes every segment file with index < seg.

@@ -12,16 +12,17 @@ import (
 // Durability tier. WithDurability(dir) attaches a segmented redo log
 // with group commit and a content-addressed checkpoint store to the
 // runtime: every committed transaction's effects are serialized into
-// the log, and Atomic returns once they are durable (batched across
-// threads, acked after fsync) — except inside Batcher.Flush and the
-// stm-level Thread.Deferred scope, which hand the ack to their caller —
-// and Checkpoint streams the allocated extent of the live space into
-// deduplicated, SHA-256-addressed pack chunks (time proportional
-// to memory in use, one chunk of extra space). Recover(dir) rebuilds a
-// runtime — in place, verifying every chunk against its score — from
-// the newest checkpoint plus the redo tail — bit-identical
-// (mem.Space.Checksum) to the crashed instance at its last enqueued
-// record.
+// the log, and Atomic returns once they are durable — batched across
+// threads and acked after fdatasync, or, under DurNoFsync, at once: the
+// record is in the page cache when it is appended. Inside
+// Batcher.Flush and the stm-level Thread.Deferred scope the ack goes to
+// the caller instead. Checkpoint streams the allocated extent of the
+// live space into deduplicated, SHA-256-addressed pack chunks (time
+// proportional to memory in use, one chunk of extra space).
+// Recover(dir) rebuilds a runtime — in place, verifying every chunk
+// against its score — from the newest checkpoint plus the redo tail —
+// bit-identical (mem.Space.Checksum) to the crashed instance at its
+// last enqueued record.
 //
 // Recovery contract:
 //
@@ -48,14 +49,17 @@ type durSettings struct {
 // DurOption tunes WithDurability.
 type DurOption func(*durSettings)
 
-// DurNoFsync skips fsync on log batches and is intended for tests: the
-// crash-replay differential simulates crashes in-process, where the
-// page cache survives.
+// DurNoFsync skips fsync and is intended for tests: a commit is
+// durable once its record is in the page cache, which it is when the
+// record is appended, so no commit waits. The crash-replay
+// differential simulates crashes in-process, where the page cache
+// survives.
 func DurNoFsync() DurOption {
 	return func(ds *durSettings) { ds.noFsync = true }
 }
 
-// DurSegmentBytes sets the log segment rotation size (default 8 MiB).
+// DurSegmentBytes sets the size log segment files are reserved at and
+// rotated by (default 8 MiB).
 func DurSegmentBytes(n int) DurOption {
 	return func(ds *durSettings) { ds.segBytes = n }
 }
@@ -253,8 +257,9 @@ func (rt *Runtime) Close() error {
 }
 
 // Crash simulates a process kill for recovery tests: the log stops
-// without a seal record and the runtime must not be used afterwards.
-// Records already enqueued remain readable (an in-process crash cannot
+// without a seal record, its last segment keeps its reserved,
+// zero-filled length, and the runtime must not be used afterwards.
+// Records already appended remain readable (an in-process crash cannot
 // lose the page cache); acked commits were durable regardless.
 func (rt *Runtime) Crash() {
 	d := rt.dur

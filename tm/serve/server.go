@@ -197,9 +197,12 @@ func (s *Server) BatchStats() tm.BatchStats {
 }
 
 // ringCap is how many flushed batches a worker holds while their redo
-// records are written. Batches flushed during one log write share its
-// successor's ack, so the ring fills up with them. On kv-serve-durable
-// (one worker, merge width 8, 64 requests outstanding; 2-vCPU Xeon) the
+// records are fsynced. Batches flushed during one fsync share its
+// successor's ack, so the ring fills up with them. Without fsync
+// (DurNoFsync) every ack is done when its batch is pushed and the ring
+// never holds more than that one batch. Sized when every ack still
+// waited for the flusher to write() its record: on kv-serve-durable (one
+// worker, merge width 8, 64 requests outstanding; 2-vCPU Xeon) the
 // worker found the ring full at 2.8 % of its flushes with 8 slots,
 // 13.5 % with 4 and 0.3–0.6 % with 16, and single runs resolved no
 // throughput difference between 8 and 16.
@@ -215,7 +218,7 @@ type heldBatch struct {
 
 // replyRing holds a worker's flushed batches in commit order until
 // they are durable, so the worker executes the next batch while the
-// log flusher writes the last.
+// log flusher syncs the last.
 type replyRing struct {
 	slots      [ringCap]heldBatch
 	head, size int

@@ -29,8 +29,8 @@ type Snapshot struct {
 type DurabilityStats struct {
 	Records  uint64 // redo records appended
 	LogBytes uint64 // log bytes appended
-	Batches  uint64 // group-commit write batches
-	Fsyncs   uint64 // fsync calls on log segments
+	Batches  uint64 // group-commit fsync batches (none under DurNoFsync)
+	Fsyncs   uint64 // fdatasync calls on log segments
 	Segments uint64 // log segment files created
 
 	// The words records carry, by source, counted once per record.

@@ -79,41 +79,53 @@ func TestSnapshotConsolidatesGetters(t *testing.T) {
 	}
 }
 
+// TestSnapshotDurabilityBlock checks the durability counters with fsync
+// and under DurNoFsync, where commits are durable in the page cache and
+// the log runs no fsync batches.
 func TestSnapshotDurabilityBlock(t *testing.T) {
-	dir := t.TempDir()
-	rt := tm.Open(smallMem(),
-		tm.WithDurability(dir, tm.DurNoFsync()))
-	g := rt.AllocGlobal(1)
-	th := rt.Thread(0)
-	for i := 0; i < 5; i++ {
-		th.Atomic(func(tx *tm.Tx) { g.Word(0).Store(tx, uint64(i)) })
-	}
-	if err := rt.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	snap := rt.Snapshot()
-	d := snap.Durability
-	if d == nil {
-		t.Fatal("Snapshot.Durability is nil on a durable runtime")
-	}
-	if d.Records < 5 {
-		t.Errorf("Durability.Records = %d, want >= 5", d.Records)
-	}
-	// Open writes the initial checkpoint, plus our explicit one.
-	if d.Checkpoints < 2 {
-		t.Errorf("Durability.Checkpoints = %d, want >= 2", d.Checkpoints)
-	}
-	if d.LogBytes == 0 || d.Batches == 0 {
-		t.Errorf("Durability log counters zero: %+v", d)
-	}
-	if !rt.Durable() {
-		t.Error("Durable() = false before Close")
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if rt.Durable() {
-		t.Error("Durable() = true after Close")
+	for _, noFsync := range []bool{false, true} {
+		name, tune := "fsync", tm.DurOption(nil)
+		if noFsync {
+			name, tune = "nofsync", tm.DurNoFsync()
+		}
+		t.Run(name, func(t *testing.T) {
+			rt := tm.Open(smallMem(), tm.WithDurability(t.TempDir(), tune))
+			g := rt.AllocGlobal(1)
+			th := rt.Thread(0)
+			for i := 0; i < 5; i++ {
+				th.Atomic(func(tx *tm.Tx) { g.Word(0).Store(tx, uint64(i)) })
+			}
+			if err := rt.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			snap := rt.Snapshot()
+			d := snap.Durability
+			if d == nil {
+				t.Fatal("Snapshot.Durability is nil on a durable runtime")
+			}
+			if d.Records < 5 {
+				t.Errorf("Durability.Records = %d, want >= 5", d.Records)
+			}
+			// Open writes the initial checkpoint, plus our explicit one.
+			if d.Checkpoints < 2 {
+				t.Errorf("Durability.Checkpoints = %d, want >= 2", d.Checkpoints)
+			}
+			if d.LogBytes == 0 || d.Segments == 0 {
+				t.Errorf("Durability log counters zero: %+v", d)
+			}
+			if batched := d.Batches > 0 && d.Fsyncs > 0; batched == noFsync {
+				t.Errorf("Durability.Batches = %d, Fsyncs = %d with noFsync %v", d.Batches, d.Fsyncs, noFsync)
+			}
+			if !rt.Durable() {
+				t.Error("Durable() = false before Close")
+			}
+			if err := rt.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if rt.Durable() {
+				t.Error("Durable() = true after Close")
+			}
+		})
 	}
 }
 
