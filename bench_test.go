@@ -698,48 +698,6 @@ func BenchmarkCaptureProbeScattered(b *testing.B) {
 
 // --- Ablations (engine design choices) ---
 
-// BenchmarkAblationArrayCap sweeps the range-array capacity: the paper
-// observes one cache line (4 ranges) captures almost the full
-// potential; the elided/barrier metric shows where capacity starts to
-// matter (yada exceeds it).
-func BenchmarkAblationArrayCap(b *testing.B) {
-	for _, capN := range []int{1, 2, 4, 8, 16} {
-		p := tm.RuntimeAll(tm.LogArray).
-			With(tm.WithArrayCap(capN)).
-			Named(fmt.Sprintf("array-cap%d", capN))
-		b.Run(fmt.Sprintf("yada/cap%d", capN), func(b *testing.B) {
-			runBench(b, "yada", p, 1)
-		})
-	}
-}
-
-// BenchmarkAblationFilterSize sweeps the hash-filter size: smaller
-// filters collide more, producing false negatives (lower elision).
-func BenchmarkAblationFilterSize(b *testing.B) {
-	for _, bits := range []int{4, 6, 8, 10, 12} {
-		p := tm.RuntimeAll(tm.LogFilter).
-			With(tm.WithFilterBits(bits)).
-			Named(fmt.Sprintf("filter-%dbits", bits))
-		b.Run(fmt.Sprintf("vacation-high/bits%d", bits), func(b *testing.B) {
-			runBench(b, "vacation-high", p, 1)
-		})
-	}
-}
-
-// BenchmarkAblationOrecs shrinks the ownership-record table to expose
-// false conflicts (Sec. 2.2's motivation): the aborts/commit metric
-// rises as distinct lines alias.
-func BenchmarkAblationOrecs(b *testing.B) {
-	for _, bits := range []int{8, 12, 16, 20} {
-		p := tm.Baseline().
-			With(tm.WithOrecBits(bits)).
-			Named(fmt.Sprintf("orecs-%dbits", bits))
-		b.Run(fmt.Sprintf("vacation-high/orecs%d", bits), func(b *testing.B) {
-			runBench(b, "vacation-high", p, 8)
-		})
-	}
-}
-
 // BenchmarkAblationSkipShared measures the paper's future-work
 // extension: on the no-elision benchmark (kmeans), bypassing runtime
 // capture checks for definitely-shared accesses recovers most of the

@@ -7,15 +7,12 @@ import (
 )
 
 // durTune is the test-speed durability tuning: fsync elided (the crash
-// is simulated in-process, where the page cache survives), small
-// checkpoint chunks so dedup paths run, and small segments so rotation
-// and segment GC run.
+// is simulated in-process, where the page cache survives). Segments and
+// checkpoint chunks keep their default sizes, at which many durable
+// grid cells still rotate segments and dedupe chunks; internal/wal's
+// tests cover both at small sizes.
 func durTune() []tm.DurOption {
-	return []tm.DurOption{
-		tm.DurNoFsync(),
-		tm.DurChunkWords(512),
-		tm.DurSegmentBytes(1 << 20),
-	}
+	return []tm.DurOption{tm.DurNoFsync()}
 }
 
 // TestDurabilityRestartContinues closes a durable runtime cleanly,

@@ -14,6 +14,7 @@ import (
 	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/tm"
@@ -100,8 +101,9 @@ var (
 
 // gridCell is one configuration a workload runs under. A durable cell
 // logs to a scratch directory, is killed after the run and recovered
-// from disk; a contended one also runs a background checkpointer, so
-// fuzzy checkpoints race live transactions.
+// from disk; a contended one also checkpoints in a loop on a goroutine
+// of its own while the workload runs, so fuzzy checkpoints race live
+// transactions.
 type gridCell struct {
 	p       tm.Profile
 	threads int
@@ -209,11 +211,7 @@ func runCell(bench string, c gridCell) (uint64, error) {
 			return 0, err
 		}
 		defer os.RemoveAll(dir)
-		tune := durTune()
-		if c.threads > 1 {
-			tune = append(tune, tm.DurAutoCheckpoint(1<<15))
-		}
-		opts = append(opts, tm.WithDurability(dir, tune...))
+		opts = append(opts, tm.WithDurability(dir, durTune()...))
 	}
 	rt := tm.Open(opts...)
 	w.Setup(rt)
@@ -223,7 +221,15 @@ func runCell(bench string, c gridCell) (uint64, error) {
 	if err := rt.Checkpoint(); err != nil {
 		return 0, fmt.Errorf("checkpoint after setup: %w", err)
 	}
-	w.Run(rt, c.threads)
+	if c.durable && c.threads > 1 {
+		err = runCheckpointing(rt, func() { w.Run(rt, c.threads) })
+	} else {
+		w.Run(rt, c.threads)
+	}
+	if err != nil {
+		rt.Close()
+		return 0, err
+	}
 	if err := w.Validate(rt); err != nil {
 		rt.Close()
 		return 0, err
@@ -250,6 +256,36 @@ func runCell(bench string, c gridCell) (uint64, error) {
 		return 0, fmt.Errorf("closing runtime: %w", err)
 	}
 	return sum, nil
+}
+
+// runCheckpointing calls run while another goroutine checkpoints rt
+// in a loop, and fails unless a checkpoint completed while run was
+// live.
+func runCheckpointing(rt *tm.Runtime, run func()) error {
+	var stop atomic.Bool
+	done := make(chan error, 1)
+	during := 0 // checkpoints that completed before run returned; read after done
+	go func() {
+		for !stop.Load() {
+			if err := rt.Checkpoint(); err != nil {
+				done <- fmt.Errorf("concurrent checkpoint: %w", err)
+				return
+			}
+			if !stop.Load() {
+				during++
+			}
+		}
+		done <- nil
+	}()
+	run()
+	stop.Store(true)
+	if err := <-done; err != nil {
+		return err
+	}
+	if during == 0 {
+		return fmt.Errorf("no checkpoint completed while the workload ran")
+	}
+	return nil
 }
 
 // view runs one subtest per workload over the extent of the given
@@ -382,8 +418,9 @@ func TestDurabilityCrashReplayDifferential(t *testing.T) { view(t, AllWorkloads(
 
 // TestDurabilityCrashReplayParallel repeats the crash-replay check
 // contended, with fuzzy checkpoints racing live transactions. The
-// only (and sufficient) assertion is the one inside the cell: recovery
-// reproduces the crashed instance exactly.
+// assertions are the ones inside the cell: a checkpoint completed
+// while the workload ran, and recovery reproduces the crashed instance
+// exactly.
 func TestDurabilityCrashReplayParallel(t *testing.T) {
 	view(t, []string{"ssca2", "tmkv", "tmmsg"}, axParDurable)
 }

@@ -111,12 +111,9 @@ type OptConfig struct {
 	Write BarrierOpt
 
 	// LogKind picks the allocation-log implementation used by runtime
-	// capture analysis (tree, array, filter).
+	// capture analysis (tree, array, filter), each at capture.New's
+	// size: one cache line of ranges, a 1<<10-slot filter.
 	LogKind capture.Kind
-	// ArrayCap overrides the range-array capacity (0 = default).
-	ArrayCap int
-	// FilterBits overrides the filter size (0 = default).
-	FilterBits int
 
 	// Compiler enables static elision: accesses whose provenance
 	// proves capture use plain loads/stores with no runtime cost.
@@ -134,11 +131,6 @@ type OptConfig struct {
 	// log and stack check without changing execution, to
 	// regenerate the Fig. 8 breakdown.
 	Counting bool
-
-	// OrecBits overrides the ownership-record table size
-	// (1<<OrecBits entries; 0 = default). Used by the false-conflict
-	// ablation.
-	OrecBits int
 
 	// PerfMode drops the per-access statistics counters from the
 	// barriers, like the paper's performance builds (commit/abort
@@ -190,9 +182,8 @@ type OptConfig struct {
 // PhaseConfig binds a phase kind to the full optimization configuration
 // its barrier engine compiles from. The tm layer builds these by
 // overlaying per-phase option fragments on the runtime's base
-// configuration; structural fields (OrecBits) and the engine-force knob
-// are inherited from the base at compile time regardless of what the
-// fragment says.
+// configuration; the engine-force knob is inherited from the base at
+// compile time regardless of what the fragment says.
 type PhaseConfig struct {
 	Kind string
 	Cfg  OptConfig

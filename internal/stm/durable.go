@@ -53,7 +53,9 @@ import (
 // the ack goes to the scope's caller instead, which overlaps the fsync
 // with its own next transactions as well. Under NoFsync the log acks a
 // record when it is appended — it is in the page cache then — so the
-// ack is already done and neither waits. Aborts never wait.
+// ack is already done and neither waits. Aborts never wait. A record
+// the log refuses gets a done ack whose Wait returns the log's sticky
+// error, so a Deferred scope's caller sees it.
 
 // DurableWords counts the words redo records carry, by the source
 // emitDurable reads them from. Header words of allocation blocks count
@@ -223,6 +225,6 @@ func (tx *Tx) emitDurable(kind wal.Kind, version uint64, undoFrom, allocFrom int
 	}
 	rec.Spans = spans
 	th.dvals = vals[:0]
-	ack, _ := rt.durable.Append(rec) // sticky errors surface at Sync/Close
+	ack, _ := rt.durable.Append(rec) // a refused record's ack returns the error
 	return ack
 }

@@ -33,11 +33,11 @@ import (
 // one generic instantiation — measured on benchmark/run.sh's stm-closed
 // workload, 4 interleaved parent/change rounds, go1.24:
 //
-//   - Routing every perf profile through the one-closure perfLoadChain/
-//     perfStoreChain drops capture_speedup from 1.046/1.043/1.038/1.001
-//     to 0.937/0.932/0.923/0.944 (0.940/0.948/0.939/0.963 with the
-//     allocLive > 0 test kept inline): the elision stops paying for
-//     itself.
+//   - Routing every perf profile through one stats-free closure chain
+//     that re-tests the baked-in configuration drops capture_speedup
+//     from 1.046/1.043/1.038/1.001 to 0.937/0.932/0.923/0.944
+//     (0.940/0.948/0.939/0.963 with the allocLive > 0 test kept
+//     inline): the elision stops paying for itself.
 //   - A chain[P probe, M mode] type-parameterized engine is worse still:
 //     a method call on a type parameter compiles to a dictionary-
 //     indirect call even when the shape is unique, the instantiation
@@ -78,7 +78,8 @@ func genericEngine() *engine {
 
 // newEngine compiles the optimization profile into a barrier engine:
 //
-//   - "generic"   — the interpreting chain (forced, or rare debug combos)
+//   - "generic"   — the interpreting chain (forced, the debug oracles
+//     under PerfMode, and Annotations under PerfMode)
 //   - "counting"  — the same chain, for every profile that keeps
 //     statistics (PerfMode off)
 //   - "perf-*"    — specialized fast paths with no statistics code and
@@ -112,26 +113,22 @@ func newEngine(cfg OptConfig) *engine {
 		// accounting, so the perf engines never need a stats branch.
 		return &engine{name: "counting", load: (*Tx).loadGeneric, store: (*Tx).storeGeneric}
 	}
-	if cfg.Counting || cfg.VerifyElision {
+	if cfg.Counting || cfg.VerifyElision || cfg.Annotations {
 		// PerfMode combined with the counting/verification oracles is a
-		// debug configuration; the reference chain models it exactly.
+		// debug configuration, and the private-log probe sits between
+		// the capture checks and the full barrier, where no flat fast
+		// path can wrap it. The reference chain models both exactly and,
+		// with PerfMode's keepStats off, adds to no barrier counter.
 		return genericEngine()
 	}
 	return newPerfEngine(cfg)
 }
 
-// newPerfEngine builds the specialized performance engine for cfg. The
-// common profile shapes (the paper's evaluated configurations) map to
-// flat hand-specialized functions; annotations fall back to a
-// stats-free closure chain.
+// newPerfEngine builds the specialized performance engine for cfg: the
+// profile shapes (the paper's evaluated configurations) map to flat
+// hand-specialized functions, with prologues for the compiler and
+// definitely-shared knobs.
 func newPerfEngine(cfg OptConfig) *engine {
-	if cfg.Annotations {
-		// The private-log probe sits between the capture checks and the
-		// full barrier, so it cannot be a wrapper around the flat fast
-		// paths; use the stats-free interpreting chain.
-		return &engine{name: "perf-mixed", load: perfLoadChain(cfg), store: perfStoreChain(cfg)}
-	}
-
 	load := perfLoadCore(cfg.Read, cfg.LogKind)
 	store := perfStoreCore(cfg.Write, cfg.LogKind)
 	name := perfName(cfg)
@@ -396,66 +393,4 @@ func withSkipShared(load loadFn, store storeFn) (loadFn, storeFn) {
 			}
 			store(tx, a, val, ac)
 		}
-}
-
-// --- Stats-free interpreting chain (long-tail combinations) ---
-
-// perfLoadChain and perfStoreChain bake the configuration into a
-// closure: the same decision order as the generic chain, with every
-// statistics update removed. Used for profiles (annotations, unusual
-// check mixes) that have no flat specialization.
-func perfLoadChain(cfg OptConfig) loadFn {
-	compiler, skipShared := cfg.Compiler, cfg.SkipSharedChecks
-	readStack, readHeap := cfg.Read.Stack, cfg.Read.Heap
-	annotations := cfg.Annotations
-	return func(tx *Tx, a mem.Addr, ac Acc) uint64 {
-		if compiler && StaticElide(ac.Prov) {
-			return tx.th.rt.space.Load(a)
-		}
-		if skipShared && ac.Prov == ProvShared {
-			return tx.readFull(a)
-		}
-		if readStack && tx.onTxStack(a) {
-			return tx.th.rt.space.Load(a)
-		}
-		if readHeap && tx.alogContains(a) {
-			return tx.th.rt.space.Load(a)
-		}
-		if annotations && tx.th.priv.Contains(a, 1) {
-			return tx.th.rt.space.Load(a)
-		}
-		return tx.readFull(a)
-	}
-}
-
-func perfStoreChain(cfg OptConfig) storeFn {
-	compiler, skipShared := cfg.Compiler, cfg.SkipSharedChecks
-	writeStack, writeHeap := cfg.Write.Stack, cfg.Write.Heap
-	annotations := cfg.Annotations
-	return func(tx *Tx, a mem.Addr, val uint64, ac Acc) {
-		if compiler && StaticElide(ac.Prov) {
-			tx.storeCaptured(a, val)
-			return
-		}
-		if skipShared && ac.Prov == ProvShared {
-			tx.writeFull(a, val)
-			return
-		}
-		if writeStack && tx.onTxStack(a) {
-			tx.storeCaptured(a, val)
-			return
-		}
-		if writeHeap && tx.alogContains(a) {
-			tx.storeCaptured(a, val)
-			return
-		}
-		if annotations && tx.th.priv.Contains(a, 1) {
-			// Annotated thread-local data can hold live-in values, so it
-			// keeps undo logging but skips locking (Sec. 2.2.2).
-			tx.logUndo(a)
-			tx.th.rt.space.Store(a, val)
-			return
-		}
-		tx.writeFull(a, val)
-	}
 }

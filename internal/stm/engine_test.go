@@ -75,11 +75,12 @@ func TestEngineSelection(t *testing.T) {
 		t.Errorf("combo: engine %q", got)
 	}
 
-	// Annotations have no flat specialization: stats-free chain.
+	// Annotations have no flat specialization: the reference chain,
+	// which keeps no barrier statistics under PerfMode.
 	ann := RuntimeAll(capture.KindTree).Perf()
 	ann.Annotations = true
-	if got := newEngine(ann).name; got != "perf-mixed" {
-		t.Errorf("annotations: engine %q, want perf-mixed", got)
+	if got := newEngine(ann).name; got != "generic" {
+		t.Errorf("annotations: engine %q, want generic", got)
 	}
 
 	// Read-mostly: one name per statistics mode, the function pair of the
@@ -215,7 +216,6 @@ type shapeStep struct {
 // first shared store upgrades it. A Prov that lies about its address is
 // fine here: one thread, and both engines must take the same wrong arm.
 func shapeTrace(cfg OptConfig) (trace []shapeStep, final []uint64) {
-	cfg.OrecBits = 8
 	rt := New(mem.Config{GlobalWords: 64, HeapWords: 1 << 14, StackWords: 1 << 8, MaxThreads: 1}, cfg)
 	th := rt.Thread(0)
 	g := rt.Space().AllocGlobal(2)
@@ -256,8 +256,9 @@ func shapeTrace(cfg OptConfig) (trace []shapeStep, final []uint64) {
 // TestEveryShapeAgreesWithGeneric is the exhaustive differential the
 // named profiles cannot give: they never compile perfLoadStack, the
 // heap-only loads, perfStoreStack or most prologue combinations, and
-// "counting" is the reference chain itself. Every perf engine shape —
-// 2⁶ check mixes × annotations × log kind × read-mostly — must match
+// "counting" is the reference chain itself. Every perf profile shape —
+// 2⁶ check mixes × annotations × log kind × read-mostly, annotated ones
+// compiling to the reference chain under PerfMode — must match
 // the forced interpreting chain access by access, not just in its final
 // memory: same values, same log growth, same upgrade point.
 func TestEveryShapeAgreesWithGeneric(t *testing.T) {
@@ -274,7 +275,11 @@ func TestEveryShapeAgreesWithGeneric(t *testing.T) {
 				Annotations: on(6), ReadMostly: on(7),
 			}
 			e := newEngine(cfg)
-			if e.name == "generic" || e.name == "counting" {
+			switch {
+			case cfg.Annotations && !samePair(e, genericEngine()):
+				// No flat path wraps the private-log probe.
+				t.Fatalf("%+v compiled to %q, want the reference chain's pair", cfg, e.name)
+			case !cfg.Annotations && (e.name == "generic" || e.name == "counting"):
 				t.Fatalf("%+v compiled to %q, want a perf engine", cfg, e.name)
 			}
 			names[e.name] = true
@@ -295,7 +300,7 @@ func TestEveryShapeAgreesWithGeneric(t *testing.T) {
 			}
 		}
 	}
-	for _, flat := range []string{"perf-r-stack", "perf-r-heap-filter", "perf-w-stack", "perf-mixed", "perf-readmostly"} {
+	for _, flat := range []string{"perf-r-stack", "perf-r-heap-filter", "perf-w-stack", "perf-readmostly"} {
 		if !names[flat] {
 			t.Errorf("shape sweep never compiled %q", flat)
 		}
@@ -303,18 +308,23 @@ func TestEveryShapeAgreesWithGeneric(t *testing.T) {
 }
 
 // TestPerfEngineKeepsNoBarrierStats is the acceptance check that the
-// specialized engines carry zero statistics code: after a transaction
-// full of every access flavor, only the lifecycle counters (commits,
-// allocator traffic) may be nonzero.
+// specialized engines carry zero statistics code, and that the
+// reference chain PerfMode with Annotations runs on records none:
+// after a transaction full of every access flavor, only the lifecycle
+// counters (commits, allocator traffic) may be nonzero.
 func TestPerfEngineKeepsNoBarrierStats(t *testing.T) {
 	rm := RuntimeAll(capture.KindTree).Perf()
 	rm.ReadMostly = true
 	rm.Name = "readmostly"
+	ann := RuntimeAll(capture.KindTree).Perf()
+	ann.Annotations = true
+	ann.Name = "annotations"
 	for _, cfg := range []OptConfig{
 		Baseline().Perf(),
 		RuntimeAll(capture.KindTree).Perf(),
 		Compiler().Perf(),
 		rm,
+		ann,
 	} {
 		_, s := engineScenario(t, cfg)
 		barrier := s

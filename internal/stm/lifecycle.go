@@ -123,8 +123,8 @@ func (tx *Tx) init(th *Thread) {
 
 // phaseLogSet caches one phase's concrete capture logs, so switching
 // back and forth between phases — the tmmsg driver hints once per
-// operation — reuses the logs built (with that phase's sizing) on its
-// first entry instead of reallocating.
+// operation — reuses the logs built on its first entry instead of
+// reallocating.
 type phaseLogSet struct {
 	alog capture.Log
 	tree *capture.Tree
@@ -165,25 +165,10 @@ func (tx *Tx) applyPhase(idx int) {
 	if tx.trackAlog {
 		tx.alogKind = cfg.LogKind
 		if pl.alog == nil {
-			switch cfg.LogKind {
-			case capture.KindTree:
-				pl.tree = capture.NewTree()
-				pl.alog = pl.tree
-			case capture.KindArray:
-				c := cfg.ArrayCap
-				if c == 0 {
-					c = capture.DefaultArrayCap
-				}
-				pl.arr = capture.NewArray(c)
-				pl.alog = pl.arr
-			case capture.KindFilter:
-				b := cfg.FilterBits
-				if b == 0 {
-					b = capture.DefaultFilterBits
-				}
-				pl.fil = capture.NewFilter(b)
-				pl.alog = pl.fil
-			}
+			pl.alog = capture.New(cfg.LogKind)
+			pl.tree, _ = pl.alog.(*capture.Tree)
+			pl.arr, _ = pl.alog.(*capture.Array)
+			pl.fil, _ = pl.alog.(*capture.Filter)
 		}
 		tx.alogTree, tx.alogArr, tx.alogFil = pl.tree, pl.arr, pl.fil
 		tx.alog = pl.alog

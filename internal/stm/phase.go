@@ -41,9 +41,6 @@ func compilePhases(cfg OptConfig) ([]compiledPhase, map[string]int) {
 		}
 		c := pc.Cfg
 		c.Phases = nil // phases do not nest
-		// Structural knobs are per-Runtime, not per-phase: every engine
-		// shares one orec table, so a phase cannot resize it.
-		c.OrecBits = base.OrecBits
 		// The engine-force knob is a Runtime-level differential-testing
 		// switch: it must pin every phase's engine, or a "forced
 		// generic" reference run would still execute specialized code

@@ -40,10 +40,9 @@ type readLogRun struct {
 	partial, invalid int
 }
 
-// newReadLogRun sets up a runtime with a 1024-entry orec table — so
-// distinct orecs collide in the 512-slot filter — and picks the lines.
+// newReadLogRun sets up a runtime and picks lines whose distinct orecs
+// collide in the 512-slot filter.
 func newReadLogRun(t *testing.T, cfg OptConfig, ops []byte) *readLogRun {
-	cfg.OrecBits = 10
 	mc := testMemCfg()
 	mc.GlobalWords = 1<<13 + 2*mem.LineWords
 	rt := New(mc, cfg)

@@ -106,18 +106,11 @@ type Runtime struct {
 
 // New creates a runtime over a fresh address space.
 func New(mcfg mem.Config, cfg OptConfig) *Runtime {
-	bits := cfg.OrecBits
-	if bits == 0 {
-		bits = DefaultOrecBits
-	}
-	if bits < 4 || bits > 26 {
-		panic("stm: OrecBits out of range")
-	}
 	phases, phaseIdx := compilePhases(cfg)
 	return &Runtime{
 		space:     mem.NewSpace(mcfg),
-		orecs:     make([]atomic.Uint64, 1<<bits),
-		orecShift: 64 - uint(bits),
+		orecs:     make([]atomic.Uint64, 1<<DefaultOrecBits),
+		orecShift: 64 - DefaultOrecBits,
 		cfg:       cfg,
 		phases:    phases,
 		phaseIdx:  phaseIdx,
@@ -424,7 +417,9 @@ type userAbort struct{}
 // commits. If fn calls Tx.UserAbort, the (innermost) transaction rolls
 // back and Atomic returns false; otherwise it returns true. Calling
 // Atomic inside a transaction runs fn as a closed nested transaction
-// with partial abort.
+// with partial abort. With a redo log attached it returns once the
+// commit's record is durable; a refused record's error is reported by
+// the Deferred scope's ack and by the log's Sync/Close, not here.
 func (th *Thread) Atomic(fn func(*Tx)) bool {
 	tx := &th.tx
 	if tx.active {
@@ -447,8 +442,7 @@ func (th *Thread) Atomic(fn func(*Tx)) bool {
 		tx.attempts = 0
 		tx.upNext = false // full-engine fallback is per transaction
 		if th.ack != (wal.Ack{}) && !th.deferred {
-			// Return once the commit is durable. Sticky log errors
-			// surface at Sync/Close.
+			// Return once the commit is durable.
 			th.ack.Wait()
 			th.ack = wal.Ack{}
 		}

@@ -34,10 +34,10 @@ import (
 // hashed, novel chunks go to the pack through a buffered writer. Time
 // is proportional to the allocated extent, extra space to one chunk.
 const (
-	packEntryHdr  = scoreLen + 4 // score + u32 word count
-	idxEntryLen   = scoreLen + 8 + 8 + 4
-	scoreLen      = 32
-	defaultChunkW = 1 << 12
+	packEntryHdr = scoreLen + 4 // score + u32 word count
+	idxEntryLen  = scoreLen + 8 + 8 + 4
+	scoreLen     = 32
+	chunkWords   = 1 << 12 // words per content-addressed chunk
 
 	// manifestMagic opens every manifest; thirteen u64 fields follow
 	// (see EncodeManifest), then one manifestEntry per non-zero chunk,
@@ -217,15 +217,16 @@ type CheckpointStore struct {
 // index so new checkpoints dedup against chunks written by earlier
 // incarnations. It deletes what a crash mid-checkpoint leaves behind:
 // *.tmp files and packs without an index (nothing references either).
-// chunkWords <= 0 selects the default (4096 words).
-func OpenStore(dir string, chunkWords int) (*CheckpointStore, error) {
-	if chunkWords <= 0 {
-		chunkWords = defaultChunkW
-	}
+// New checkpoints are cut into chunks of 4096 words; each manifest
+// records its own chunk size, which is what recovery reads.
+func OpenStore(dir string) (*CheckpointStore, error) { return openStore(dir, chunkWords) }
+
+// openStore is OpenStore at a chunk size of cw words.
+func openStore(dir string, cw int) (*CheckpointStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	st := &CheckpointStore{dir: dir, chunkWords: chunkWords, index: make(map[Score]chunkLoc)}
+	st := &CheckpointStore{dir: dir, chunkWords: cw, index: make(map[Score]chunkLoc)}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err

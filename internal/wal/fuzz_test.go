@@ -29,7 +29,7 @@ func scenarioFrames(f *testing.F, bench string, max int) [][]byte {
 	}
 	dir := f.TempDir()
 	rt := tm.Open(tm.WithMemory(w.MemConfig()),
-		tm.WithDurability(dir, tm.DurNoFsync(), tm.DurSegmentBytes(1<<20)))
+		tm.WithDurability(dir, tm.DurNoFsync()))
 	w.Setup(rt)
 	w.Run(rt, 1)
 	if err := rt.Close(); err != nil {

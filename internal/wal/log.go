@@ -20,14 +20,14 @@ const (
 // SegName returns the file name of segment idx.
 func SegName(idx uint64) string { return fmt.Sprintf("seg-%08d.wal", idx) }
 
+// segmentBytes is the length each segment file is reserved at. The log
+// rotates to a new segment when a record does not fit in the rest of
+// the tail, and trims the finished one to the bytes it holds. A larger
+// record gets a segment of its own size.
+const segmentBytes = 8 << 20
+
 // Options tune the log. The zero value is usable.
 type Options struct {
-	// SegmentBytes is the length each segment file is reserved at. The
-	// log rotates to a new segment when a record does not fit in the
-	// rest of the tail, and trims the finished one to the bytes it
-	// holds. A larger record gets a segment of its own size. Default
-	// 8 MiB.
-	SegmentBytes int
 	// NoFsync skips fsync: a record is durable once it is in the page
 	// cache, which it is when Append returns, so every ack is done at
 	// once. Crash simulations run in-process, where the page cache
@@ -95,9 +95,11 @@ type Log struct {
 }
 
 // seam is the log's unexported test seam, the first piece of a
-// fault-injecting file layer: it fails segment creation and holds the
-// flusher between taking a batch and syncing it.
+// fault-injecting file layer: it shrinks segments, fails segment
+// creation and holds the flusher between taking a batch and syncing
+// it.
 type seam struct {
+	segBytes int // segment length; newLog sets segmentBytes when 0
 	// fault runs once a segment file is reserved, before the log names
 	// it its tail, and an error fails the creation. Rotation runs it
 	// under l.mu.
@@ -122,8 +124,8 @@ func OpenLog(dir string, startSeg, startSeq uint64, opts Options) (*Log, error) 
 
 // newLog is OpenLog without the flusher goroutine.
 func newLog(dir string, startSeg, startSeq uint64, opts Options, sm seam) (*Log, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 8 << 20
+	if sm.segBytes <= 0 {
+		sm.segBytes = segmentBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -138,7 +140,7 @@ func newLog(dir string, startSeg, startSeq uint64, opts Options, sm seam) (*Log,
 		quit:        make(chan struct{}),
 		flusherDone: make(chan struct{}),
 	}
-	if err := l.startSegment(startSeg, opts.SegmentBytes); err != nil {
+	if err := l.startSegment(startSeg, sm.segBytes); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -210,16 +212,18 @@ func (s *segment) closeFile() {
 
 // Ack is a handle on the durability of one appended record.
 type Ack struct {
-	l  *Log
-	ch chan struct{}
+	l   *Log
+	ch  chan struct{}
+	err error // a refused record's error: the ack is done and Wait returns it
 }
 
 // Wait blocks until the record's batch has been fsynced and returns the
 // log's sticky error state. The zero Ack — what Append returns under
-// NoFsync — returns nil at once.
+// NoFsync — returns nil at once; the ack of a record Append refused
+// returns that error at once.
 func (a Ack) Wait() error {
 	if a.ch == nil {
-		return nil
+		return a.err
 	}
 	<-a.ch
 	a.l.mu.Lock()
@@ -248,7 +252,8 @@ func (a Ack) Done() bool {
 // the fsync batch containing this record, and callers that don't need
 // the barrier (aborts, non-transactional journal entries) ignore it.
 // An error is sticky: this and every later Append, Sync and Close
-// return it.
+// return it, and the Ack of a refused record is done and its Wait
+// returns the error, so a caller that keeps only the Ack still sees it.
 func (l *Log) Append(rec *Record) (Ack, error) {
 	n := recordLen(rec)
 	l.mu.Lock()
@@ -258,13 +263,13 @@ func (l *Log) Append(rec *Record) (Ack, error) {
 		if err == nil {
 			err = os.ErrClosed
 		}
-		return Ack{}, err
+		return Ack{err: err}, err
 	}
 	tail := l.segs[len(l.segs)-1]
 	if tail.used+n > tail.size {
 		if err := l.rotate(n); err != nil {
 			l.mu.Unlock()
-			return Ack{}, err
+			return Ack{err: err}, err
 		}
 		tail = l.segs[len(l.segs)-1]
 	}
@@ -277,7 +282,7 @@ func (l *Log) Append(rec *Record) (Ack, error) {
 	if err := tail.write(b); err != nil {
 		l.err = err
 		l.mu.Unlock()
-		return Ack{}, err
+		return Ack{err: err}, err
 	}
 	l.nextSeq++
 	l.records.Add(1)
@@ -305,7 +310,7 @@ func (l *Log) rotate(n int) error {
 		if l.durable(tail) {
 			tail.closeFile()
 		}
-		err = l.startSegment(tail.idx+1, max(l.opts.SegmentBytes, segHdrLen+n))
+		err = l.startSegment(tail.idx+1, max(l.seam.segBytes, segHdrLen+n))
 	}
 	if err != nil {
 		l.err = err
@@ -318,11 +323,14 @@ func (l *Log) rotate(n int) error {
 // every record is: always under NoFsync. One flusher syncs batches in
 // append order, so an ack also covers every earlier record: a reader
 // that saw a commit it did not log itself waits on TailAck before
-// revealing it.
+// revealing it. After a sticky error it is a done ack returning that
+// error, since a refused record never becomes durable.
 func (l *Log) TailAck() Ack {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	switch {
+	case l.err != nil:
+		return Ack{err: l.err}
 	case l.queued: // Append woke the flusher for this batch
 		return Ack{l: l, ch: l.doneCh}
 	case l.writing != nil:

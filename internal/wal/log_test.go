@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -108,7 +109,7 @@ func TestLogAppendSyncReadBack(t *testing.T) {
 
 func TestLogRotationAndTruncateBefore(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, Options{SegmentBytes: 256, NoFsync: true}, seam{})
+	l := openLog(t, dir, Options{NoFsync: true}, seam{segBytes: 256})
 	rec := Record{Kind: KindCommit, Spans: []Span{{Addr: 1, Vals: make([]uint64, 16)}}}
 	for i := 0; i < 20; i++ {
 		if _, err := l.Append(&rec); err != nil {
@@ -143,7 +144,7 @@ func TestLogRotationAndTruncateBefore(t *testing.T) {
 // bytes can be read from the segment file when Append returns.
 func TestNoFsyncAckDoneAtAppend(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, Options{SegmentBytes: 4 << 10, NoFsync: true}, seam{})
+	l := openLog(t, dir, Options{NoFsync: true}, seam{segBytes: 4 << 10})
 	defer l.Close()
 	recs := sampleRecords()
 	for i := 0; i < 60; i++ {
@@ -181,7 +182,7 @@ func TestNoFsyncAckDoneAtAppend(t *testing.T) {
 func TestKillLeavesReservedTail(t *testing.T) {
 	const segBytes, spaceWords = 4 << 10, 1 << 16
 	dir := t.TempDir()
-	store, err := OpenStore(dir, 64)
+	store, err := openStore(dir, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestKillLeavesReservedTail(t *testing.T) {
 		named++
 		return nil
 	}
-	l = openLog(t, dir, Options{SegmentBytes: segBytes, NoFsync: true}, seam{fault: fault})
+	l = openLog(t, dir, Options{NoFsync: true}, seam{segBytes: segBytes, fault: fault})
 	const records = 300
 	for seed := uint64(1); seed <= records; seed++ {
 		n := 1 + int(seed%13)
@@ -278,7 +279,7 @@ func TestSegmentFaultsAreErrors(t *testing.T) {
 			}
 			return nil
 		}
-		l := openLog(t, dir, Options{SegmentBytes: 1 << 10, NoFsync: noFsync}, seam{fault: fault})
+		l := openLog(t, dir, Options{NoFsync: noFsync}, seam{segBytes: 1 << 10, fault: fault})
 		appended := 0
 		var err error
 		for ; appended < 100; appended++ {
@@ -394,26 +395,76 @@ func TestTailAck(t *testing.T) {
 
 // TestTailAckCoversAppended races appends against the real flusher:
 // whenever a tail ack reports done, every change to the segment made
-// before it was taken is synced, and no tail ack stays pending forever
-// (one taken while a batch is being synced must be that batch's). Under
-// NoFsync every tail ack is done when taken.
+// before it was taken is synced, and no tail ack stays pending forever.
+// At seeded appends it also holds the flusher through seam.hold once it
+// has taken the batch covering that append, and takes the tail ack
+// inside that window, where the only unsynced change is the held
+// batch's: the ack must be that batch's, not done. So the window is
+// tested on every run, however fast the disk syncs. Under NoFsync there
+// is no flusher and every tail ack is done when taken.
 func TestTailAckCoversAppended(t *testing.T) {
 	forModes(t, func(t *testing.T, noFsync bool) {
-		l := openLog(t, t.TempDir(), Options{NoFsync: noFsync}, seam{})
+		var l *Log
+		var holdFor atomic.Uint64 // hold the batch syncing this many changes; 0: none
+		held, release, quit := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		hold := func() {
+			want := holdFor.Load()
+			if want == 0 {
+				return
+			}
+			l.mu.Lock()
+			covers := l.segs[0].syncing >= want
+			l.mu.Unlock()
+			if !covers {
+				return // a batch taken before the append it waits for
+			}
+			holdFor.Store(0)
+			select {
+			case held <- struct{}{}:
+				select {
+				case <-release:
+				case <-quit:
+				}
+			case <-quit:
+			}
+		}
+		l = openLog(t, t.TempDir(), Options{NoFsync: noFsync}, seam{hold: hold})
 		defer l.Close()
+		defer close(quit) // before Close, which waits for a held flusher
+		rng := rand.New(rand.NewPCG(39, 1))
 		rec := Record{Kind: KindCommit, Spans: []Span{{Addr: 1, Vals: make([]uint64, 8)}}}
 		const iters = 2000
-		pending := 0
+		pending, holds := 0, 0
 		for i := 0; i < iters; i++ {
+			holding := false
 			if i%3 != 2 { // every third tail ack is taken with nothing new appended
+				if holding = !noFsync && rng.IntN(8) == 0; holding {
+					l.mu.Lock()
+					holdFor.Store(l.segs[0].changes + 1)
+					l.mu.Unlock()
+				}
 				if _, err := l.Append(&rec); err != nil {
 					t.Fatal(err)
+				}
+				if holding {
+					select {
+					case <-held:
+					case <-time.After(5 * time.Second):
+						t.Fatalf("append %d: the flusher never took its batch", i)
+					}
 				}
 			}
 			l.mu.Lock()
 			changes := l.segs[0].changes
 			l.mu.Unlock()
 			tail := l.TailAck()
+			if holding {
+				holds++
+				if tail.Done() {
+					t.Fatalf("append %d: tail ack taken while its batch is being synced is done", i)
+				}
+				release <- struct{}{}
+			}
 			if !tail.Done() {
 				pending++
 			}
@@ -434,10 +485,10 @@ func TestTailAckCoversAppended(t *testing.T) {
 				t.Fatalf("append %d: tail ack done with %d of %d changes synced", i, synced, changes)
 			}
 		}
-		if noFsync != (pending == 0) {
-			t.Fatalf("%d of %d tail acks pending when taken", pending, iters)
+		if noFsync != (pending == 0) || noFsync != (holds == 0) {
+			t.Fatalf("%d of %d tail acks pending when taken, %d with the flusher held", pending, iters, holds)
 		}
-		t.Logf("%d of %d tail acks pending when taken", pending, iters)
+		t.Logf("%d of %d tail acks pending when taken, %d with the flusher held", pending, iters, holds)
 	})
 }
 
@@ -496,7 +547,7 @@ func TestTailAckWhileWriting(t *testing.T) {
 func TestLogStress(t *testing.T) {
 	forModes(t, func(t *testing.T, noFsync bool) {
 		dir := t.TempDir()
-		l := openLog(t, dir, Options{SegmentBytes: 4 << 10, NoFsync: noFsync}, seam{})
+		l := openLog(t, dir, Options{NoFsync: noFsync}, seam{segBytes: 4 << 10})
 		const appenders = 4
 		const perAppender = 400
 		var wg sync.WaitGroup

@@ -67,7 +67,7 @@ func Recover(dir string) (*Recovery, error) {
 		return nil, ErrNoCheckpoint
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].n > cands[j].n })
-	store, err := OpenStore(dir, 0)
+	store, err := OpenStore(dir)
 	if err != nil {
 		return nil, err
 	}

@@ -96,14 +96,11 @@ func recoverImage(dir string) (*RecoveredState, []uint64, error) {
 func writeState(t *testing.T, dir string, spaceWords, chunkWords int, prune bool, checkpointAt ...uint64) []uint64 {
 	t.Helper()
 	words := make([]uint64, spaceWords)
-	store, err := OpenStore(dir, chunkWords)
+	store, err := openStore(dir, chunkWords)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenLog(dir, 0, 0, Options{SegmentBytes: 4 << 10, NoFsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, dir, Options{NoFsync: true}, seam{segBytes: 4 << 10})
 	mutate := func(seed uint64, n int) *Record {
 		rec := &Record{Kind: KindCommit, Version: seed, GlobalsNext: seed, HeapNext: 2 * seed}
 		for i := 0; i < n; i++ {
@@ -184,7 +181,7 @@ func TestCheckpointRecordsUntouchedAsZero(t *testing.T) {
 		live[i] = uint64(i) | 1<<40
 	}
 	untouched := []Extent{{Lo: 100, Hi: 300}, {Lo: 1000, Hi: spaceWords}}
-	store, err := OpenStore(dir, chunkWords)
+	store, err := openStore(dir, chunkWords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +273,7 @@ func TestRecoverNoCheckpoint(t *testing.T) {
 
 func TestCheckpointDedup(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStore(dir, 16)
+	store, err := openStore(dir, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +302,7 @@ func TestCheckpointDedup(t *testing.T) {
 	}
 
 	// A store reopened on the same dir dedups against disk state.
-	store2, err := OpenStore(dir, 16)
+	store2, err := openStore(dir, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +327,7 @@ func TestOpenStoreRemovesCrashLeftovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	store, err := OpenStore(dir, 64)
+	store, err := openStore(dir, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package tm
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/mem"
 	"repro/internal/wal"
@@ -39,11 +38,8 @@ import (
 
 // durSettings is the configuration WithDurability accumulates.
 type durSettings struct {
-	dir        string
-	noFsync    bool
-	segBytes   int
-	chunkWords int
-	autoBytes  uint64
+	dir     string
+	noFsync bool
 }
 
 // DurOption tunes WithDurability.
@@ -58,27 +54,9 @@ func DurNoFsync() DurOption {
 	return func(ds *durSettings) { ds.noFsync = true }
 }
 
-// DurSegmentBytes sets the size log segment files are reserved at and
-// rotated by (default 8 MiB).
-func DurSegmentBytes(n int) DurOption {
-	return func(ds *durSettings) { ds.segBytes = n }
-}
-
-// DurChunkWords sets the checkpoint chunking granularity (default 4096
-// words per content-addressed chunk).
-func DurChunkWords(n int) DurOption {
-	return func(ds *durSettings) { ds.chunkWords = n }
-}
-
-// DurAutoCheckpoint checkpoints in the background whenever roughly n
-// bytes of redo records have accumulated since the last checkpoint
-// (0, the default, checkpoints only on explicit Runtime.Checkpoint).
-func DurAutoCheckpoint(n uint64) DurOption {
-	return func(ds *durSettings) { ds.autoBytes = n }
-}
-
 // WithDurability persists the runtime into dir: a segmented redo log
-// with group commit plus content-addressed checkpoints. See the
+// (8 MiB segments) with group commit plus content-addressed checkpoints
+// (4096-word chunks), written when Runtime.Checkpoint is called. See the
 // recovery contract above; with this option absent the commit path is
 // completely unchanged (pay-as-you-go).
 func WithDurability(dir string, tune ...DurOption) Option {
@@ -99,12 +77,7 @@ type durRuntime struct {
 	log   *wal.Log
 	store *wal.CheckpointStore
 
-	cpMu    sync.Mutex // serializes checkpoints
-	cpBytes uint64     // log bytes at the last checkpoint (auto trigger)
-
-	auto      uint64
-	stopAuto  chan struct{}
-	autoDone  chan struct{}
+	cpMu      sync.Mutex // serializes checkpoints
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -123,18 +96,15 @@ func openDurable(rt *Runtime, ds *durSettings, startSeg, startSeq uint64, initia
 		rt.rt.SetDurable(nil)
 		return err
 	}
-	log, err := wal.OpenLog(ds.dir, startSeg, startSeq, wal.Options{
-		SegmentBytes: ds.segBytes,
-		NoFsync:      ds.noFsync,
-	})
+	log, err := wal.OpenLog(ds.dir, startSeg, startSeq, wal.Options{NoFsync: ds.noFsync})
 	if err != nil {
 		return fail(err)
 	}
-	store, err := wal.OpenStore(ds.dir, ds.chunkWords)
+	store, err := wal.OpenStore(ds.dir)
 	if err != nil {
 		return fail(err)
 	}
-	d := &durRuntime{dir: ds.dir, log: log, store: store, auto: ds.autoBytes}
+	d := &durRuntime{dir: ds.dir, log: log, store: store}
 	rt.dur = d
 	rt.rt.SetDurable(log)
 	if initialCP {
@@ -144,31 +114,7 @@ func openDurable(rt *Runtime, ds *durSettings, startSeg, startSeq uint64, initia
 			return fail(err)
 		}
 	}
-	if d.auto > 0 {
-		d.stopAuto = make(chan struct{})
-		d.autoDone = make(chan struct{})
-		go d.autoLoop(rt)
-	}
 	return nil
-}
-
-func (d *durRuntime) autoLoop(rt *Runtime) {
-	defer close(d.autoDone)
-	t := time.NewTicker(100 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stopAuto:
-			return
-		case <-t.C:
-		}
-		d.cpMu.Lock()
-		due := d.log.Stats().Bytes-d.cpBytes >= d.auto
-		d.cpMu.Unlock()
-		if due {
-			rt.Checkpoint() // errors stick in the log and surface at Close
-		}
-	}
 }
 
 // Checkpoint writes a content-addressed snapshot of the space — the
@@ -210,7 +156,6 @@ func (rt *Runtime) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	d.cpBytes = d.log.Stats().Bytes
 	return d.log.TruncateBefore(cutSeg)
 }
 
@@ -233,7 +178,6 @@ func (rt *Runtime) Close() error {
 		return nil
 	}
 	d.closeOnce.Do(func() {
-		d.stopAutoLoop()
 		space := rt.rt.Space()
 		seal := &wal.Record{
 			Kind:        wal.KindSeal,
@@ -267,18 +211,9 @@ func (rt *Runtime) Crash() {
 		return
 	}
 	d.closeOnce.Do(func() {
-		d.stopAutoLoop()
 		d.log.Kill()
 		rt.rt.SetDurable(nil)
 	})
-}
-
-func (d *durRuntime) stopAutoLoop() {
-	if d.stopAuto != nil {
-		close(d.stopAuto)
-		<-d.autoDone
-		d.stopAuto = nil
-	}
 }
 
 // Recover rebuilds a runtime from dir: the newest loadable checkpoint,
@@ -287,8 +222,8 @@ func (d *durRuntime) stopAutoLoop() {
 // from the checkpoint manifest; opts configure everything else (engine
 // profile, phases, …) and should match the options the crashed instance
 // ran with. A WithDurability option among opts contributes its tuning
-// knobs (its directory argument is ignored in favor of dir); without
-// one, defaults apply. The recovered runtime is durable again: it
+// (its directory argument is ignored in favor of dir); without one,
+// defaults apply. The recovered runtime is durable again: it
 // continues the log after the replayed tail and writes a fresh
 // post-recovery checkpoint.
 func Recover(dir string, opts ...Option) (*Runtime, error) {

@@ -12,14 +12,14 @@ import (
 )
 
 // TestOpenDurableCleansUpOnFailure forces each failure return of
-// openDurable and asserts the error comes back, no goroutine (the
-// log's flusher) outlives the call, and the runtime is not left
-// durable. The suite runs as root,
-// so the failures are squatters, not permissions. wal.OpenLog touches
-// nothing but the directory itself (segments are created lazily by the
-// flusher), so its failure is a regular file where the directory
-// should be; a directory on the first segment's name is what makes the
-// flusher fail, which surfaces in the initial checkpoint's log sync.
+// openDurable and asserts the error comes back, no goroutine outlives
+// the call, and the runtime is not left durable. The suite runs as
+// root, so the failures are squatters, not permissions. wal.OpenLog
+// creates the directory and the first segment, so a regular file where
+// the directory should be and a directory on the first segment's name
+// both fail it; a squatter on the first pack index fails
+// wal.OpenStore, and one on the first manifest's temporary file fails
+// the initial checkpoint.
 func TestOpenDurableCleansUpOnFailure(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -36,7 +36,7 @@ func TestOpenDurableCleansUpOnFailure(t *testing.T) {
 		{"checkpoint-dir-on-manifest-tmp", func(t *testing.T, dir string) {
 			mkdirAll(t, filepath.Join(dir, wal.ManifestName(0)+".tmp"))
 		}},
-		{"checkpoint-dir-on-first-segment", func(t *testing.T, dir string) {
+		{"openlog-dir-on-first-segment", func(t *testing.T, dir string) {
 			mkdirAll(t, filepath.Join(dir, wal.SegName(0)))
 		}},
 	}

@@ -16,12 +16,12 @@ import (
 // TestRecoverAllocatesOneImage pins recovery's space cost: tm.Recover
 // allocates the new runtime's space and decodes the checkpoint into it
 // in place — no second image, no per-chunk slices. The geometry is the
-// rig's served one (256 MB); the orec table and the log's segment buffer
-// are sized down so the 2 MB of slack is recovery's own.
+// rig's served one (256 MB), and the bound is that space plus 2 MB of
+// slack for the rest of the runtime and recovery's own buffers.
 func TestRecoverAllocatesOneImage(t *testing.T) {
 	geometry := tm.MemConfig{GlobalWords: 1 << 10, HeapWords: 1 << 25, StackWords: 1 << 12, MaxThreads: 32}
-	opts := []tm.Option{tm.WithMemory(geometry), tm.WithOrecBits(10)}
-	dur := []tm.DurOption{tm.DurNoFsync(), tm.DurSegmentBytes(64 << 10)}
+	opts := []tm.Option{tm.WithMemory(geometry)}
+	dur := []tm.DurOption{tm.DurNoFsync()}
 	dir := t.TempDir()
 	rt := tm.Open(append(opts, tm.WithDurability(dir, dur...))...)
 	root := rt.AllocGlobal(1)
@@ -94,7 +94,7 @@ func TestCheckpointWhileAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for round := 0; round < rounds; round++ {
 		dir := t.TempDir()
-		opts := []tm.Option{tm.WithMemory(geometry), tm.WithDurability(dir, tm.DurNoFsync(), tm.DurSegmentBytes(1<<20))}
+		opts := []tm.Option{tm.WithMemory(geometry), tm.WithDurability(dir, tm.DurNoFsync())}
 		rt := tm.Open(opts...)
 		roots := rt.AllocGlobal(workers)
 		iters := 40 + rng.Intn(40)
@@ -166,9 +166,14 @@ func TestCheckpointWhileAllocating(t *testing.T) {
 func TestAtomicReturnsDurable(t *testing.T) {
 	dir := t.TempDir()
 	rt := tm.Open(tm.WithMemory(tm.MemConfig{GlobalWords: 64, HeapWords: 1 << 12, StackWords: 256, MaxThreads: 1}),
-		tm.WithDurability(dir, tm.DurNoFsync(), tm.DurSegmentBytes(64<<10)))
+		tm.WithDurability(dir, tm.DurNoFsync()))
 	defer rt.Close()
 	log := rt.Unwrap().Durable()
+	seg, err := os.Open(filepath.Join(dir, wal.SegName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
 	cell := rt.AllocGlobal(1)
 	th := rt.Thread(0)
 	add := func(tx *tm.Tx) { cell.Word(0).Add(tx, 1) }
@@ -180,12 +185,13 @@ func TestAtomicReturnsDurable(t *testing.T) {
 		if !log.TailAck().Done() {
 			t.Fatalf("transaction %d: Atomic returned with the log still pending", i)
 		}
-		b, err := os.ReadFile(filepath.Join(dir, wal.SegName(0)))
-		if err != nil {
+		// The segment is reserved whole (8 MiB): read the appended bytes
+		// and a margin past them. Its records end where the first one
+		// fails to decode.
+		b := make([]byte, 16+log.Stats().Bytes+4096)
+		if _, err := seg.ReadAt(b, 0); err != nil {
 			t.Fatal(err)
 		}
-		// The segment is reserved whole: its records end where the
-		// first one fails to decode.
 		off := 16
 		var rec wal.Record
 		for {
@@ -198,6 +204,74 @@ func TestAtomicReturnsDurable(t *testing.T) {
 		if written, appended := uint64(off-16), log.Stats().Bytes; written != appended {
 			t.Fatalf("transaction %d: %d of %d appended bytes written when Atomic returned", i, written, appended)
 		}
+	}
+}
+
+// TestRefusedRecordReachesItsCommit makes the redo log refuse a record
+// under DurNoFsync: a directory squats on the second segment's name, so
+// the first rotation fails once 8 MiB of records — 512-word blocks
+// allocated one batch each — fill the first. Atomic still returns true,
+// but the error
+// is in the ack a caller reveals results behind: the Batcher.Flush
+// whose record was refused and every later one return it from Wait, as
+// do Deferred scopes around a writing or a read-only transaction, and
+// Sync and Close.
+func TestRefusedRecordReachesItsCommit(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, wal.SegName(1)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rt := tm.Open(tm.WithMemory(tm.MemConfig{GlobalWords: 64, HeapWords: 1 << 21, StackWords: 256, MaxThreads: 1}),
+		tm.WithDurability(dir, tm.DurNoFsync()))
+	root := rt.AllocGlobal(1)
+	th := rt.Thread(0)
+	push := func(tx *tm.Tx) {
+		node := tx.Alloc(512)
+		for w := 1; w < node.Len(); w++ {
+			node.Word(w).Store(tx, uint64(w))
+		}
+		node.Ptr(0).Store(tx, root.Ptr(0).Load(tx))
+		root.Ptr(0).Store(tx, node)
+	}
+	b := tm.NewBatcher(th, 1, 1)
+	var refused error
+	first := -1
+	for i := 0; i < 2000; i++ {
+		b.Admit(tm.BatchItem{
+			Footprint: tm.Footprint{Writes: []uint64{0}},
+			Apply:     func(tx *tm.Tx, _ tm.Struct) bool { push(tx); return true },
+		})
+		res := b.Flush()
+		err := res.Wait()
+		switch {
+		case first < 0 && err != nil:
+			first, refused = i, err
+		case first >= 0 && err != refused:
+			t.Fatalf("batch %d after the refusal at %d: Wait = %v, want %v", i, first, err, refused)
+		}
+		if !res.Durable() {
+			t.Fatalf("batch %d: ack not done under DurNoFsync", i)
+		}
+	}
+	if first < 0 {
+		t.Fatal("no batch reported the refused rotation")
+	}
+	raw := rt.Unwrap().Thread(0)
+	if !th.Atomic(push) {
+		t.Error("Atomic reported a refused record as an abort")
+	}
+	if err := raw.Deferred(func() { th.Atomic(push) }).Wait(); err != refused {
+		t.Errorf("Deferred scope around a commit: ack Wait = %v, want %v", err, refused)
+	}
+	readOnly := func(tx *tm.Tx) { root.Ptr(0).Load(tx) }
+	if err := raw.Deferred(func() { th.Atomic(readOnly) }).Wait(); err != refused {
+		t.Errorf("Deferred scope around a read: ack Wait = %v, want %v", err, refused)
+	}
+	if err := rt.Sync(); err != refused {
+		t.Errorf("Sync = %v, want %v", err, refused)
+	}
+	if err := rt.Close(); err != refused {
+		t.Errorf("Close = %v, want %v", err, refused)
 	}
 }
 

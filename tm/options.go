@@ -16,10 +16,10 @@ const (
 	// an O(1) probe (it stands where the paper has a search tree).
 	LogTree = capture.KindTree
 	// LogArray is the bounded unsorted range array (one cache line of
-	// ranges by default).
+	// ranges).
 	LogArray = capture.KindArray
-	// LogFilter is the hash-table address filter (false negatives
-	// possible, never false positives).
+	// LogFilter is the hash-table address filter (1<<10 slots; false
+	// negatives possible, never false positives).
 	LogFilter = capture.KindFilter
 )
 
@@ -113,23 +113,6 @@ func WithCompilerElision() Option {
 // capture analysis. The default is LogTree.
 func WithLogKind(k LogKind) Option {
 	return func(s *settings) { s.cfg.LogKind = k }
-}
-
-// WithArrayCap overrides the range-array capacity used by LogArray
-// (0 = default).
-func WithArrayCap(n int) Option {
-	return func(s *settings) { s.cfg.ArrayCap = n }
-}
-
-// WithFilterBits overrides the LogFilter size (0 = default).
-func WithFilterBits(bits int) Option {
-	return func(s *settings) { s.cfg.FilterBits = bits }
-}
-
-// WithOrecBits sizes the ownership-record table at 1<<bits entries
-// (0 = default). Shrinking it makes false conflicts visible.
-func WithOrecBits(bits int) Option {
-	return func(s *settings) { s.cfg.OrecBits = bits }
 }
 
 // WithAnnotations enables the thread-private data logs behind

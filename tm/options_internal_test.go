@@ -48,9 +48,6 @@ func TestOptionFieldMapping(t *testing.T) {
 		WithName("x"),
 		WithRuntimeCapture(Checks{Stack: true}, Checks{Heap: true}),
 		WithLogKind(LogArray),
-		WithArrayCap(7),
-		WithFilterBits(9),
-		WithOrecBits(12),
 		WithAnnotations(),
 		WithCounting(),
 		WithPerfMode(),
@@ -62,9 +59,6 @@ func TestOptionFieldMapping(t *testing.T) {
 		Read:             stm.BarrierOpt{Stack: true},
 		Write:            stm.BarrierOpt{Heap: true},
 		LogKind:          capture.KindArray,
-		ArrayCap:         7,
-		FilterBits:       9,
-		OrecBits:         12,
 		Annotations:      true,
 		Counting:         true,
 		PerfMode:         true,
@@ -202,13 +196,13 @@ func TestMemoryAndDefaults(t *testing.T) {
 func TestProfileWithDoesNotAliasBase(t *testing.T) {
 	base := NewProfile("base", WithCounting())
 	a := base.With(WithPerfMode())
-	b := base.With(WithOrecBits(8))
+	b := base.With(WithoutWAWFilter())
 	acfg := buildCfg(t, a.Options()...)
 	bcfg := buildCfg(t, b.Options()...)
-	if acfg.OrecBits != 0 || !acfg.PerfMode {
+	if acfg.NoWAWFilter || !acfg.PerfMode {
 		t.Errorf("profile a contaminated: %+v", acfg)
 	}
-	if bcfg.PerfMode || bcfg.OrecBits != 8 {
+	if bcfg.PerfMode || !bcfg.NoWAWFilter {
 		t.Errorf("profile b contaminated: %+v", bcfg)
 	}
 	if a.Name() != "base" || b.Named("renamed").Name() != "renamed" {

@@ -472,10 +472,9 @@ func TestServeStress(t *testing.T) {
 // timed: 20 000 srv-tmkv requests through one worker at merge width 8,
 // requests and callbacks built beforehand, 64 in flight — after as many
 // again unmeasured, which grow every per-thread buffer to its working
-// size. The redo log runs on 256 KB segments: it allocates a second
-// segment buffer, once, at whichever rotation first finds the first
-// still draining, and at the default 8 MB that one allocation (420 B
-// per request here) would hide the request path it is not part of.
+// size. The redo log encodes every record into one reused buffer and
+// writes it to the segment file, so a rotation allocates only its
+// segment's bookkeeping.
 func TestServeRequestAllocBudget(t *testing.T) {
 	const (
 		n           = 20000
@@ -496,7 +495,7 @@ func TestServeRequestAllocBudget(t *testing.T) {
 			}
 			opts := tm.RuntimeAll(tm.LogTree).Perf().Options() // the rig's served profile
 			if c.durable {
-				opts = append(opts, tm.WithDurability(t.TempDir(), tm.DurNoFsync(), tm.DurSegmentBytes(256<<10)))
+				opts = append(opts, tm.WithDurability(t.TempDir(), tm.DurNoFsync()))
 			}
 			s := serve.NewServer(be, serve.Config{Workers: 1, MergeWidth: 8, Requests: 2 * n, Options: opts})
 			reqs := make([]serve.Request, 2*n)

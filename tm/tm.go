@@ -170,7 +170,11 @@ func (t *Thread) Runtime() *Runtime { return t.rt }
 // commits. If fn calls Tx.Abort, the (innermost) transaction rolls
 // back and Atomic returns false; otherwise it returns true. Calling
 // Atomic inside a transaction runs fn as a closed nested transaction
-// with partial abort.
+// with partial abort. On a durable runtime it returns once the commit's
+// redo record is durable. It reports no log error: a record the redo
+// log refused (a failed segment write or rotation, which is sticky)
+// surfaces in the ack of the enclosing Batcher.Flush (BatchResult.Wait)
+// or stm-level Thread.Deferred scope, and in Runtime.Sync and Close.
 func (t *Thread) Atomic(fn func(*Tx)) bool {
 	return t.th.Atomic(func(stx *stm.Tx) {
 		t.tx.tx = stx
