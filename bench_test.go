@@ -477,12 +477,25 @@ func BenchmarkLongReadOnly(b *testing.B) {
 // BenchmarkBarrierWriteFull is the cost of one full write barrier
 // (distinct addresses, so each pays undo logging; the lock acquisition
 // amortizes over the 8 words of a cache line, as in a real workload).
+// "distinct" stores to a new line every time, on the perf chain, so
+// each store is the first lock of its orec: the price of acquiring one.
 func BenchmarkBarrierWriteFull(b *testing.B) {
 	perChain(b, tm.Baseline().With(tm.WithoutWAWFilter()), func(b *testing.B, p tm.Profile) {
 		_, th, g := barrierRT(p)
 		batched(b, th, func(tx *tm.Tx) tm.Struct { return g },
 			func(tx *tm.Tx, base tm.Struct, i int) {
 				base.Word(i&63).Store(tx, uint64(i))
+			})
+	})
+	b.Run("distinct", func(b *testing.B) {
+		const lines = 1 << 14
+		rt := tm.Open(append(tm.Baseline().Perf().Options(), tm.WithMemory(tm.MemConfig{
+			GlobalWords: (lines + 1) * mem.LineWords, HeapWords: 1 << 10, StackWords: 1 << 10, MaxThreads: 2,
+		}))...)
+		g := rt.AllocGlobal(lines * mem.LineWords)
+		batched(b, rt.Thread(0), func(tx *tm.Tx) tm.Struct { return g },
+			func(tx *tm.Tx, base tm.Struct, i int) {
+				base.Word((i%lines)*mem.LineWords).Store(tx, uint64(i))
 			})
 	})
 }

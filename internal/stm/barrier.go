@@ -184,8 +184,8 @@ func (tx *Tx) readFull(a mem.Addr) uint64 {
 
 // upgrade is the read-mostly mode's one-time in-flight upgrade, taken by
 // the first store that needs the full write barrier: the attempt leaves
-// unlogged mode, and the write machinery (write/undo logs, lockedPrev)
-// then materializes lazily as writeFull touches it. Stores the chain
+// unlogged mode, and the write machinery (write and undo logs) then
+// materializes lazily as writeFull touches it. Stores the chain
 // resolves without an orec — captured memory, annotated private blocks —
 // never get here, so they leave the attempt unlogged.
 //
@@ -245,15 +245,8 @@ func (tx *Tx) writeFull(a mem.Addr, val uint64) {
 			tx.extend()
 			continue
 		}
-		if rt.orecs[oi].CompareAndSwap(v, orecLockWord(tx.th.id)) {
-			tx.writes = append(tx.writes, writeEntry{oi})
-			if tx.lockedPrev == nil {
-				// Allocated on the thread's first lock ever (then reused
-				// via clear in finish), not per Tx: transactions that
-				// never lock an orec never pay for the map.
-				tx.lockedPrev = make(map[uint64]uint64, 8)
-			}
-			tx.lockedPrev[oi] = v
+		if rt.orecs[oi].CompareAndSwap(v, orecLockWord(tx.th.id, len(tx.writes))) {
+			tx.writes = append(tx.writes, writeEntry{oi, v})
 			break
 		}
 		tx.conflict()

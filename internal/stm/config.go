@@ -157,8 +157,8 @@ type OptConfig struct {
 	// mode — or, when writers have committed past the snapshot, a
 	// restart of the attempt logged from its first access. A
 	// transaction that never upgrades never touches the read set,
-	// write log, undo log, or lockedPrev map, and commits without a
-	// validation loop or clock bump. The capture dispatch is the
+	// write log or undo log, and commits without a validation loop or
+	// clock bump. The capture dispatch is the
 	// profile's own, so incidental captured stores (stack probe keys,
 	// scan scratch) do not force the upgrade. Ignored under the
 	// Counting/VerifyElision debug oracles, which must see every

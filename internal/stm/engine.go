@@ -36,7 +36,7 @@ import (
 //   - Routing every perf profile through one stats-free closure chain
 //     that re-tests the baked-in configuration drops capture_speedup
 //     from 1.046/1.043/1.038/1.001 to 0.937/0.932/0.923/0.944
-//     (0.940/0.948/0.939/0.963 with the allocLive > 0 test kept
+//     (0.940/0.948/0.939/0.963 with the heap probe's guard kept
 //     inline): the elision stops paying for itself.
 //   - A chain[P probe, M mode] type-parameterized engine is worse still:
 //     a method call on a type parameter compiles to a dictionary-
@@ -45,9 +45,9 @@ import (
 //     and the probe method wrapping Tree.Contains costs 81 against the
 //     inliner's budget of 80.
 //
-// The flat functions depend on onTxStack, storeCaptured, the three
-// Contains probes and Space.Load/Store/StorePlain being inlined; CI's
-// check job pins that (storeCaptured sits at cost 78 of 80).
+// The flat functions depend on onTxStack, inAllocRange, storeCaptured,
+// the three Contains probes and Space.Load/Store/StorePlain being
+// inlined; CI's check job pins that (storeCaptured costs 78 of 80).
 
 // loadFn and storeFn are the barrier entry points an engine provides.
 // They receive the Tx explicitly so engines can be plain functions
@@ -205,42 +205,42 @@ func perfLoadStack(tx *Tx, a mem.Addr, _ Acc) uint64 {
 }
 
 func perfLoadStackHeapTree(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.onTxStack(a) || (tx.allocLive > 0 && tx.alogTree.Contains(a, 1)) {
+	if tx.onTxStack(a) || (tx.inAllocRange(a) && tx.alogTree.Contains(a, 1)) {
 		return tx.th.rt.space.Load(a)
 	}
 	return tx.readFull(a)
 }
 
 func perfLoadStackHeapArray(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.onTxStack(a) || (tx.allocLive > 0 && tx.alogArr.Contains(a, 1)) {
+	if tx.onTxStack(a) || (tx.inAllocRange(a) && tx.alogArr.Contains(a, 1)) {
 		return tx.th.rt.space.Load(a)
 	}
 	return tx.readFull(a)
 }
 
 func perfLoadStackHeapFilter(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.onTxStack(a) || (tx.allocLive > 0 && tx.alogFil.Contains(a, 1)) {
+	if tx.onTxStack(a) || (tx.inAllocRange(a) && tx.alogFil.Contains(a, 1)) {
 		return tx.th.rt.space.Load(a)
 	}
 	return tx.readFull(a)
 }
 
 func perfLoadHeapTree(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.allocLive > 0 && tx.alogTree.Contains(a, 1) {
+	if tx.inAllocRange(a) && tx.alogTree.Contains(a, 1) {
 		return tx.th.rt.space.Load(a)
 	}
 	return tx.readFull(a)
 }
 
 func perfLoadHeapArray(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.allocLive > 0 && tx.alogArr.Contains(a, 1) {
+	if tx.inAllocRange(a) && tx.alogArr.Contains(a, 1) {
 		return tx.th.rt.space.Load(a)
 	}
 	return tx.readFull(a)
 }
 
 func perfLoadHeapFilter(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.allocLive > 0 && tx.alogFil.Contains(a, 1) {
+	if tx.inAllocRange(a) && tx.alogFil.Contains(a, 1) {
 		return tx.th.rt.space.Load(a)
 	}
 	return tx.readFull(a)
@@ -285,7 +285,7 @@ func perfStoreStack(tx *Tx, a mem.Addr, val uint64, _ Acc) {
 }
 
 func perfStoreStackHeapTree(tx *Tx, a mem.Addr, val uint64, _ Acc) {
-	if tx.onTxStack(a) || (tx.allocLive > 0 && tx.alogTree.Contains(a, 1)) {
+	if tx.onTxStack(a) || (tx.inAllocRange(a) && tx.alogTree.Contains(a, 1)) {
 		tx.storeCaptured(a, val)
 		return
 	}
@@ -293,7 +293,7 @@ func perfStoreStackHeapTree(tx *Tx, a mem.Addr, val uint64, _ Acc) {
 }
 
 func perfStoreStackHeapArray(tx *Tx, a mem.Addr, val uint64, _ Acc) {
-	if tx.onTxStack(a) || (tx.allocLive > 0 && tx.alogArr.Contains(a, 1)) {
+	if tx.onTxStack(a) || (tx.inAllocRange(a) && tx.alogArr.Contains(a, 1)) {
 		tx.storeCaptured(a, val)
 		return
 	}
@@ -301,7 +301,7 @@ func perfStoreStackHeapArray(tx *Tx, a mem.Addr, val uint64, _ Acc) {
 }
 
 func perfStoreStackHeapFilter(tx *Tx, a mem.Addr, val uint64, _ Acc) {
-	if tx.onTxStack(a) || (tx.allocLive > 0 && tx.alogFil.Contains(a, 1)) {
+	if tx.onTxStack(a) || (tx.inAllocRange(a) && tx.alogFil.Contains(a, 1)) {
 		tx.storeCaptured(a, val)
 		return
 	}
@@ -309,7 +309,7 @@ func perfStoreStackHeapFilter(tx *Tx, a mem.Addr, val uint64, _ Acc) {
 }
 
 func perfStoreHeapTree(tx *Tx, a mem.Addr, val uint64, _ Acc) {
-	if tx.allocLive > 0 && tx.alogTree.Contains(a, 1) {
+	if tx.inAllocRange(a) && tx.alogTree.Contains(a, 1) {
 		tx.storeCaptured(a, val)
 		return
 	}
@@ -317,7 +317,7 @@ func perfStoreHeapTree(tx *Tx, a mem.Addr, val uint64, _ Acc) {
 }
 
 func perfStoreHeapArray(tx *Tx, a mem.Addr, val uint64, _ Acc) {
-	if tx.allocLive > 0 && tx.alogArr.Contains(a, 1) {
+	if tx.inAllocRange(a) && tx.alogArr.Contains(a, 1) {
 		tx.storeCaptured(a, val)
 		return
 	}
@@ -325,7 +325,7 @@ func perfStoreHeapArray(tx *Tx, a mem.Addr, val uint64, _ Acc) {
 }
 
 func perfStoreHeapFilter(tx *Tx, a mem.Addr, val uint64, _ Acc) {
-	if tx.allocLive > 0 && tx.alogFil.Contains(a, 1) {
+	if tx.inAllocRange(a) && tx.alogFil.Contains(a, 1) {
 		tx.storeCaptured(a, val)
 		return
 	}

@@ -363,41 +363,65 @@ func TestForcedGenericEndToEnd(t *testing.T) {
 	rt.Validate()
 }
 
-// TestPrevOrecWordLookup covers the orec-index lookup that replaced the
-// linear write-set scan: reads validated against self-locked orecs must
-// see the pre-acquisition version, and partial aborts must drop the
-// released entries from the lookup.
+// TestPrevOrecWordLookup covers the write-set index in the lock word:
+// validate reads the word a self-held lock replaced through the index
+// the lock word carries; an unlocked or foreign-locked word is not
+// ours; a partial abort releases the scope's locks while the outer
+// ones keep indexing their entries, and the next lock takes the
+// released index.
 func TestPrevOrecWordLookup(t *testing.T) {
 	rt := newRT(Baseline())
 	th := rt.Thread(0)
-	g := rt.Space().AllocGlobal(mem.LineWords * 4)
+	g := lineAligned(rt, mem.LineWords*5)
+	line := func(i int) mem.Addr { return g + mem.Addr(i*mem.LineWords) }
+	word := func(i int) uint64 { return rt.orecs[rt.orecIndex(line(i))].Load() }
 	th.Atomic(func(tx *Tx) {
-		for i := 0; i < 4; i++ {
-			a := g + mem.Addr(i*mem.LineWords)
-			pre := rt.orecs[rt.orecIndex(a)].Load()
-			tx.Store(a, uint64(i), AccShared)
-			if got := tx.prevOrecWord(rt.orecIndex(a)); got != pre {
-				t.Errorf("prevOrecWord(orec of word %d) = %d, want %d", i, got, pre)
+		pre := make([]uint64, 5)
+		for i := range pre {
+			pre[i] = word(i)
+		}
+		for i := 0; i < 3; i++ {
+			tx.Store(line(i), uint64(i), AccShared)
+			if w := word(i); orecWriteIdx(w) != i || tx.prevOrecWord(w) != pre[i] {
+				t.Errorf("line %d: lock word indexes entry %d, prev %d; want %d, %d",
+					i, orecWriteIdx(w), tx.prevOrecWord(w), i, pre[i])
 			}
 		}
-		if got := tx.prevOrecWord(^uint64(0) >> 1); got != ^uint64(0) {
+		if got := tx.prevOrecWord(word(4)); got != ^uint64(0) {
 			t.Errorf("unlocked orec lookup = %d, want ^0", got)
 		}
-		// A nested transaction locks a fresh line, then partially
-		// aborts: its entry must leave the lookup, the outer ones stay.
-		inner := g + mem.Addr(3*mem.LineWords)
-		_ = inner
+		if got := tx.prevOrecWord(orecLockWord(th.id+1, 0)); got != ^uint64(0) {
+			t.Errorf("foreign lock lookup = %d, want ^0", got)
+		}
+		// A nested transaction stores to a line it already holds (no
+		// new entry) and locks a fresh one, then partially aborts.
 		th.Atomic(func(tx2 *Tx) {
-			tx2.Store(g+mem.Addr(2*mem.LineWords)+1, 9, AccShared) // same line as word 2: already locked
+			tx2.Store(line(2)+1, 9, AccShared)
+			tx2.Store(line(3), 9, AccShared)
+			if n := len(tx2.writes); n != 4 {
+				t.Errorf("nested write set holds %d entries, want 4", n)
+			}
 			tx2.UserAbort()
 		})
-		if got := tx.prevOrecWord(rt.orecIndex(g)); got == ^uint64(0) {
-			t.Error("outer lock entry lost after nested abort")
+		if n := len(tx.writes); n != 3 {
+			t.Errorf("write set holds %d entries after the nested abort, want 3", n)
+		}
+		if w := word(3); orecLocked(w) {
+			t.Errorf("orec of the aborted scope's line still locked: %#x", w)
+		}
+		for i := 0; i < 3; i++ {
+			if got := tx.prevOrecWord(word(i)); got != pre[i] {
+				t.Errorf("outer lock on line %d lost after nested abort: prev %d, want %d", i, got, pre[i])
+			}
+		}
+		tx.Store(line(4), 1, AccShared)
+		if w := word(4); orecWriteIdx(w) != 3 || tx.prevOrecWord(w) != pre[4] {
+			t.Errorf("lock after the abort indexes entry %d, prev %d; want 3, %d",
+				orecWriteIdx(w), tx.prevOrecWord(w), pre[4])
 		}
 	})
-	// After commit the lookup is cleared.
-	if len(th.tx.lockedPrev) != 0 {
-		t.Errorf("lockedPrev not cleared: %d entries", len(th.tx.lockedPrev))
+	if n := len(th.tx.writes); n != 0 {
+		t.Errorf("write set not cleared at commit: %d entries", n)
 	}
 	rt.Validate()
 }
@@ -474,12 +498,46 @@ func TestAllocationLogPreciseAtTheEngine(t *testing.T) {
 					}
 					checkAllocLogPrecise(t, tx, nil)
 				})
-				if tx := &th.tx; tx.allocLive != 0 || tx.alog.Len() != 0 || (tx.clog != nil && tx.clog.Len() != 0) {
-					t.Fatalf("round %d: allocation log not empty after commit", round)
+				if tx := &th.tx; tx.allocSpan != 0 || tx.alog.Len() != 0 || (tx.clog != nil && tx.clog.Len() != 0) {
+					t.Fatalf("round %d: allocation log or its range not empty after commit", round)
 				}
 			}
+			recycledFarFromBump(t, th)
 			rt.Validate()
 		})
+	}
+}
+
+// recycledFarFromBump: Alloc pops a size class's free list before it
+// bumps, so one transaction can hold a recycled block far below its
+// fresh ones. The range test must pass both, and leave the blocks
+// between them, which the transaction did not allocate, to the probe.
+func recycledFarFromBump(t *testing.T, th *Thread) {
+	t.Helper()
+	old := th.Alloc(4)
+	var between []mem.Addr
+	for range 9 { // 9 × 1025 words: past the private bump span (8192)
+		between = append(between, th.Alloc(1024))
+	}
+	th.Free(old)
+	th.Atomic(func(tx *Tx) {
+		fresh := tx.Alloc(700) // a class the churn above never uses: bumped
+		if got := tx.Alloc(4); got != old {
+			t.Fatalf("Alloc(4) = %d, want the recycled block %d", got, old)
+		}
+		if fresh < old+9*1025 {
+			t.Fatalf("fresh block %d only %d words above the recycled one", fresh, fresh-old)
+		}
+		checkAllocLogPrecise(t, tx, nil)
+		for _, b := range between {
+			if !tx.inAllocRange(b) || tx.alogContains(b) {
+				t.Fatalf("block %d between them: in range %v, captured %v; want true, false",
+					b, tx.inAllocRange(b), tx.alogContains(b))
+			}
+		}
+	})
+	for _, b := range between {
+		th.Free(b)
 	}
 }
 
@@ -522,8 +580,15 @@ func allocLogChurn(t *testing.T, tx *Tx, rng *rand.Rand, steps int) {
 
 // checkAllocLogPrecise checks the probe against tx.allocs, plus gone:
 // records of blocks no longer in tx.allocs that must not be captured.
+// Every block the transaction allocated, freed and rolled back ones
+// included, must stay inside the range test's bounds: it only widens.
 func checkAllocLogPrecise(t *testing.T, tx *Tx, gone []allocRec) {
 	t.Helper()
+	for _, a := range append(gone, tx.allocs...) {
+		if !tx.inAllocRange(a.addr) || !tx.inAllocRange(a.addr+mem.Addr(a.size)-1) {
+			t.Fatalf("block [%d,+%d) (dead=%v) outside the range [%d,+%d)", a.addr, a.size, a.dead, tx.allocLo, tx.allocSpan)
+		}
+	}
 	captured := func(a mem.Addr) bool {
 		got := tx.alogContains(a)
 		if tx.clog != nil && tx.clog.Contains(a, 1) != got {

@@ -25,15 +25,8 @@ type Tx struct {
 	attempts int
 
 	readset []readEntry
-	writes  []writeEntry
+	writes  []writeEntry // indexed by our lock words (orecLockWord)
 	undo    []undoEntry
-
-	// lockedPrev maps an orec index we own to the orec word our lock
-	// replaced, populated at lock time so validate never rescans the
-	// write log (see prevOrecWord in logs.go). Allocated lazily on the
-	// first lock acquisition (writeFull) and reused via clear after
-	// that, so read-only transactions never pay for it.
-	lockedPrev map[uint64]uint64
 
 	allocs []allocRec
 	frees  []mem.Addr // deferred frees of pre-existing blocks
@@ -76,18 +69,18 @@ type Tx struct {
 	selfBumps  uint64
 
 	// Devirtualized views of alog for the hot containment check, plus
-	// a live-range counter so the overwhelmingly common "transaction
-	// has allocated nothing" case costs a single predictable branch —
-	// the property that keeps the paper's runtime checks cheap on
-	// allocation-free benchmarks like kmeans and ssca2. The concrete
-	// logs live in phaseLogs, one cached set per phase (built lazily on
-	// first entry, each with its phase's sizing), so flipping phases
-	// between transactions allocates nothing on the steady state.
+	// the bounding range [allocLo, allocLo+allocSpan) of its blocks, so
+	// a probe outside it — every probe, on allocation-free benchmarks
+	// like kmeans and ssca2 — costs one compare (inAllocRange). The
+	// concrete logs live in phaseLogs, one cached set per phase (built
+	// lazily on first entry), so flipping phases between transactions
+	// allocates nothing on the steady state.
 	alogKind  capture.Kind
 	alogTree  *capture.Tree
 	alogArr   *capture.Array
 	alogFil   *capture.Filter
-	allocLive int
+	allocLo   mem.Addr
+	allocSpan uint64
 	phaseLogs []phaseLogSet
 
 	waw [wawSlots]wawEntry
@@ -361,10 +354,9 @@ func (tx *Tx) finish() {
 	tx.allocs = tx.allocs[:0]
 	tx.frees = tx.frees[:0]
 	tx.saves = tx.saves[:0]
-	clear(tx.lockedPrev)
 	if tx.alog != nil {
 		tx.alog.Clear()
-		tx.allocLive = 0
+		tx.allocSpan = 0
 	}
 	if tx.clog != nil {
 		tx.clog.Clear()
@@ -439,7 +431,6 @@ func (tx *Tx) abortNested() {
 		tx.selfBumps++ // our own bump: unlogged-read revalidation allows it
 		for i := sp.write; i < len(tx.writes); i++ {
 			rt.orecs[tx.writes[i].oi].Store(rel)
-			delete(tx.lockedPrev, tx.writes[i].oi)
 		}
 		// The version bump protects concurrent optimistic readers from
 		// the speculative values (ABA), but it must not invalidate the

@@ -18,10 +18,12 @@ type readEntry struct {
 }
 
 // writeEntry records one acquired orec, in acquisition order so aborts
-// can release exactly the locks a savepoint scope took. The orec word
-// each lock replaced lives in Tx.lockedPrev, keyed by orec index.
+// can release exactly the locks a savepoint scope took, with the orec
+// word the lock replaced. The lock word carries the entry's index in
+// the write set (orecLockWord), so validate finds prev in O(1).
 type writeEntry struct {
-	oi uint64 // orec index
+	oi   uint64 // orec index
+	prev uint64 // orec word before the lock
 }
 
 type undoEntry struct {
@@ -131,23 +133,21 @@ func (tx *Tx) validate(rt *Runtime) bool {
 		if cur == re.v {
 			continue
 		}
-		if orecLocked(cur) && orecOwner(cur) == tx.th.id {
-			if tx.prevOrecWord(re.oi) == re.v {
-				continue
-			}
+		if tx.prevOrecWord(cur) == re.v {
+			continue
 		}
 		return false
 	}
 	return true
 }
 
-// prevOrecWord returns the orec word we replaced when locking oi. The
-// lookup is populated at lock time (writeFull) and trimmed by partial
-// aborts, so conflict-heavy commits validate in O(reads) instead of the
-// former O(reads×writes) write-log rescans.
-func (tx *Tx) prevOrecWord(oi uint64) uint64 {
-	if v, ok := tx.lockedPrev[oi]; ok {
-		return v
+// prevOrecWord returns the orec word our lock replaced, given the
+// orec's current word w, or ^0 unless w is our lock. The lock word
+// indexes our write set, so validation is O(reads), with no lookup
+// structure to fill at lock time or trim at partial abort.
+func (tx *Tx) prevOrecWord(w uint64) uint64 {
+	if orecLocked(w) && orecOwner(w) == tx.th.id {
+		return tx.writes[orecWriteIdx(w)].prev
 	}
 	return ^uint64(0)
 }
@@ -194,7 +194,11 @@ func (tx *Tx) Free(p mem.Addr) {
 func (tx *Tx) insertIntoLogs(p mem.Addr, size int) {
 	if tx.alog != nil {
 		tx.alog.Insert(p, p+mem.Addr(size))
-		tx.allocLive++
+		lo, hi := p, p+mem.Addr(size)
+		if tx.allocSpan != 0 {
+			lo, hi = min(lo, tx.allocLo), max(hi, tx.allocLo+mem.Addr(tx.allocSpan))
+		}
+		tx.allocLo, tx.allocSpan = lo, uint64(hi-lo)
 	}
 	if tx.clog != nil {
 		tx.clog.Insert(p, p+mem.Addr(size))
@@ -204,18 +208,24 @@ func (tx *Tx) insertIntoLogs(p mem.Addr, size int) {
 func (tx *Tx) removeFromLogs(p mem.Addr, size int) {
 	if tx.alog != nil {
 		tx.alog.Remove(p, p+mem.Addr(size))
-		tx.allocLive--
 	}
 	if tx.clog != nil {
 		tx.clog.Remove(p, p+mem.Addr(size))
 	}
 }
 
+// inAllocRange guards every heap probe: a lies in the bounding range
+// of the blocks inserted into the allocation log since finish reset it.
+// Free and partial abort never narrow it, so false proves a uncaptured.
+func (tx *Tx) inAllocRange(a mem.Addr) bool {
+	return uint64(a-tx.allocLo) < tx.allocSpan
+}
+
 // alogContains is the is_captured() heap probe of the paper's Fig. 2,
 // devirtualized for the instrumented barrier chains. The specialized
 // perf engines inline the kind-specific probe instead (engine.go).
 func (tx *Tx) alogContains(a mem.Addr) bool {
-	if tx.allocLive == 0 {
+	if !tx.inAllocRange(a) {
 		return false
 	}
 	switch tx.alogKind {

@@ -177,16 +177,51 @@ func TestPropertyNestedRollback(t *testing.T) {
 }
 
 // TestPropertyOrecEncoding checks the ownership-record word encoding
-// round-trips for arbitrary owners and versions.
+// round-trips for arbitrary versions and for every owner and write-set
+// index a lock word holds: owners fill the ownerBits (uint16), and New
+// rejects a MaxThreads whose thread ids would not fit.
 func TestPropertyOrecEncoding(t *testing.T) {
-	if err := quick.Check(func(id uint16, version uint32) bool {
-		lw := orecLockWord(int(id))
-		if !orecLocked(lw) || orecOwner(lw) != int(id) {
+	if err := quick.Check(func(id uint16, widx uint32, version uint32) bool {
+		lw := orecLockWord(int(id), int(widx))
+		if !orecLocked(lw) || orecOwner(lw) != int(id) || orecWriteIdx(lw) != int(widx) {
 			return false
 		}
 		vw := uint64(version) << 1
 		return !orecLocked(vw) && orecVersion(vw) == uint64(version)
 	}, nil); err != nil {
+		t.Error(err)
+	}
+	small := mem.Config{GlobalWords: 8, HeapWords: 64, StackWords: 1}
+	small.MaxThreads = 1 << ownerBits
+	New(small, Baseline()) // the largest thread id fits
+	small.MaxThreads++
+	defer func() {
+		if recover() == nil {
+			t.Errorf("New accepted MaxThreads %d, past the %d owners a lock word holds", small.MaxThreads, 1<<ownerBits)
+		}
+	}()
+	New(small, Baseline())
+}
+
+// TestPropertyOrecWindowOneToOne: the orecs are in address order, so
+// any window of 1<<DefaultOrecBits consecutive lines maps one-to-one
+// onto the table, and the words of one line share its orec.
+func TestPropertyOrecWindowOneToOne(t *testing.T) {
+	rt := newRT(Baseline())
+	const lines = 1 << DefaultOrecBits
+	if err := quick.Check(func(start uint32, word uint8) bool {
+		seen := make([]bool, len(rt.orecs))
+		base := mem.Addr(start) * mem.LineWords
+		for l := mem.Addr(0); l < lines; l++ {
+			a := base + l*mem.LineWords
+			oi := rt.orecIndex(a)
+			if seen[oi] || rt.orecIndex(a+mem.Addr(word%mem.LineWords)) != oi {
+				return false
+			}
+			seen[oi] = true
+		}
+		return true
+	}, &quick.Config{MaxCount: 8}); err != nil {
 		t.Error(err)
 	}
 }

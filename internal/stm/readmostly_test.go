@@ -20,9 +20,9 @@ func rmCfg() OptConfig {
 // TestReadMostlyZeroWriteActivity is the zero-setup acceptance pin: a
 // phase that never stores to shared memory must leave the write-side
 // machinery untouched — no write-log or undo-log capacity ever
-// allocated, no lockedPrev map materialized, zero upgrades — and,
-// because read-mostly full reads validate against the snapshot instead
-// of logging, no read-set capacity either.
+// allocated, zero upgrades — and, because read-mostly full reads
+// validate against the snapshot instead of logging, no read-set
+// capacity either.
 func TestReadMostlyZeroWriteActivity(t *testing.T) {
 	for _, perf := range []bool{false, true} {
 		cfg := rmCfg()
@@ -62,9 +62,6 @@ func TestReadMostlyZeroWriteActivity(t *testing.T) {
 		}
 		if cap(tx.readset) != 0 {
 			t.Errorf("perf=%v: read set allocated (cap %d) on unlogged loads", perf, cap(tx.readset))
-		}
-		if tx.lockedPrev != nil {
-			t.Errorf("perf=%v: lockedPrev materialized with %d entries", perf, len(tx.lockedPrev))
 		}
 		rt.Validate()
 	}

@@ -60,14 +60,13 @@ const DefaultOrecBits = 18
 // optimization configuration. One Runtime is shared by all threads of
 // a workload.
 type Runtime struct {
-	space     *mem.Space
-	orecs     []atomic.Uint64
-	orecShift uint
+	space *mem.Space
+	orecs []atomic.Uint64
 
 	// clock is bumped by every writing commit and read by every begin.
 	// It has a cache line of its own, so a bump does not invalidate the
-	// line holding space, orecs and orecShift, which every barrier on
-	// every thread reads.
+	// line holding space and orecs, which every barrier on every thread
+	// reads.
 	_     [lineBytes - 8]byte
 	clock atomic.Uint64
 	_     [lineBytes - 8]byte
@@ -104,18 +103,21 @@ type Runtime struct {
 	threads map[int]*Thread
 }
 
-// New creates a runtime over a fresh address space.
+// New creates a runtime over a fresh address space. It panics if a
+// lock word cannot hold every thread id below mcfg.MaxThreads.
 func New(mcfg mem.Config, cfg OptConfig) *Runtime {
+	if mcfg.MaxThreads > 1<<ownerBits {
+		panic(fmt.Sprintf("stm: MaxThreads %d exceeds the %d owners a lock word holds", mcfg.MaxThreads, 1<<ownerBits))
+	}
 	phases, phaseIdx := compilePhases(cfg)
 	return &Runtime{
-		space:     mem.NewSpace(mcfg),
-		orecs:     make([]atomic.Uint64, 1<<DefaultOrecBits),
-		orecShift: 64 - DefaultOrecBits,
-		cfg:       cfg,
-		phases:    phases,
-		phaseIdx:  phaseIdx,
-		seqs:      make([]seqSlot, mcfg.MaxThreads),
-		threads:   make(map[int]*Thread),
+		space:    mem.NewSpace(mcfg),
+		orecs:    make([]atomic.Uint64, 1<<DefaultOrecBits),
+		cfg:      cfg,
+		phases:   phases,
+		phaseIdx: phaseIdx,
+		seqs:     make([]seqSlot, mcfg.MaxThreads),
+		threads:  make(map[int]*Thread),
 	}
 }
 
@@ -149,22 +151,25 @@ func (rt *Runtime) Space() *mem.Space { return rt.space }
 // Config returns the active optimization configuration.
 func (rt *Runtime) Config() OptConfig { return rt.cfg }
 
-// orecIndex maps an address to its ownership record. Addresses are
-// mapped per simulated cache line (8 words), then spread over the
-// table with a multiplicative hash — the paper's cache-line-based
-// transaction-record mapping. Distinct lines can collide (false
-// conflicts, Sec. 2.2), which shrinking the table makes visible.
+// orecIndex maps an address to its ownership record: its cache line
+// (8 words) modulo the table size, in TinySTM's address order
+// (LOCK_IDX), so 8 neighbouring lines share one cache line of orecs and
+// any 1<<DefaultOrecBits consecutive lines map one-to-one onto them;
+// lines further apart can collide (false conflicts, Sec. 2.2).
 func (rt *Runtime) orecIndex(a mem.Addr) uint64 {
-	line := uint64(a) / mem.LineWords
-	return (line * 0x9E3779B97F4A7C15) >> rt.orecShift
+	return uint64(a) / mem.LineWords & (1<<DefaultOrecBits - 1)
 }
 
 // Orec word encoding: unlocked orecs hold version<<1 (even); locked
-// orecs hold (owner+1)<<1 | 1.
-func orecLocked(v uint64) bool    { return v&1 == 1 }
-func orecOwner(v uint64) int      { return int(v>>1) - 1 }
-func orecLockWord(id int) uint64  { return uint64(id+1)<<1 | 1 }
-func orecVersion(v uint64) uint64 { return v >> 1 }
+// orecs hold 1 | owner<<1 | widx<<(1+ownerBits), where widx indexes the
+// owner's writeEntry, which keeps the word the lock replaced.
+const ownerBits = 16
+
+func orecLocked(v uint64) bool         { return v&1 == 1 }
+func orecOwner(v uint64) int           { return int(v >> 1 & (1<<ownerBits - 1)) }
+func orecWriteIdx(v uint64) int        { return int(v >> (1 + ownerBits)) }
+func orecVersion(v uint64) uint64      { return v >> 1 }
+func orecLockWord(id, widx int) uint64 { return uint64(widx)<<(1+ownerBits) | uint64(id)<<1 | 1 }
 
 // Thread is a per-worker execution context: the simulated stack, the
 // heap allocation cache, the annotated-private-data log, statistics,

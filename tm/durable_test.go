@@ -16,8 +16,10 @@ import (
 // TestRecoverAllocatesOneImage pins recovery's space cost: tm.Recover
 // allocates the new runtime's space and decodes the checkpoint into it
 // in place — no second image, no per-chunk slices. The geometry is the
-// rig's served one (256 MB), and the bound is that space plus 2 MB of
-// slack for the rest of the runtime and recovery's own buffers.
+// rig's served one (256 MB). The bound on the Go heap's allocation is
+// recoverAllocBudget: where the space is a mapping outside the heap, a
+// fixed budget for the rest of the runtime and recovery's own buffers;
+// where it is on the heap, the space plus 2 MB.
 func TestRecoverAllocatesOneImage(t *testing.T) {
 	geometry := tm.MemConfig{GlobalWords: 1 << 10, HeapWords: 1 << 25, StackWords: 1 << 12, MaxThreads: 32}
 	opts := []tm.Option{tm.WithMemory(geometry)}
@@ -55,9 +57,8 @@ func TestRecoverAllocatesOneImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt2.Close()
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > spaceBytes+2<<20 {
-		t.Errorf("Recover allocated %d bytes for a %d-byte space (%.2f×), want at most the space + 2 MB",
-			alloc, spaceBytes, float64(alloc)/float64(spaceBytes))
+	if alloc, budget := after.TotalAlloc-before.TotalAlloc, recoverAllocBudget(spaceBytes); alloc > budget {
+		t.Errorf("Recover allocated %d bytes for a %d-byte space, want at most %d", alloc, spaceBytes, budget)
 	}
 	if got := rt2.Unwrap().Space().Checksum(); got != want {
 		t.Errorf("recovered state %#x, crashed instance had %#x", got, want)
