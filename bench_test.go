@@ -77,12 +77,10 @@ func BenchmarkFig8Breakdown(b *testing.B) {
 func BenchmarkFig9Removal(b *testing.B) {
 	techs := map[string]tm.Profile{
 		"tree":     tm.RuntimeAll(tm.LogTree),
-		"array":    tm.RuntimeAll(tm.LogArray),
-		"filter":   tm.RuntimeAll(tm.LogFilter),
 		"compiler": tm.CompilerElision(),
 	}
 	for _, name := range []string{"vacation-high", "genome", "yada"} {
-		for _, tech := range []string{"tree", "array", "filter", "compiler"} {
+		for _, tech := range []string{"tree", "compiler"} {
 			b.Run(name+"/"+tech, func(b *testing.B) {
 				runBench(b, name, techs[tech], 1)
 			})
@@ -119,24 +117,14 @@ func BenchmarkFig10(b *testing.B) {
 	}
 }
 
-// --- Figure 11(a)/(b) (16-thread improvement) ---
+// --- Figure 11(a) (16-thread improvement) ---
 
 // BenchmarkFig11a measures the Fig. 10 configurations at 16 threads.
+// With one allocation log, the paper's Fig. 11(b) is its heap-write
+// column.
 func BenchmarkFig11a(b *testing.B) {
 	for _, name := range []string{"vacation-high", "vacation-low", "genome", "intruder", "kmeans-high", "yada"} {
 		for _, p := range bench.Fig10Configs() {
-			b.Run(name+"/"+p.Name(), func(b *testing.B) {
-				runBench(b, name, p.Perf(), benchThreads)
-			})
-		}
-	}
-}
-
-// BenchmarkFig11b compares the three allocation-log implementations
-// (heap-only, write-only checks) and the compiler at 16 threads.
-func BenchmarkFig11b(b *testing.B) {
-	for _, name := range []string{"vacation-high", "vacation-low", "genome", "intruder", "yada"} {
-		for _, p := range bench.Fig11bConfigs() {
 			b.Run(name+"/"+p.Name(), func(b *testing.B) {
 				runBench(b, name, p.Perf(), benchThreads)
 			})
@@ -501,16 +489,14 @@ func BenchmarkBarrierWriteFull(b *testing.B) {
 }
 
 // BenchmarkBarrierReadElided measures reads that hit the runtime
-// capture analysis, per mechanism and log kind. (The freshly allocated
-// block's provenance is ignored in the heap runs: the profiles enable
-// only runtime checks, so elision happens dynamically, as in the
-// paper's Fig. 2.)
+// capture analysis, per mechanism. (The freshly allocated block's
+// provenance is ignored in the heap run: the profiles enable only
+// runtime checks, so elision happens dynamically, as in the paper's
+// Fig. 2.)
 func BenchmarkBarrierReadElided(b *testing.B) {
-	for _, k := range []tm.LogKind{tm.LogTree, tm.LogArray, tm.LogFilter} {
-		b.Run("heap-"+k.String(), func(b *testing.B) {
-			perChain(b, tm.RuntimeAll(k), readFreshBlock)
-		})
-	}
+	b.Run("heap-tree", func(b *testing.B) {
+		perChain(b, tm.RuntimeAll(tm.LogTree), readFreshBlock)
+	})
 	b.Run("stack", func(b *testing.B) {
 		perChain(b, tm.RuntimeAll(tm.LogTree), func(b *testing.B, p tm.Profile) {
 			_, th, _ := barrierRT(p)
@@ -532,45 +518,41 @@ func BenchmarkBarrierReadElided(b *testing.B) {
 // analysis on reads that are NOT captured (the check is pure overhead,
 // the kmeans case from Fig. 10).
 func BenchmarkBarrierReadMiss(b *testing.B) {
-	for _, k := range []tm.LogKind{tm.LogTree, tm.LogArray, tm.LogFilter} {
-		b.Run(k.String()+"-empty-log", func(b *testing.B) {
-			perChain(b, tm.RuntimeAll(k), readGlobals)
-		})
-		b.Run(k.String()+"-loaded-log", func(b *testing.B) {
-			perChain(b, tm.RuntimeAll(k), func(b *testing.B, p tm.Profile) {
-				_, th, g := barrierRT(p)
-				var sink uint64
-				var scratch [4]tm.Struct
-				batched(b, th, func(tx *tm.Tx) tm.Struct {
-					for j := 0; j < 4; j++ {
-						if !scratch[j].IsNil() {
-							tx.Free(scratch[j])
-						}
-						scratch[j] = tx.Alloc(8)
+	b.Run("tree-empty-log", func(b *testing.B) {
+		perChain(b, tm.RuntimeAll(tm.LogTree), readGlobals)
+	})
+	b.Run("tree-loaded-log", func(b *testing.B) {
+		perChain(b, tm.RuntimeAll(tm.LogTree), func(b *testing.B, p tm.Profile) {
+			_, th, g := barrierRT(p)
+			var sink uint64
+			var scratch [4]tm.Struct
+			batched(b, th, func(tx *tm.Tx) tm.Struct {
+				for j := 0; j < 4; j++ {
+					if !scratch[j].IsNil() {
+						tx.Free(scratch[j])
 					}
-					return g
-				}, func(tx *tm.Tx, base tm.Struct, i int) {
-					sink += base.Word(i & 63).Load(tx)
-				})
-				_ = sink
+					scratch[j] = tx.Alloc(8)
+				}
+				return g
+			}, func(tx *tm.Tx, base tm.Struct, i int) {
+				sink += base.Word(i & 63).Load(tx)
 			})
+			_ = sink
 		})
-	}
+	})
 }
 
 // BenchmarkBarrierWriteElided measures captured writes (lock and undo
 // both elided) against the full barrier above.
 func BenchmarkBarrierWriteElided(b *testing.B) {
-	for _, k := range []tm.LogKind{tm.LogTree, tm.LogArray, tm.LogFilter} {
-		b.Run("heap-"+k.String(), func(b *testing.B) {
-			perChain(b, tm.RuntimeAll(k), func(b *testing.B, p tm.Profile) {
-				_, th, _ := barrierRT(p)
-				batched(b, th, freshBlock(), func(tx *tm.Tx, base tm.Struct, i int) {
-					base.Word(i&63).Store(tx, uint64(i))
-				})
+	b.Run("heap-tree", func(b *testing.B) {
+		perChain(b, tm.RuntimeAll(tm.LogTree), func(b *testing.B, p tm.Profile) {
+			_, th, _ := barrierRT(p)
+			batched(b, th, freshBlock(), func(tx *tm.Tx, base tm.Struct, i int) {
+				base.Word(i&63).Store(tx, uint64(i))
 			})
 		})
-	}
+	})
 }
 
 // BenchmarkAccessFloor prices the floor under every barrier above, in
@@ -659,53 +641,49 @@ func BenchmarkCommitParallel(b *testing.B) {
 // it repeats. BenchmarkBarrierReadMiss and the rig's capture.*_ns probes
 // repeat one address; the branch predictor learns that walk, which is
 // how a search tree whose probe cost 5–7 ns there cost several times
-// that in the workload. The logs are probed through capture.Log (the
-// engines inline the concrete type, saving the same dispatch for every
-// kind) at their default sizing, so the array tracks only its first
-// four ranges and the hit-share metric shows what each kind finds.
+// that in the workload. The log is called directly, as the engines'
+// inlined probe calls it.
 func BenchmarkCaptureProbeScattered(b *testing.B) {
 	const (
 		heapWords = 1 << 20
 		cell      = 64 // one block per cell keeps ranges disjoint
 		probes    = 1 << 12
 	)
-	for _, k := range []capture.Kind{capture.KindTree, capture.KindArray, capture.KindFilter} {
-		for _, ranges := range []int{1, 16, 64} {
-			b.Run(fmt.Sprintf("%v/ranges=%d", k, ranges), func(b *testing.B) {
-				rng := prng.New(uint64(ranges))
-				log := capture.New(k)
-				var blocks [][2]mem.Addr
-				taken := map[int]bool{}
-				for len(blocks) < ranges {
-					c := rng.Intn(heapWords / cell)
-					if taken[c] {
-						continue
-					}
-					taken[c] = true
-					start := mem.Addr(c*cell + 1 + rng.Intn(cell/2))
-					end := start + mem.Addr(1+rng.Intn(16))
-					log.Insert(start, end)
-					blocks = append(blocks, [2]mem.Addr{start, end})
+	for _, ranges := range []int{1, 16, 64} {
+		b.Run(fmt.Sprintf("tree/ranges=%d", ranges), func(b *testing.B) {
+			rng := prng.New(uint64(ranges))
+			log := capture.NewTree()
+			var blocks [][2]mem.Addr
+			taken := map[int]bool{}
+			for len(blocks) < ranges {
+				c := rng.Intn(heapWords / cell)
+				if taken[c] {
+					continue
 				}
-				addrs := make([]mem.Addr, probes)
-				for i := range addrs {
-					if i%2 == 0 {
-						blk := blocks[rng.Intn(ranges)]
-						addrs[i] = blk[0] + mem.Addr(rng.Uint64n(uint64(blk[1]-blk[0])))
-					} else {
-						addrs[i] = mem.Addr(1 + rng.Intn(heapWords)) // a miss but for luck
-					}
+				taken[c] = true
+				start := mem.Addr(c*cell + 1 + rng.Intn(cell/2))
+				end := start + mem.Addr(1+rng.Intn(16))
+				log.Insert(start, end)
+				blocks = append(blocks, [2]mem.Addr{start, end})
+			}
+			addrs := make([]mem.Addr, probes)
+			for i := range addrs {
+				if i%2 == 0 {
+					blk := blocks[rng.Intn(ranges)]
+					addrs[i] = blk[0] + mem.Addr(rng.Uint64n(uint64(blk[1]-blk[0])))
+				} else {
+					addrs[i] = mem.Addr(1 + rng.Intn(heapWords)) // a miss but for luck
 				}
-				hits := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if log.Contains(addrs[i%probes], 1) {
-						hits++
-					}
+			}
+			hits := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if log.Contains(addrs[i%probes], 1) {
+					hits++
 				}
-				b.ReportMetric(float64(hits)/float64(b.N), "hit-share")
-			})
-		}
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "hit-share")
+		})
 	}
 }
 

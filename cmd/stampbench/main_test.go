@@ -9,8 +9,8 @@ import (
 // TestRun drives the command line end to end: every experiment the
 // -experiment usage string names dispatches at its smallest size and
 // prints its table header, and removed surface (the JSON report path,
-// the contention-manager experiment) is refused with the list of what
-// remains.
+// the contention-manager experiment, Fig. 11(b)'s log comparison) is
+// refused with the list of what remains.
 func TestRun(t *testing.T) {
 	one := []string{"-bench", "ssca2", "-runs", "1"}
 	sweep := []string{"-threadlist", "1", "-runs", "1"}
@@ -26,13 +26,13 @@ func TestRun(t *testing.T) {
 		{args: append([]string{"-experiment", "table2"}, one...), stdout: []string{"Table 2: % relative standard deviation at 1 threads (1 runs)", "ssca2"}},
 		{args: append([]string{"-experiment", "fig10"}, one...), stdout: []string{"Figure 10: % improvement over baseline at 1 thread", "ssca2"}},
 		{args: append([]string{"-experiment", "fig11a"}, one...), stdout: []string{"Figure 11(a): % improvement over baseline at 1 threads", "ssca2"}},
-		{args: append([]string{"-experiment", "fig11b"}, one...), stdout: []string{"Figure 11(b): % improvement over baseline at 1 threads", "runtime-w-heap-filter"}},
 		{args: append([]string{"-experiment", "capture"}, one...), stdout: []string{"Capture/elision breakdown", "runtime+skipshared"}},
 		{args: append([]string{"-experiment", "readmostly"}, sweep...), stdout: append(sweepTables, "tmkv-read", "compiler+phases", "srv-tmkv-read")},
 
 		{args: []string{"-experiment", "sweep"}, code: 1, stderr: []string{`unknown experiment "sweep"`, experiments}},
 		{args: []string{"-experiment", "durability"}, code: 1, stderr: []string{`unknown experiment "durability"`, experiments}},
 		{args: []string{"-experiment", "contention"}, code: 1, stderr: []string{`unknown experiment "contention"`, experiments}},
+		{args: append([]string{"-experiment", "fig11b"}, one...), code: 1, stderr: []string{`unknown experiment "fig11b"`, experiments}},
 		{args: []string{"-format", "json"}, code: 2, stderr: []string{"not defined: -format", experiments}},
 		{args: []string{"-o", "out.json"}, code: 2, stderr: []string{"not defined: -o", experiments}},
 		{args: []string{"-phases"}, code: 2, stderr: []string{"not defined: -phases", experiments}},

@@ -24,7 +24,7 @@ import (
 func main() {
 	analysis := flag.Bool("analysis", false, "print the capture-analysis report")
 	run := flag.Bool("run", false, "execute main()")
-	opt := flag.String("opt", "compiler", "baseline|compiler|tree|array|filter")
+	opt := flag.String("opt", "compiler", "baseline|compiler|tree")
 	noinline := flag.Bool("noinline", false, "disable the inlining pass")
 	verify := flag.Bool("verify", false, "verify every static elision against the dynamic oracle")
 	flag.Parse()
@@ -61,10 +61,6 @@ func main() {
 		p = tm.CompilerElision()
 	case "tree":
 		p = tm.RuntimeAll(tm.LogTree)
-	case "array":
-		p = tm.RuntimeAll(tm.LogArray)
-	case "filter":
-		p = tm.RuntimeAll(tm.LogFilter)
 	default:
 		fmt.Fprintf(os.Stderr, "tlc: unknown -opt %q\n", *opt)
 		os.Exit(2)

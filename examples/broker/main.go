@@ -45,7 +45,6 @@ func main() {
 	rt := tm.Open(
 		tm.WithName("broker"),
 		tm.WithRuntimeCapture(tm.StackAndHeap, tm.StackAndHeap),
-		tm.WithLogKind(tm.LogTree),
 		// One engine per regime: the publish phase inherits the capture
 		// checks above; the cursor phase drops them (they cannot elide
 		// anything there) and bypasses checks on definitely-shared

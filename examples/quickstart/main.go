@@ -21,7 +21,6 @@ func main() {
 	rt := tm.Open(
 		tm.WithName("quickstart"),
 		tm.WithRuntimeCapture(tm.StackAndHeap, tm.StackAndHeap),
-		tm.WithLogKind(tm.LogTree),
 		tm.WithMemory(tm.MemConfig{
 			GlobalWords: 1 << 10,
 			HeapWords:   1 << 20,

@@ -126,7 +126,6 @@ func main() {
 		Options: []tm.Option{
 			tm.WithName("served"),
 			tm.WithRuntimeCapture(tm.StackAndHeap, tm.StackAndHeap),
-			tm.WithLogKind(tm.LogTree),
 		},
 	})
 	srv.Start()

@@ -12,6 +12,10 @@ import "repro/internal/mem"
 // The paper's observation (Sec. 4.1) is that most transactions perform
 // few allocations, so tracking only the first handful captures nearly
 // the full elision potential (yada being the exception).
+//
+// No transaction uses it: the STM's one allocation log is Tree. Array
+// stays as a standalone structure, checked by FuzzArray, until a later
+// change deletes it with its tests.
 type Array struct {
 	start []mem.Addr
 	end   []mem.Addr

@@ -8,99 +8,79 @@ import (
 	"repro/internal/mem"
 )
 
-func kinds() []Kind { return []Kind{KindTree, KindArray, KindFilter} }
-
-func TestKindString(t *testing.T) {
-	want := map[Kind]string{KindTree: "tree", KindArray: "array", KindFilter: "filter", Kind(99): "unknown"}
-	for k, w := range want {
-		if k.String() != w {
-			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), w)
-		}
-	}
-}
-
 func TestBasicInsertContains(t *testing.T) {
-	for _, k := range kinds() {
-		l := New(k)
-		l.Insert(100, 110)
-		l.Insert(200, 201)
-		cases := []struct {
-			addr mem.Addr
-			size int
-			want bool
-		}{
-			{100, 1, true}, {109, 1, true}, {110, 1, false}, {99, 1, false},
-			{100, 10, true}, {100, 11, false}, {105, 5, true}, {105, 6, false},
-			{200, 1, true}, {201, 1, false}, {150, 1, false},
-		}
-		for _, c := range cases {
-			if got := l.Contains(c.addr, c.size); got != c.want {
-				t.Errorf("%v: Contains(%d,%d) = %v, want %v", k, c.addr, c.size, got, c.want)
-			}
+	l := NewTree()
+	l.Insert(100, 110)
+	l.Insert(200, 201)
+	cases := []struct {
+		addr mem.Addr
+		size int
+		want bool
+	}{
+		{100, 1, true}, {109, 1, true}, {110, 1, false}, {99, 1, false},
+		{100, 10, true}, {100, 11, false}, {105, 5, true}, {105, 6, false},
+		{200, 1, true}, {201, 1, false}, {150, 1, false},
+	}
+	for _, c := range cases {
+		if got := l.Contains(c.addr, c.size); got != c.want {
+			t.Errorf("Contains(%d,%d) = %v, want %v", c.addr, c.size, got, c.want)
 		}
 	}
 }
 
 func TestRemove(t *testing.T) {
-	for _, k := range kinds() {
-		l := New(k)
-		l.Insert(10, 20)
-		l.Insert(30, 40)
-		l.Remove(10, 20)
-		if l.Contains(15, 1) {
-			t.Errorf("%v: contains removed range", k)
-		}
-		if !l.Contains(35, 1) {
-			t.Errorf("%v: lost surviving range", k)
-		}
-		l.Remove(50, 60) // absent: no-op
-		if !l.Contains(35, 1) {
-			t.Errorf("%v: no-op remove damaged log", k)
-		}
+	l := NewTree()
+	l.Insert(10, 20)
+	l.Insert(30, 40)
+	l.Remove(10, 20)
+	if l.Contains(15, 1) {
+		t.Error("contains removed range")
+	}
+	if !l.Contains(35, 1) {
+		t.Error("lost surviving range")
+	}
+	l.Remove(50, 60) // absent: no-op
+	if !l.Contains(35, 1) {
+		t.Error("no-op remove damaged log")
 	}
 }
 
-// TestRemoveMismatchedEnd pins the Log contract for the range-keeping
-// kinds: a recorded start with any other end is not that range, and
-// removing it changes nothing.
+// TestRemoveMismatchedEnd pins Remove's contract: a recorded start with
+// any other end is not that range, and removing it changes nothing.
 func TestRemoveMismatchedEnd(t *testing.T) {
-	for _, k := range []Kind{KindTree, KindArray} {
-		l := New(k)
-		l.Insert(10, 20)
-		l.Insert(100, 140) // three granules
-		for _, r := range [][2]mem.Addr{{10, 19}, {10, 21}, {10, 40}, {100, 112}, {100, 139}, {100, 141}, {100, 200}} {
-			l.Remove(r[0], r[1])
-			if l.Len() != 2 || !l.Contains(10, 10) || !l.Contains(100, 40) {
-				t.Fatalf("%v: Remove(%d,%d) of a range never inserted changed the log", k, r[0], r[1])
-			}
+	l := NewTree()
+	l.Insert(10, 20)
+	l.Insert(100, 140) // three granules
+	for _, r := range [][2]mem.Addr{{10, 19}, {10, 21}, {10, 40}, {100, 112}, {100, 139}, {100, 141}, {100, 200}} {
+		l.Remove(r[0], r[1])
+		if l.Len() != 2 || !l.Contains(10, 10) || !l.Contains(100, 40) {
+			t.Fatalf("Remove(%d,%d) of a range never inserted changed the log", r[0], r[1])
 		}
-		l.Remove(100, 140)
-		if l.Len() != 1 || l.Contains(100, 1) || l.Contains(139, 1) || !l.Contains(10, 10) {
-			t.Errorf("%v: exact Remove after mismatched ones did not take", k)
-		}
+	}
+	l.Remove(100, 140)
+	if l.Len() != 1 || l.Contains(100, 1) || l.Contains(139, 1) || !l.Contains(10, 10) {
+		t.Error("exact Remove after mismatched ones did not take")
 	}
 }
 
 func TestClear(t *testing.T) {
-	for _, k := range kinds() {
-		l := New(k)
-		for i := mem.Addr(0); i < 20; i++ {
-			l.Insert(100+i*10, 100+i*10+5)
+	l := NewTree()
+	for i := mem.Addr(0); i < 20; i++ {
+		l.Insert(100+i*10, 100+i*10+5)
+	}
+	l.Clear()
+	if l.Len() != 0 {
+		t.Errorf("Len after Clear = %d", l.Len())
+	}
+	for i := mem.Addr(0); i < 20; i++ {
+		if l.Contains(100+i*10, 1) {
+			t.Error("contains after Clear")
 		}
-		l.Clear()
-		if l.Len() != 0 {
-			t.Errorf("%v: Len after Clear = %d", k, l.Len())
-		}
-		for i := mem.Addr(0); i < 20; i++ {
-			if l.Contains(100+i*10, 1) {
-				t.Errorf("%v: contains after Clear", k)
-			}
-		}
-		// Log must be reusable after Clear.
-		l.Insert(7, 9)
-		if !l.Contains(7, 2) {
-			t.Errorf("%v: unusable after Clear", k)
-		}
+	}
+	// The log must be reusable after Clear.
+	l.Insert(7, 9)
+	if !l.Contains(7, 2) {
+		t.Error("unusable after Clear")
 	}
 }
 
@@ -311,6 +291,126 @@ func TestTreeInsertOverlapPanics(t *testing.T) {
 	checkTree(t, tr, []treeCase{{5, 5, true}, {9, 2, false}, {19, 2, false}, {20, 10, true}})
 }
 
+// model is the reference implementation for property testing.
+type model map[mem.Addr]mem.Addr
+
+// contains reports single-range containment (the log's contract).
+func (m model) contains(a mem.Addr, size int) bool {
+	for s, e := range m {
+		if a >= s && a+mem.Addr(size) <= e {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPropertyConservative drives the log with a random operation
+// sequence and checks, after every step, that it agrees with the model
+// exactly: no false positive (the paper's correctness requirement) and
+// no false negative.
+func TestPropertyConservative(t *testing.T) {
+	f := func(seed int64, nops uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		l := NewTree()
+		ref := model{}
+		// Blocks are laid out upward from a random base in a universe
+		// of 1<<16 words and more; one in four is multi-granule (up to
+		// 4096 words) and one in four is followed by a wide hole.
+		next := mem.Addr(1 + rng.Intn(1<<16))
+		var starts []mem.Addr
+		for op := 0; op < int(nops); op++ {
+			switch rng.Intn(4) {
+			case 0, 1: // insert
+				n := mem.Addr(1 + rng.Intn(8))
+				if rng.Intn(4) == 0 {
+					n = mem.Addr(1 + rng.Intn(4096))
+				}
+				l.Insert(next, next+n)
+				ref[next] = next + n
+				starts = append(starts, next)
+				next += n + mem.Addr(rng.Intn(3))
+				if rng.Intn(4) == 0 {
+					next += mem.Addr(rng.Intn(4096))
+				}
+			case 2: // remove a random previously inserted range
+				if len(starts) == 0 {
+					continue
+				}
+				i := rng.Intn(len(starts))
+				s := starts[i]
+				if e, ok := ref[s]; ok {
+					l.Remove(s, e)
+					delete(ref, s)
+				}
+			case 3: // clear
+				if rng.Intn(8) == 0 {
+					l.Clear()
+					ref = model{}
+					starts = starts[:0]
+				}
+			}
+			if err := l.checkInvariants(); err != nil {
+				t.Log(err)
+				return false
+			}
+			// Probe random addresses, and the words around the edges
+			// of random blocks (live or already removed).
+			for p := 0; p < 16; p++ {
+				a := mem.Addr(rng.Intn(int(next) + 4))
+				if p%2 == 1 && len(starts) > 0 {
+					a = starts[rng.Intn(len(starts))] + mem.Addr(rng.Intn(12)) - 3
+				}
+				size := 1 + rng.Intn(3)
+				if got, want := l.Contains(a, size), ref.contains(a, size); got != want {
+					t.Logf("Contains(%d,%d)=%v want %v", a, size, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+func BenchmarkLogHit(b *testing.B) {
+	l := NewTree()
+	for i := mem.Addr(0); i < 4; i++ {
+		l.Insert(1000+i*20, 1010+i*20)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !l.Contains(1005, 1) {
+			b.Fatal("miss")
+		}
+	}
+}
+
+func BenchmarkLogMiss(b *testing.B) {
+	l := NewTree()
+	for i := mem.Addr(0); i < 4; i++ {
+		l.Insert(1000+i*20, 1010+i*20)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if l.Contains(5000, 1) {
+			b.Fatal("hit")
+		}
+	}
+}
+
+func BenchmarkLogInsertClear(b *testing.B) {
+	l := NewTree()
+	for i := 0; i < b.N; i++ {
+		a := mem.Addr(1000 + (i%16)*32)
+		l.Insert(a, a+16)
+		if i%16 == 15 {
+			l.Clear()
+		}
+	}
+}
+
 func TestArrayOverflowConservative(t *testing.T) {
 	a := NewArray(2)
 	a.Insert(10, 20)
@@ -330,229 +430,5 @@ func TestArrayOverflowConservative(t *testing.T) {
 	a.Insert(50, 60) // slot freed, now fits
 	if !a.Contains(55, 1) {
 		t.Error("slot not reusable after Remove")
-	}
-}
-
-func TestFilterCollisionsAreFalseNegativesOnly(t *testing.T) {
-	f := NewFilter(3) // 8 slots, heavy collisions
-	var inserted []mem.Addr
-	for i := mem.Addr(100); i < 150; i++ {
-		f.Insert(i, i+1)
-		inserted = append(inserted, i)
-	}
-	// No false positives for never-inserted addresses.
-	for a := mem.Addr(1); a < 100; a++ {
-		if f.Contains(a, 1) {
-			t.Fatalf("false positive at %d", a)
-		}
-	}
-	// The most recent insert always survives.
-	last := inserted[len(inserted)-1]
-	if !f.Contains(last, 1) {
-		t.Error("latest insert evicted")
-	}
-	f.Clear()
-	for _, a := range inserted {
-		if f.Contains(a, 1) {
-			t.Fatalf("contains %d after Clear", a)
-		}
-	}
-}
-
-func TestFilterMultiWordBlocks(t *testing.T) {
-	f := NewFilter(12)
-	f.Insert(1000, 1010)
-	if !f.Contains(1000, 10) {
-		t.Error("full block not contained")
-	}
-	if !f.Contains(1004, 3) {
-		t.Error("inner window not contained")
-	}
-	if f.Contains(1008, 4) {
-		t.Error("window past block end contained")
-	}
-	f.Remove(1000, 1010)
-	if f.Contains(1005, 1) {
-		t.Error("contains after Remove")
-	}
-	if f.Len() != 0 {
-		t.Errorf("Len = %d after full Remove", f.Len())
-	}
-}
-
-// model is the reference implementation for property testing.
-type model map[mem.Addr]mem.Addr
-
-// contains reports single-range containment (the tree/array contract).
-func (m model) contains(a mem.Addr, size int) bool {
-	for s, e := range m {
-		if a >= s && a+mem.Addr(size) <= e {
-			return true
-		}
-	}
-	return false
-}
-
-// covered reports word-wise coverage: every accessed word lies in some
-// recorded range. This is the actual safety requirement — an access is
-// captured iff all its words are transaction-local — and is what the
-// filter implements (it may span adjacent blocks).
-func (m model) covered(a mem.Addr, size int) bool {
-	for i := 0; i < size; i++ {
-		w := a + mem.Addr(i)
-		found := false
-		for s, e := range m {
-			if w >= s && w < e {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-// TestPropertyConservative drives all three implementations with a
-// random operation sequence and checks, after every step, the paper's
-// correctness requirement: the tree is exact, and the array and filter
-// never report true where the model says false.
-func TestPropertyConservative(t *testing.T) {
-	f := func(seed int64, nops uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		logs := []Log{NewTree(), NewArray(3), NewFilter(4)}
-		ref := model{}
-		// Blocks are laid out upward from a random base in a universe
-		// of 1<<16 words and more; one in four is multi-granule (up to
-		// 4096 words) and one in four is followed by a wide hole.
-		next := mem.Addr(1 + rng.Intn(1<<16))
-		var starts []mem.Addr
-		for op := 0; op < int(nops); op++ {
-			switch rng.Intn(4) {
-			case 0, 1: // insert
-				n := mem.Addr(1 + rng.Intn(8))
-				if rng.Intn(4) == 0 {
-					n = mem.Addr(1 + rng.Intn(4096))
-				}
-				for _, l := range logs {
-					l.Insert(next, next+n)
-				}
-				ref[next] = next + n
-				starts = append(starts, next)
-				next += n + mem.Addr(rng.Intn(3))
-				if rng.Intn(4) == 0 {
-					next += mem.Addr(rng.Intn(4096))
-				}
-			case 2: // remove a random previously inserted range
-				if len(starts) == 0 {
-					continue
-				}
-				i := rng.Intn(len(starts))
-				s := starts[i]
-				if e, ok := ref[s]; ok {
-					for _, l := range logs {
-						l.Remove(s, e)
-					}
-					delete(ref, s)
-				}
-			case 3: // clear
-				if rng.Intn(8) == 0 {
-					for _, l := range logs {
-						l.Clear()
-					}
-					ref = model{}
-					starts = starts[:0]
-				}
-			}
-			if err := logs[0].(*Tree).checkInvariants(); err != nil {
-				t.Log(err)
-				return false
-			}
-			// Probe random addresses, and the words around the edges
-			// of random blocks (live or already removed).
-			for p := 0; p < 16; p++ {
-				a := mem.Addr(rng.Intn(int(next) + 4))
-				if p%2 == 1 && len(starts) > 0 {
-					a = starts[rng.Intn(len(starts))] + mem.Addr(rng.Intn(12)) - 3
-				}
-				size := 1 + rng.Intn(3)
-				want := ref.contains(a, size)
-				if got := logs[0].Contains(a, size); got != want {
-					t.Logf("tree Contains(%d,%d)=%v want %v", a, size, got, want)
-					return false
-				}
-				if logs[1].Contains(a, size) && !want {
-					t.Logf("array false positive at (%d,%d)", a, size)
-					return false
-				}
-				if logs[2].Contains(a, size) && !ref.covered(a, size) {
-					t.Logf("filter false positive at (%d,%d)", a, size)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNewPanicsOnUnknownKind(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for unknown kind")
-		}
-	}()
-	New(Kind(42))
-}
-
-func BenchmarkLogHit(b *testing.B) {
-	for _, k := range kinds() {
-		b.Run(k.String(), func(b *testing.B) {
-			l := New(k)
-			for i := mem.Addr(0); i < 4; i++ {
-				l.Insert(1000+i*20, 1010+i*20)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !l.Contains(1005, 1) {
-					b.Fatal("miss")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkLogMiss(b *testing.B) {
-	for _, k := range kinds() {
-		b.Run(k.String(), func(b *testing.B) {
-			l := New(k)
-			for i := mem.Addr(0); i < 4; i++ {
-				l.Insert(1000+i*20, 1010+i*20)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if l.Contains(5000, 1) {
-					b.Fatal("hit")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkLogInsertClear(b *testing.B) {
-	for _, k := range kinds() {
-		b.Run(k.String(), func(b *testing.B) {
-			l := New(k)
-			for i := 0; i < b.N; i++ {
-				a := mem.Addr(1000 + (i%16)*32)
-				l.Insert(a, a+16)
-				if i%16 == 15 {
-					l.Clear()
-				}
-			}
-		})
 	}
 }

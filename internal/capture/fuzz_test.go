@@ -7,13 +7,13 @@ import (
 	"repro/internal/mem"
 )
 
-// The fuzz harness drives a Log with the operation mix the STM
+// The fuzz harness drives the log with the operation mix the STM
 // produces — disjoint range inserts (allocations), exact removes
 // (frees), containment probes, and clears (transaction end) — decoded
 // from the fuzz input, against a range-set oracle. The contract under
-// test is the paper's conservativeness requirement: Contains may
-// under-report captured memory but must never over-report it, and the
-// precise tree must not under-report either.
+// test is the paper's conservativeness requirement, that Contains never
+// over-reports captured memory, and the precise tree's other half: it
+// never under-reports either.
 
 // oracleRange is one live range in the reference model.
 type oracleRange struct{ start, end mem.Addr }
@@ -47,25 +47,10 @@ func (o *oracle) contains(addr mem.Addr, size int) bool {
 	return false
 }
 
-// wordsLive reports whether every word of [addr, addr+size) lies in
-// some live range. This is the safety property elision rests on: a
-// true Contains is only ever dangerous if it covers an unrecorded
-// word. The word-granular filter legitimately answers true for an
-// access spanning two adjacent recorded ranges, which contains (the
-// single-range reading, matched exactly by the tree) rejects.
-func (o *oracle) wordsLive(addr mem.Addr, size int) bool {
-	for i := 0; i < size; i++ {
-		if !o.contains(addr+mem.Addr(i), 1) {
-			return false
-		}
-	}
-	return true
-}
-
 // The fuzz universe and block sizes are large enough that the precise
 // log grows past its initial table and enters ranges under hundreds of
 // granules; "near" addressing keeps small blocks adjacent so they also
-// share granules (and collide in the filter, and overflow the array).
+// share granules (and overflow the array).
 const (
 	fuzzBase     = 64
 	fuzzUniverse = 1 << 16
@@ -74,31 +59,38 @@ const (
 	fuzzMaxOps   = 256
 )
 
-// fuzzLog interprets data as an op sequence over a fresh log of the
-// given kind, five bytes per op: opcode, two address bytes, two size
-// bytes. precise asserts the no-false-negative direction too (only the
-// tree guarantees it) and checks the table's invariants after every
-// mutation.
-func fuzzLog(t *testing.T, k Kind, data []byte, precise bool) {
+// rangeLog is what the harness drives: the tree and the array.
+type rangeLog interface {
+	Insert(start, end mem.Addr)
+	Remove(start, end mem.Addr)
+	Contains(addr mem.Addr, size int) bool
+	Clear()
+	Len() int
+}
+
+// fuzzLog interprets data as an op sequence over the fresh log l, five
+// bytes per op: opcode, two address bytes, two size bytes. No probe may
+// report unrecorded memory. A Tree must also agree with the oracle
+// exactly, and its table's invariants must hold after every mutation;
+// the array drops ranges on overflow, so it is held to the first
+// direction only.
+func fuzzLog(t *testing.T, l rangeLog, data []byte) {
 	t.Helper()
-	l := New(k)
+	tree, precise := l.(*Tree)
 	var o oracle
 	check := func() {
-		if tr, ok := l.(*Tree); ok {
-			if err := tr.checkInvariants(); err != nil {
-				t.Fatalf("%v: %v (live %v)", k, err, o.sorted())
-			}
+		if !precise {
+			return
+		}
+		if err := tree.checkInvariants(); err != nil {
+			t.Fatalf("%v (live %v)", err, o.sorted())
 		}
 	}
 	probe := func(where string, addr mem.Addr, size int) {
-		got := l.Contains(addr, size)
-		if got && !o.wordsLive(addr, size) {
-			t.Fatalf("%v: %s Contains(%d,%d) = true for unrecorded memory (live %v)",
-				k, where, addr, size, o.sorted())
-		}
-		if want := o.contains(addr, size); precise && got != want {
-			t.Fatalf("%v: %s Contains(%d,%d) = %v, oracle says %v (live %v)",
-				k, where, addr, size, got, want, o.sorted())
+		got, want := l.Contains(addr, size), o.contains(addr, size)
+		if got && !want || precise && got != want {
+			t.Fatalf("%s Contains(%d,%d) = %v, oracle says %v (live %v)",
+				where, addr, size, got, want, o.sorted())
 		}
 	}
 	// The oracle and the invariant check are linear in the live ranges
@@ -157,10 +149,9 @@ func fuzzLog(t *testing.T, k Kind, data []byte, precise bool) {
 			probe("op", addr, size)
 		}
 	}
-	// Epilogue at the final state: every positive answer must cover
-	// only live words (all kinds) and the precise log must agree with
-	// the oracle — at both edges of every live range, at each granule
-	// boundary inside it, and on a sparse sweep of the universe.
+	// Epilogue at the final state: every probe is checked as above —
+	// at both edges of every live range, at each granule boundary
+	// inside it, and on a sparse sweep of the universe.
 	for _, r := range o.ranges {
 		for _, size := range []int{1, 3} {
 			probe("edge", r.start-1, size)
@@ -173,23 +164,21 @@ func fuzzLog(t *testing.T, k Kind, data []byte, precise bool) {
 			probe("granule boundary", a, 2)
 		}
 		if precise && !l.Contains(r.start, int(r.end-r.start)) {
-			t.Fatalf("%v: epilogue false negative on [%d,%d)", k, r.start, r.end)
+			t.Fatalf("epilogue false negative on [%d,%d)", r.start, r.end)
 		}
 	}
 	for a := mem.Addr(0); a < fuzzBase+fuzzUniverse+fuzzMaxSize; a += 131 {
 		probe("sweep", a, 1)
 	}
-	if precise {
-		if want := len(o.ranges); l.Len() != want {
-			t.Fatalf("%v: Len = %d, oracle has %d ranges", k, l.Len(), want)
-		}
+	if want := len(o.ranges); precise && l.Len() != want {
+		t.Fatalf("Len = %d, oracle has %d ranges", l.Len(), want)
 	}
 	// Clear must empty the log: no probe may hit afterwards.
 	l.Clear()
 	check()
 	for _, r := range o.ranges {
 		if l.Contains(r.start, 1) || l.Contains(r.end-1, 1) {
-			t.Fatalf("%v: [%d,%d) still contained after Clear", k, r.start, r.end)
+			t.Fatalf("[%d,%d) still contained after Clear", r.start, r.end)
 		}
 	}
 }
@@ -243,24 +232,16 @@ func seedCorpus(f *testing.F) {
 func FuzzTree(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzLog(t, KindTree, data, true)
+		fuzzLog(t, NewTree(), data)
 	})
 }
 
-// FuzzArray fuzzes the bounded range array: conservative only (drops
-// on overflow), so just the no-false-positive direction holds.
+// FuzzArray fuzzes the bounded range array at the paper's one-line
+// capacity: conservative only (it drops ranges on overflow), so just
+// the no-false-positive direction holds.
 func FuzzArray(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzLog(t, KindArray, data, false)
-	})
-}
-
-// FuzzFilter fuzzes the hash-table address filter: collisions produce
-// false negatives, never false positives.
-func FuzzFilter(f *testing.F) {
-	seedCorpus(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzLog(t, KindFilter, data, false)
+		fuzzLog(t, NewArray(4), data)
 	})
 }

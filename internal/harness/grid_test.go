@@ -47,8 +47,6 @@ func namedProfiles() []tm.Profile {
 		tm.Baseline(),
 		tm.Counting(),
 		tm.RuntimeAll(tm.LogTree),
-		tm.RuntimeAll(tm.LogArray),
-		tm.RuntimeAll(tm.LogFilter),
 		tm.RuntimeWrite(tm.LogTree),
 		tm.RuntimeHeapWrite(tm.LogTree),
 		tm.CompilerElision(),

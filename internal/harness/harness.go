@@ -226,19 +226,19 @@ func Improvement(base, opt Result) float64 {
 func PhaseRegimeSpecs() []tm.PhaseSpec {
 	return []tm.PhaseSpec{
 		tm.PhaseProfile(tm.PhasePublish,
-			tm.WithRuntimeCapture(tm.StackAndHeap, tm.StackAndHeap), tm.WithLogKind(tm.LogTree)),
+			tm.WithRuntimeCapture(tm.StackAndHeap, tm.StackAndHeap)),
 		tm.PhaseProfile(tm.PhaseCursor, tm.WithSkipSharedChecks()),
 		tm.PhaseProfile(tm.PhaseScan,
-			tm.WithRuntimeCapture(tm.StackAndHeap, tm.StackAndHeap), tm.WithLogKind(tm.LogTree),
-			tm.WithReadMostly()),
+			tm.WithRuntimeCapture(tm.StackAndHeap, tm.StackAndHeap), tm.WithReadMostly()),
 	}
 }
 
 // --- Profile sets from the paper's evaluation ---
 
 // Fig10Configs returns the profiles compared in Fig. 10 and
-// Fig. 11(a): the baseline, the three runtime variants (tree log), and
-// the compiler optimization.
+// Fig. 11(a): the baseline, the three runtime variants, and the
+// compiler optimization. With one allocation log, the paper's
+// Fig. 11(b) is the heap-write column of Fig. 11(a).
 func Fig10Configs() []tm.Profile {
 	return []tm.Profile{
 		tm.Baseline(),
@@ -249,27 +249,12 @@ func Fig10Configs() []tm.Profile {
 	}
 }
 
-// Fig11bConfigs returns the profiles of Fig. 11(b): heap-only
-// write-barrier runtime checks under each log implementation, plus the
-// compiler.
-func Fig11bConfigs() []tm.Profile {
-	return []tm.Profile{
-		tm.Baseline(),
-		tm.RuntimeHeapWrite(tm.LogTree),
-		tm.RuntimeHeapWrite(tm.LogArray),
-		tm.RuntimeHeapWrite(tm.LogFilter),
-		tm.CompilerElision(),
-	}
-}
-
 // Table1Configs returns the profiles of Table 1 / Table 2: baseline,
-// the three full runtime variants, and the compiler.
+// full runtime capture analysis, and the compiler.
 func Table1Configs() []tm.Profile {
 	return []tm.Profile{
 		tm.Baseline(),
 		tm.RuntimeAll(tm.LogTree),
-		tm.RuntimeAll(tm.LogArray),
-		tm.RuntimeAll(tm.LogFilter),
 		tm.CompilerElision(),
 	}
 }

@@ -88,13 +88,10 @@ func TestConfigSets(t *testing.T) {
 	if n := len(Fig10Configs()); n != 5 {
 		t.Errorf("Fig10Configs = %d, want 5", n)
 	}
-	if n := len(Fig11bConfigs()); n != 5 {
-		t.Errorf("Fig11bConfigs = %d, want 5", n)
+	if n := len(Table1Configs()); n != 3 {
+		t.Errorf("Table1Configs = %d, want 3", n)
 	}
-	if n := len(Table1Configs()); n != 5 {
-		t.Errorf("Table1Configs = %d, want 5", n)
-	}
-	for _, sets := range [][]tm.Profile{Fig10Configs(), Fig11bConfigs(), Table1Configs()} {
+	for _, sets := range [][]tm.Profile{Fig10Configs(), Table1Configs()} {
 		if sets[0].Name() != "baseline" {
 			t.Errorf("first profile %q, want baseline", sets[0].Name())
 		}

@@ -98,7 +98,7 @@ type Removal struct {
 }
 
 // Fig9Techniques lists the technique columns of Fig. 9.
-func Fig9Techniques() []string { return []string{"tree", "array", "filter", "compiler"} }
+func Fig9Techniques() []string { return []string{"tree", "compiler"} }
 
 // MeasureRemoval runs bench single-threaded under each technique and
 // reports the portion of barriers each one removed.
@@ -106,8 +106,6 @@ func MeasureRemoval(bench string) (Removal, error) {
 	rm := Removal{Bench: bench, Read: map[string]float64{}, Write: map[string]float64{}}
 	profiles := map[string]tm.Profile{
 		"tree":     tm.RuntimeAll(tm.LogTree),
-		"array":    tm.RuntimeAll(tm.LogArray),
-		"filter":   tm.RuntimeAll(tm.LogFilter),
 		"compiler": tm.CompilerElision(),
 	}
 	for _, tech := range Fig9Techniques() {

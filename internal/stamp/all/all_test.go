@@ -3,7 +3,6 @@ package all
 import (
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/stamp"
 	"repro/internal/stm"
 )
@@ -71,10 +70,8 @@ func TestSingleThreadBaseline(t *testing.T) {
 func TestMultiThreadAllConfigs(t *testing.T) {
 	cfgs := []stm.OptConfig{
 		stm.Baseline(),
-		stm.RuntimeAll(capture.KindTree),
-		stm.RuntimeAll(capture.KindArray),
-		stm.RuntimeAll(capture.KindFilter),
-		stm.RuntimeHeapWrite(capture.KindArray),
+		stm.RuntimeAll(),
+		stm.RuntimeHeapWrite(),
 		stm.Compiler(),
 	}
 	for _, name := range stamp.Names() {
@@ -169,7 +166,7 @@ func TestRuntimeElisionMatchesCounting(t *testing.T) {
 		return rt.Stats()
 	}
 	counted := mk(stm.CountingConfig())
-	elided := mk(stm.RuntimeAll(capture.KindTree))
+	elided := mk(stm.RuntimeAll())
 	if elided.ReadElStack+elided.ReadElHeap != counted.ReadCapStack+counted.ReadCapHeap {
 		t.Errorf("read elisions %d != counted captured reads %d",
 			elided.ReadElStack+elided.ReadElHeap, counted.ReadCapStack+counted.ReadCapHeap)
@@ -177,33 +174,6 @@ func TestRuntimeElisionMatchesCounting(t *testing.T) {
 	if elided.WriteElStack+elided.WriteElHeap != counted.WriteCapStack+counted.WriteCapHeap {
 		t.Errorf("write elisions %d != counted captured writes %d",
 			elided.WriteElStack+elided.WriteElHeap, counted.WriteCapStack+counted.WriteCapHeap)
-	}
-}
-
-// TestArrayNeverBeatsTree: the bounded array log is conservative, so
-// it can never elide more than the precise tree.
-func TestArrayNeverBeatsTree(t *testing.T) {
-	for _, name := range []string{"vacation-high", "genome", "yada"} {
-		mk := func(k capture.Kind) stm.Stats {
-			b, err := stamp.New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rt := stm.New(b.MemConfig(), stm.RuntimeAll(k))
-			b.Setup(rt)
-			rt.ResetStats()
-			b.Run(rt, 1)
-			if err := b.Validate(rt); err != nil {
-				t.Fatal(err)
-			}
-			return rt.Stats()
-		}
-		tree := mk(capture.KindTree)
-		arr := mk(capture.KindArray)
-		if arr.ReadElided() > tree.ReadElided() || arr.WriteElided() > tree.WriteElided() {
-			t.Errorf("%s: array elided more than tree (r %d>%d or w %d>%d)",
-				name, arr.ReadElided(), tree.ReadElided(), arr.WriteElided(), tree.WriteElided())
-		}
 	}
 }
 
@@ -225,7 +195,7 @@ func TestCompilerElidesSubsetOfCaptured(t *testing.T) {
 		sc := rtC.Stats()
 
 		b2, _ := stamp.New(name)
-		rtT := stm.New(b2.MemConfig(), stm.RuntimeAll(capture.KindTree))
+		rtT := stm.New(b2.MemConfig(), stm.RuntimeAll())
 		b2.Setup(rtT)
 		b2.Run(rtT, 1)
 		if err := b2.Validate(rtT); err != nil {

@@ -3,7 +3,6 @@ package bayes
 import (
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/stm"
 )
 
@@ -42,7 +41,7 @@ func TestParallelLearning(t *testing.T) {
 // per-thread query vectors are elidable only via the annotation API.
 func TestAnnotationsElideQueryVectors(t *testing.T) {
 	// Without annotations: no private elisions.
-	plain, rtPlain := runOne(t, small(), stm.RuntimeAll(capture.KindTree), 2)
+	plain, rtPlain := runOne(t, small(), stm.RuntimeAll(), 2)
 	_ = plain
 	if s := rtPlain.Stats(); s.ReadElPriv+s.WriteElPriv != 0 {
 		t.Errorf("private elisions without annotations: %d", s.ReadElPriv+s.WriteElPriv)
@@ -50,7 +49,7 @@ func TestAnnotationsElideQueryVectors(t *testing.T) {
 	// With annotations: query-vector traffic is elided.
 	cfg := small()
 	cfg.Annotate = true
-	opt := stm.RuntimeAll(capture.KindTree)
+	opt := stm.RuntimeAll()
 	opt.Annotations = true
 	_, rt := runOne(t, cfg, opt, 2)
 	s := rt.Stats()

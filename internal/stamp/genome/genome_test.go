@@ -3,7 +3,6 @@ package genome
 import (
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/stm"
 )
 
@@ -37,7 +36,7 @@ func TestSerialReconstruction(t *testing.T) {
 }
 
 func TestParallelReconstruction(t *testing.T) {
-	for _, opt := range []stm.OptConfig{stm.Baseline(), stm.RuntimeAll(capture.KindFilter), stm.Compiler()} {
+	for _, opt := range []stm.OptConfig{stm.Baseline(), stm.RuntimeAll(), stm.Compiler()} {
 		runOne(t, small(), opt, 6)
 	}
 }

@@ -3,7 +3,6 @@ package intruder
 import (
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/stm"
 )
 
@@ -35,7 +34,7 @@ func TestSerialDetectsAllAttacks(t *testing.T) {
 }
 
 func TestParallelPipeline(t *testing.T) {
-	for _, opt := range []stm.OptConfig{stm.Baseline(), stm.RuntimeAll(capture.KindArray), stm.Compiler()} {
+	for _, opt := range []stm.OptConfig{stm.Baseline(), stm.RuntimeAll(), stm.Compiler()} {
 		runOne(t, small(), opt, 6)
 	}
 }
@@ -67,7 +66,7 @@ func TestSingleFragmentFlows(t *testing.T) {
 // TestReassemblyReclaimsState: after the run, every per-flow
 // reassembly structure must have been torn down transactionally.
 func TestReassemblyReclaimsState(t *testing.T) {
-	_, rt := runOne(t, small(), stm.RuntimeAll(capture.KindTree), 4)
+	_, rt := runOne(t, small(), stm.RuntimeAll(), 4)
 	s := rt.Stats()
 	if s.TxAllocs == 0 || s.TxFrees == 0 {
 		t.Errorf("allocs=%d frees=%d; expected reassembly churn", s.TxAllocs, s.TxFrees)

@@ -3,7 +3,6 @@ package kmeans
 import (
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/mem"
 	"repro/internal/stm"
 )
@@ -38,7 +37,7 @@ func TestSerial(t *testing.T) {
 // are sums of the same multiset), so centers must match closely.
 func TestParallelCentersClose(t *testing.T) {
 	bs, rts := runOne(t, small(), stm.Baseline(), 1)
-	bp, rtp := runOne(t, small(), stm.RuntimeAll(capture.KindTree), 6)
+	bp, rtp := runOne(t, small(), stm.RuntimeAll(), 6)
 	ss, sp := rts.Space(), rtp.Space()
 	for c := 0; c < bs.cfg.Clusters; c++ {
 		for d := 0; d < bs.cfg.Dims; d++ {
@@ -58,7 +57,7 @@ func TestParallelCentersClose(t *testing.T) {
 // TestNoCaptureOpportunities: kmeans is the paper's no-elision
 // benchmark — runtime capture analysis must find nothing.
 func TestNoCaptureOpportunities(t *testing.T) {
-	_, rt := runOne(t, small(), stm.RuntimeAll(capture.KindTree), 1)
+	_, rt := runOne(t, small(), stm.RuntimeAll(), 1)
 	s := rt.Stats()
 	if e := s.ReadElided() + s.WriteElided(); e != 0 {
 		t.Errorf("%d barriers elided; kmeans has no captured memory", e)

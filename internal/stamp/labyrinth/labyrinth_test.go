@@ -3,7 +3,6 @@ package labyrinth
 import (
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/stm"
 )
 
@@ -38,7 +37,7 @@ func TestSerialRoutesAll(t *testing.T) {
 
 func TestParallelRoutingDisjoint(t *testing.T) {
 	for _, threads := range []int{2, 8} {
-		b, rt := runOne(t, small(), stm.RuntimeAll(capture.KindTree), threads)
+		b, rt := runOne(t, small(), stm.RuntimeAll(), threads)
 		_ = b
 		_ = rt
 	}

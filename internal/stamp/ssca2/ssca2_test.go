@@ -3,7 +3,6 @@ package ssca2
 import (
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/stm"
 )
 
@@ -36,7 +35,7 @@ func TestParallelGraphConstruction(t *testing.T) {
 }
 
 func TestNoElisionOpportunities(t *testing.T) {
-	_, rt := runOne(t, small(), stm.RuntimeAll(capture.KindTree), 4)
+	_, rt := runOne(t, small(), stm.RuntimeAll(), 4)
 	s := rt.Stats()
 	if e := s.ReadElided() + s.WriteElided(); e != 0 {
 		t.Errorf("%d barriers elided; ssca2 allocates nothing in transactions", e)

@@ -3,7 +3,6 @@ package vacation
 import (
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/stm"
 )
 
@@ -36,7 +35,7 @@ func TestSmallSerial(t *testing.T) {
 func TestSmallParallelContended(t *testing.T) {
 	cfg := smallCfg()
 	cfg.QueryRangePct = 10 // tiny range: heavy contention
-	rt := runCfg(t, cfg, stm.RuntimeAll(capture.KindTree), 8)
+	rt := runCfg(t, cfg, stm.RuntimeAll(), 8)
 	if rt.Stats().Aborts == 0 {
 		t.Log("note: no conflicts under heavy contention this run")
 	}

@@ -3,7 +3,6 @@ package yada
 import (
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/stm"
 )
 
@@ -38,7 +37,7 @@ func TestSerialRefinement(t *testing.T) {
 }
 
 func TestParallelRefinement(t *testing.T) {
-	for _, opt := range []stm.OptConfig{stm.Baseline(), stm.RuntimeAll(capture.KindTree), stm.Compiler()} {
+	for _, opt := range []stm.OptConfig{stm.Baseline(), stm.RuntimeAll(), stm.Compiler()} {
 		runOne(t, small(), opt, 8)
 	}
 }
@@ -51,22 +50,6 @@ func TestAllGoodMeshIsNoop(t *testing.T) {
 		t.Errorf("removed %d elements from an already-good mesh", b.removed.Load())
 	}
 	_ = rt
-}
-
-// TestArrayLogOverflow: yada's transactions allocate more blocks than
-// the 4-range array holds, so the array must elide strictly fewer
-// barriers than the tree (the paper's Fig. 9 yada result).
-func TestArrayLogOverflow(t *testing.T) {
-	run := func(k capture.Kind) stm.Stats {
-		_, rt := runOne(t, small(), stm.RuntimeAll(k), 1)
-		return rt.Stats()
-	}
-	tree := run(capture.KindTree)
-	arr := run(capture.KindArray)
-	if arr.WriteElided() >= tree.WriteElided() {
-		t.Errorf("array elided %d ≥ tree %d; expected overflow losses",
-			arr.WriteElided(), tree.WriteElided())
-	}
 }
 
 func TestNoWAWFilterGrowsUndoLog(t *testing.T) {

@@ -3,8 +3,6 @@ package stm
 import (
 	"sync"
 	"testing"
-
-	"repro/internal/capture"
 )
 
 // TestBackoffCountsWaits: the backoff policy accounts its spin episodes
@@ -30,7 +28,7 @@ func TestBackoffCountsWaits(t *testing.T) {
 func TestCMStress(t *testing.T) {
 	t.Run("backoff", func(t *testing.T) {
 		const threads, perThread = 4, 1500
-		rt := newRT(RuntimeAll(capture.KindTree).Perf())
+		rt := newRT(RuntimeAll().Perf())
 		g := rt.Space().AllocGlobal(1)
 		var wg sync.WaitGroup
 		for tid := 0; tid < threads; tid++ {

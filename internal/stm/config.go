@@ -1,7 +1,5 @@
 package stm
 
-import "repro/internal/capture"
-
 // Prov is the static provenance of the address operand of a memory
 // access — the fact an intraprocedural pointer analysis with inlining
 // (the paper's Sec. 3.2 compiler analysis) derives for the access
@@ -110,11 +108,6 @@ type OptConfig struct {
 	Read  BarrierOpt
 	Write BarrierOpt
 
-	// LogKind picks the allocation-log implementation used by runtime
-	// capture analysis (tree, array, filter), each at capture.New's
-	// size: one cache line of ranges, a 1<<10-slot filter.
-	LogKind capture.Kind
-
 	// Compiler enables static elision: accesses whose provenance
 	// proves capture use plain loads/stores with no runtime cost.
 	Compiler bool
@@ -209,32 +202,29 @@ func CountingConfig() OptConfig {
 
 // RuntimeAll returns runtime capture analysis for both transaction-
 // local stack and heap in both read and write barriers.
-func RuntimeAll(k capture.Kind) OptConfig {
+func RuntimeAll() OptConfig {
 	return OptConfig{
-		Name:    "runtime-rw-stack-heap-" + k.String(),
-		Read:    BarrierOpt{Stack: true, Heap: true},
-		Write:   BarrierOpt{Stack: true, Heap: true},
-		LogKind: k,
+		Name:  "runtime-rw-stack-heap-tree",
+		Read:  BarrierOpt{Stack: true, Heap: true},
+		Write: BarrierOpt{Stack: true, Heap: true},
 	}
 }
 
 // RuntimeWrite returns runtime capture analysis for stack and heap in
 // write barriers only.
-func RuntimeWrite(k capture.Kind) OptConfig {
+func RuntimeWrite() OptConfig {
 	return OptConfig{
-		Name:    "runtime-w-stack-heap-" + k.String(),
-		Write:   BarrierOpt{Stack: true, Heap: true},
-		LogKind: k,
+		Name:  "runtime-w-stack-heap-tree",
+		Write: BarrierOpt{Stack: true, Heap: true},
 	}
 }
 
 // RuntimeHeapWrite returns runtime capture analysis for heap accesses
 // in write barriers only (the configuration of Fig. 11b).
-func RuntimeHeapWrite(k capture.Kind) OptConfig {
+func RuntimeHeapWrite() OptConfig {
 	return OptConfig{
-		Name:    "runtime-w-heap-" + k.String(),
-		Write:   BarrierOpt{Heap: true},
-		LogKind: k,
+		Name:  "runtime-w-heap-tree",
+		Write: BarrierOpt{Heap: true},
 	}
 }
 

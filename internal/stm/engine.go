@@ -3,7 +3,6 @@ package stm
 import (
 	"strings"
 
-	"repro/internal/capture"
 	"repro/internal/mem"
 )
 
@@ -20,8 +19,7 @@ import (
 //     every instrumented profile ("counting").
 //   - the perf chain in this file: stats-free functions whose bodies
 //     contain only the checks the profile enables, with the allocation-
-//     log probe called through its concrete type for the configured
-//     capture.Kind (no capture.Log interface dispatch).
+//     log probe, (*capture.Tree).Contains, inlined into them.
 //
 // Read-mostly is NOT a chain. It is a mode of the two slow paths every
 // chain bottoms out in (readFull skips the read-set append while the
@@ -29,7 +27,7 @@ import (
 // read-mostly engine is the full engine's own function pair plus
 // rm: true.
 //
-// Why the perf chain is sixteen flat functions and not one closure or
+// Why the perf chain is eight flat functions and not one closure or
 // one generic instantiation — measured on benchmark/run.sh's stm-closed
 // workload, 4 interleaved parent/change rounds, go1.24:
 //
@@ -46,8 +44,8 @@ import (
 //     inliner's budget of 80.
 //
 // The flat functions depend on onTxStack, inAllocRange, storeCaptured,
-// the three Contains probes and Space.Load/Store/StorePlain being
-// inlined; CI's check job pins that (storeCaptured costs 78 of 80).
+// Tree.Contains and Space.Load/Store/StorePlain being inlined; CI's
+// check job pins that (storeCaptured costs 78 of 80).
 
 // loadFn and storeFn are the barrier entry points an engine provides.
 // They receive the Tx explicitly so engines can be plain functions
@@ -83,7 +81,7 @@ func genericEngine() *engine {
 //   - "counting"  — the same chain, for every profile that keeps
 //     statistics (PerfMode off)
 //   - "perf-*"    — specialized fast paths with no statistics code and
-//     the capture probe inlined for the configured log kind
+//     the capture probe inlined
 //   - "readmostly" / "perf-readmostly" — the counting / perf engine of
 //     the same profile, run in read-mostly mode
 func newEngine(cfg OptConfig) *engine {
@@ -129,8 +127,8 @@ func newEngine(cfg OptConfig) *engine {
 // hand-specialized functions, with prologues for the compiler and
 // definitely-shared knobs.
 func newPerfEngine(cfg OptConfig) *engine {
-	load := perfLoadCore(cfg.Read, cfg.LogKind)
-	store := perfStoreCore(cfg.Write, cfg.LogKind)
+	load := perfLoadCore(cfg.Read)
+	store := perfStoreCore(cfg.Write)
 	name := perfName(cfg)
 
 	// The definitely-shared extension bypasses the capture checks for
@@ -152,17 +150,20 @@ func perfName(cfg OptConfig) string {
 		parts = append(parts, "compiler")
 	}
 	r, w := checksDesc(cfg.Read), checksDesc(cfg.Write)
-	kind := "-" + cfg.LogKind.String()
+	log := ""
+	if cfg.Read.Heap || cfg.Write.Heap {
+		log = "-tree" // the allocation log a heap probe searches
+	}
 	switch {
 	case r == "" && w == "":
 	case r == w:
-		parts = append(parts, "rw-"+r+kindSuffix(cfg.Read, cfg.Write, kind))
+		parts = append(parts, "rw-"+r+log)
 	case r == "":
-		parts = append(parts, "w-"+w+kindSuffix(BarrierOpt{}, cfg.Write, kind))
+		parts = append(parts, "w-"+w+log)
 	case w == "":
-		parts = append(parts, "r-"+r+kindSuffix(cfg.Read, BarrierOpt{}, kind))
+		parts = append(parts, "r-"+r+log)
 	default:
-		parts = append(parts, "r-"+r+"+w-"+w+kindSuffix(cfg.Read, cfg.Write, kind))
+		parts = append(parts, "r-"+r+"+w-"+w+log)
 	}
 	if cfg.SkipSharedChecks {
 		parts = append(parts, "skipshared")
@@ -185,14 +186,6 @@ func checksDesc(b BarrierOpt) string {
 	return ""
 }
 
-// kindSuffix appends the log-kind name only when a heap probe exists.
-func kindSuffix(r, w BarrierOpt, kind string) string {
-	if r.Heap || w.Heap {
-		return kind
-	}
-	return ""
-}
-
 // --- Flat load fast paths ---
 
 func perfLoadFull(tx *Tx, a mem.Addr, _ Acc) uint64 { return tx.readFull(a) }
@@ -204,68 +197,26 @@ func perfLoadStack(tx *Tx, a mem.Addr, _ Acc) uint64 {
 	return tx.readFull(a)
 }
 
-func perfLoadStackHeapTree(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.onTxStack(a) || (tx.inAllocRange(a) && tx.alogTree.Contains(a, 1)) {
+func perfLoadStackHeap(tx *Tx, a mem.Addr, _ Acc) uint64 {
+	if tx.onTxStack(a) || (tx.inAllocRange(a) && tx.alog.Contains(a, 1)) {
 		return tx.th.rt.space.Load(a)
 	}
 	return tx.readFull(a)
 }
 
-func perfLoadStackHeapArray(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.onTxStack(a) || (tx.inAllocRange(a) && tx.alogArr.Contains(a, 1)) {
+func perfLoadHeap(tx *Tx, a mem.Addr, _ Acc) uint64 {
+	if tx.inAllocRange(a) && tx.alog.Contains(a, 1) {
 		return tx.th.rt.space.Load(a)
 	}
 	return tx.readFull(a)
 }
 
-func perfLoadStackHeapFilter(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.onTxStack(a) || (tx.inAllocRange(a) && tx.alogFil.Contains(a, 1)) {
-		return tx.th.rt.space.Load(a)
-	}
-	return tx.readFull(a)
-}
-
-func perfLoadHeapTree(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.inAllocRange(a) && tx.alogTree.Contains(a, 1) {
-		return tx.th.rt.space.Load(a)
-	}
-	return tx.readFull(a)
-}
-
-func perfLoadHeapArray(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.inAllocRange(a) && tx.alogArr.Contains(a, 1) {
-		return tx.th.rt.space.Load(a)
-	}
-	return tx.readFull(a)
-}
-
-func perfLoadHeapFilter(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.inAllocRange(a) && tx.alogFil.Contains(a, 1) {
-		return tx.th.rt.space.Load(a)
-	}
-	return tx.readFull(a)
-}
-
-func perfLoadCore(b BarrierOpt, k capture.Kind) loadFn {
+func perfLoadCore(b BarrierOpt) loadFn {
 	switch {
 	case b.Stack && b.Heap:
-		switch k {
-		case capture.KindArray:
-			return perfLoadStackHeapArray
-		case capture.KindFilter:
-			return perfLoadStackHeapFilter
-		default:
-			return perfLoadStackHeapTree
-		}
+		return perfLoadStackHeap
 	case b.Heap:
-		switch k {
-		case capture.KindArray:
-			return perfLoadHeapArray
-		case capture.KindFilter:
-			return perfLoadHeapFilter
-		default:
-			return perfLoadHeapTree
-		}
+		return perfLoadHeap
 	case b.Stack:
 		return perfLoadStack
 	}
@@ -284,74 +235,28 @@ func perfStoreStack(tx *Tx, a mem.Addr, val uint64, _ Acc) {
 	tx.writeFull(a, val)
 }
 
-func perfStoreStackHeapTree(tx *Tx, a mem.Addr, val uint64, _ Acc) {
-	if tx.onTxStack(a) || (tx.inAllocRange(a) && tx.alogTree.Contains(a, 1)) {
+func perfStoreStackHeap(tx *Tx, a mem.Addr, val uint64, _ Acc) {
+	if tx.onTxStack(a) || (tx.inAllocRange(a) && tx.alog.Contains(a, 1)) {
 		tx.storeCaptured(a, val)
 		return
 	}
 	tx.writeFull(a, val)
 }
 
-func perfStoreStackHeapArray(tx *Tx, a mem.Addr, val uint64, _ Acc) {
-	if tx.onTxStack(a) || (tx.inAllocRange(a) && tx.alogArr.Contains(a, 1)) {
+func perfStoreHeap(tx *Tx, a mem.Addr, val uint64, _ Acc) {
+	if tx.inAllocRange(a) && tx.alog.Contains(a, 1) {
 		tx.storeCaptured(a, val)
 		return
 	}
 	tx.writeFull(a, val)
 }
 
-func perfStoreStackHeapFilter(tx *Tx, a mem.Addr, val uint64, _ Acc) {
-	if tx.onTxStack(a) || (tx.inAllocRange(a) && tx.alogFil.Contains(a, 1)) {
-		tx.storeCaptured(a, val)
-		return
-	}
-	tx.writeFull(a, val)
-}
-
-func perfStoreHeapTree(tx *Tx, a mem.Addr, val uint64, _ Acc) {
-	if tx.inAllocRange(a) && tx.alogTree.Contains(a, 1) {
-		tx.storeCaptured(a, val)
-		return
-	}
-	tx.writeFull(a, val)
-}
-
-func perfStoreHeapArray(tx *Tx, a mem.Addr, val uint64, _ Acc) {
-	if tx.inAllocRange(a) && tx.alogArr.Contains(a, 1) {
-		tx.storeCaptured(a, val)
-		return
-	}
-	tx.writeFull(a, val)
-}
-
-func perfStoreHeapFilter(tx *Tx, a mem.Addr, val uint64, _ Acc) {
-	if tx.inAllocRange(a) && tx.alogFil.Contains(a, 1) {
-		tx.storeCaptured(a, val)
-		return
-	}
-	tx.writeFull(a, val)
-}
-
-func perfStoreCore(b BarrierOpt, k capture.Kind) storeFn {
+func perfStoreCore(b BarrierOpt) storeFn {
 	switch {
 	case b.Stack && b.Heap:
-		switch k {
-		case capture.KindArray:
-			return perfStoreStackHeapArray
-		case capture.KindFilter:
-			return perfStoreStackHeapFilter
-		default:
-			return perfStoreStackHeapTree
-		}
+		return perfStoreStackHeap
 	case b.Heap:
-		switch k {
-		case capture.KindArray:
-			return perfStoreHeapArray
-		case capture.KindFilter:
-			return perfStoreHeapFilter
-		default:
-			return perfStoreHeapTree
-		}
+		return perfStoreHeap
 	case b.Stack:
 		return perfStoreStack
 	}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/mem"
 )
 
@@ -23,14 +22,12 @@ func TestEngineSelection(t *testing.T) {
 	}{
 		{"baseline", Baseline(), "counting"},
 		{"counting", CountingConfig(), "counting"},
-		{"runtime-tree", RuntimeAll(capture.KindTree), "counting"}, // harness.PhaseRegimeSpecs' publish fragment
-		{"skipshared", skipShared, "counting"},                     // its cursor fragment (scan is rmStats below)
+		{"runtime-tree", RuntimeAll(), "counting"}, // harness.PhaseRegimeSpecs' publish fragment
+		{"skipshared", skipShared, "counting"},     // its cursor fragment (scan is rmStats below)
 		{"baseline-perf", Baseline().Perf(), "perf-noinstr"},
-		{"runtime-tree-perf", RuntimeAll(capture.KindTree).Perf(), "perf-rw-stack-heap-tree"},
-		{"runtime-array-perf", RuntimeAll(capture.KindArray).Perf(), "perf-rw-stack-heap-array"},
-		{"runtime-filter-perf", RuntimeAll(capture.KindFilter).Perf(), "perf-rw-stack-heap-filter"},
-		{"write-only-perf", RuntimeWrite(capture.KindTree).Perf(), "perf-w-stack-heap-tree"},
-		{"heap-write-perf", RuntimeHeapWrite(capture.KindArray).Perf(), "perf-w-heap-array"},
+		{"runtime-tree-perf", RuntimeAll().Perf(), "perf-rw-stack-heap-tree"},
+		{"write-only-perf", RuntimeWrite().Perf(), "perf-w-stack-heap-tree"},
+		{"heap-write-perf", RuntimeHeapWrite().Perf(), "perf-w-heap-tree"},
 		{"compiler-perf", Compiler().Perf(), "perf-compiler"},
 	}
 	// mirrorsGeneric reports whether cfg, as it stands and with the
@@ -55,7 +52,7 @@ func TestEngineSelection(t *testing.T) {
 		}
 	}
 
-	forced := RuntimeAll(capture.KindTree).Perf()
+	forced := RuntimeAll().Perf()
 	forced.ForceGeneric = true
 	if got := newEngine(forced).name; got != "generic" {
 		t.Errorf("forced: engine %q, want generic", got)
@@ -68,7 +65,7 @@ func TestEngineSelection(t *testing.T) {
 	}
 
 	// Combinations compose prologues onto the specialized core.
-	combo := RuntimeAll(capture.KindTree).Perf()
+	combo := RuntimeAll().Perf()
 	combo.Compiler = true
 	combo.SkipSharedChecks = true
 	if got := newEngine(combo).name; got != "perf-compiler+rw-stack-heap-tree+skipshared" {
@@ -77,7 +74,7 @@ func TestEngineSelection(t *testing.T) {
 
 	// Annotations have no flat specialization: the reference chain,
 	// which keeps no barrier statistics under PerfMode.
-	ann := RuntimeAll(capture.KindTree).Perf()
+	ann := RuntimeAll().Perf()
 	ann.Annotations = true
 	if got := newEngine(ann).name; got != "generic" {
 		t.Errorf("annotations: engine %q, want generic", got)
@@ -86,7 +83,7 @@ func TestEngineSelection(t *testing.T) {
 	// Read-mostly: one name per statistics mode, the function pair of the
 	// same profile compiled with the knob off run in read-mostly mode, and
 	// the debug oracles (forced generic, counting) winning over the knob.
-	full := RuntimeAll(capture.KindTree).Perf()
+	full := RuntimeAll().Perf()
 	rm := full
 	rm.ReadMostly = true
 	e := newEngine(rm)
@@ -171,7 +168,7 @@ func TestEnginesAgreeWithGeneric(t *testing.T) {
 	for _, base := range allConfigs() {
 		profiles = append(profiles, base.Perf())
 	}
-	skipCfg := RuntimeAll(capture.KindTree)
+	skipCfg := RuntimeAll()
 	skipCfg.SkipSharedChecks = true
 	skipCfg.Name = "runtime+skipshared"
 	profiles = append(profiles, skipCfg, skipCfg.Perf())
@@ -257,50 +254,47 @@ func shapeTrace(cfg OptConfig) (trace []shapeStep, final []uint64) {
 // named profiles cannot give: they never compile perfLoadStack, the
 // heap-only loads, perfStoreStack or most prologue combinations, and
 // "counting" is the reference chain itself. Every perf profile shape —
-// 2⁶ check mixes × annotations × log kind × read-mostly, annotated ones
+// 2⁶ check mixes × annotations × read-mostly, annotated ones
 // compiling to the reference chain under PerfMode — must match
 // the forced interpreting chain access by access, not just in its final
 // memory: same values, same log growth, same upgrade point.
 func TestEveryShapeAgreesWithGeneric(t *testing.T) {
-	kinds := []capture.Kind{capture.KindTree, capture.KindArray, capture.KindFilter}
 	names := map[string]bool{}
 	for bits := 0; bits < 1<<8; bits++ {
 		on := func(i int) bool { return bits>>i&1 == 1 }
-		for _, kind := range kinds {
-			cfg := OptConfig{
-				PerfMode: true, LogKind: kind,
-				Compiler: on(0), SkipSharedChecks: on(1),
-				Read:        BarrierOpt{Stack: on(2), Heap: on(3)},
-				Write:       BarrierOpt{Stack: on(4), Heap: on(5)},
-				Annotations: on(6), ReadMostly: on(7),
-			}
-			e := newEngine(cfg)
-			switch {
-			case cfg.Annotations && !samePair(e, genericEngine()):
-				// No flat path wraps the private-log probe.
-				t.Fatalf("%+v compiled to %q, want the reference chain's pair", cfg, e.name)
-			case !cfg.Annotations && (e.name == "generic" || e.name == "counting"):
-				t.Fatalf("%+v compiled to %q, want a perf engine", cfg, e.name)
-			}
-			names[e.name] = true
-			gen := cfg
-			gen.ForceGeneric = true
-			want, wantFinal := shapeTrace(gen)
-			got, gotFinal := shapeTrace(cfg)
-			if len(got) != len(want) {
-				t.Fatalf("%s %+v: %d steps, want %d", e.name, cfg, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s %+v: step %d = %+v, want %+v (generic)", e.name, cfg, i, got[i], want[i])
-				}
-			}
-			if !reflect.DeepEqual(gotFinal, wantFinal) {
-				t.Fatalf("%s %+v: final g/priv/clock %v, want %v (generic)", e.name, cfg, gotFinal, wantFinal)
+		cfg := OptConfig{
+			PerfMode: true,
+			Compiler: on(0), SkipSharedChecks: on(1),
+			Read:        BarrierOpt{Stack: on(2), Heap: on(3)},
+			Write:       BarrierOpt{Stack: on(4), Heap: on(5)},
+			Annotations: on(6), ReadMostly: on(7),
+		}
+		e := newEngine(cfg)
+		switch {
+		case cfg.Annotations && !samePair(e, genericEngine()):
+			// No flat path wraps the private-log probe.
+			t.Fatalf("%+v compiled to %q, want the reference chain's pair", cfg, e.name)
+		case !cfg.Annotations && (e.name == "generic" || e.name == "counting"):
+			t.Fatalf("%+v compiled to %q, want a perf engine", cfg, e.name)
+		}
+		names[e.name] = true
+		gen := cfg
+		gen.ForceGeneric = true
+		want, wantFinal := shapeTrace(gen)
+		got, gotFinal := shapeTrace(cfg)
+		if len(got) != len(want) {
+			t.Fatalf("%s %+v: %d steps, want %d", e.name, cfg, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s %+v: step %d = %+v, want %+v (generic)", e.name, cfg, i, got[i], want[i])
 			}
 		}
+		if !reflect.DeepEqual(gotFinal, wantFinal) {
+			t.Fatalf("%s %+v: final g/priv/clock %v, want %v (generic)", e.name, cfg, gotFinal, wantFinal)
+		}
 	}
-	for _, flat := range []string{"perf-r-stack", "perf-r-heap-filter", "perf-w-stack", "perf-readmostly"} {
+	for _, flat := range []string{"perf-r-stack", "perf-r-heap-tree", "perf-w-stack", "perf-readmostly"} {
 		if !names[flat] {
 			t.Errorf("shape sweep never compiled %q", flat)
 		}
@@ -313,15 +307,15 @@ func TestEveryShapeAgreesWithGeneric(t *testing.T) {
 // after a transaction full of every access flavor, only the lifecycle
 // counters (commits, allocator traffic) may be nonzero.
 func TestPerfEngineKeepsNoBarrierStats(t *testing.T) {
-	rm := RuntimeAll(capture.KindTree).Perf()
+	rm := RuntimeAll().Perf()
 	rm.ReadMostly = true
 	rm.Name = "readmostly"
-	ann := RuntimeAll(capture.KindTree).Perf()
+	ann := RuntimeAll().Perf()
 	ann.Annotations = true
 	ann.Name = "annotations"
 	for _, cfg := range []OptConfig{
 		Baseline().Perf(),
-		RuntimeAll(capture.KindTree).Perf(),
+		RuntimeAll().Perf(),
 		Compiler().Perf(),
 		rm,
 		ann,
@@ -344,7 +338,7 @@ func TestPerfEngineKeepsNoBarrierStats(t *testing.T) {
 // the forced generic engine, so the reference chain stays exercised in
 // the correctness matrix even though no profile selects it by default.
 func TestForcedGenericEndToEnd(t *testing.T) {
-	cfg := RuntimeAll(capture.KindTree).Perf()
+	cfg := RuntimeAll().Perf()
 	cfg.ForceGeneric = true
 	rt := newRT(cfg)
 	if rt.Engine() != "generic" {
@@ -468,15 +462,15 @@ func TestLimboSnapshotsOnlyOddThreads(t *testing.T) {
 // block already freed or rolled back. The blocks span one word to many
 // granules, so ranges share granules, straddle them, and grow the table.
 func TestAllocationLogPreciseAtTheEngine(t *testing.T) {
-	counting := RuntimeAll(capture.KindTree)
+	counting := RuntimeAll()
 	counting.Counting = true
-	rm := RuntimeAll(capture.KindTree).Perf()
+	rm := RuntimeAll().Perf()
 	rm.ReadMostly = true
 	for _, c := range []struct {
 		cfg    OptConfig
 		engine string
 	}{
-		{RuntimeAll(capture.KindTree).Perf(), "perf-rw-stack-heap-tree"},
+		{RuntimeAll().Perf(), "perf-rw-stack-heap-tree"},
 		{counting, "counting"},
 		{rm, "perf-readmostly"},
 	} {

@@ -8,12 +8,11 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/mem"
 )
 
 func TestSkipSharedBypassesChecks(t *testing.T) {
-	cfg := RuntimeAll(capture.KindTree)
+	cfg := RuntimeAll()
 	cfg.SkipSharedChecks = true
 	rt := newRT(cfg)
 	th := rt.Thread(0)
@@ -39,7 +38,7 @@ func TestSkipSharedBypassesChecks(t *testing.T) {
 }
 
 func TestSkipSharedStillFullySynchronized(t *testing.T) {
-	cfg := RuntimeAll(capture.KindArray)
+	cfg := RuntimeAll()
 	cfg.SkipSharedChecks = true
 	rt := newRT(cfg)
 	a := rt.Space().AllocGlobal(1)
@@ -95,7 +94,7 @@ func TestProvSharedNeverstaticallyElided(t *testing.T) {
 // shared-only transaction performs no capture-log probes at all, which
 // the elision/probe counters make visible.
 func TestSkipSharedNoProbesOnSharedOnlyTx(t *testing.T) {
-	cfg := RuntimeAll(capture.KindTree)
+	cfg := RuntimeAll()
 	cfg.SkipSharedChecks = true
 	rt := newRT(cfg)
 	th := rt.Thread(0)

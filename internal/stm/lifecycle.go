@@ -31,8 +31,7 @@ type Tx struct {
 	allocs []allocRec
 	frees  []mem.Addr // deferred frees of pre-existing blocks
 
-	alog capture.Log   // runtime capture allocation log (per OptConfig)
-	clog *capture.Tree // precise log for Counting mode
+	clog *capture.Tree // allocation log of the Counting mode's classifier
 
 	// load and store are the current phase's barrier entry points,
 	// compiled once per Runtime from the phase's optimization profile
@@ -68,17 +67,15 @@ type Tx struct {
 	upNext     bool
 	selfBumps  uint64
 
-	// Devirtualized views of alog for the hot containment check, plus
-	// the bounding range [allocLo, allocLo+allocSpan) of its blocks, so
-	// a probe outside it — every probe, on allocation-free benchmarks
-	// like kmeans and ssca2 — costs one compare (inAllocRange). The
-	// concrete logs live in phaseLogs, one cached set per phase (built
-	// lazily on first entry), so flipping phases between transactions
-	// allocates nothing on the steady state.
-	alogKind  capture.Kind
-	alogTree  *capture.Tree
-	alogArr   *capture.Array
-	alogFil   *capture.Filter
+	// alog is runtime capture's allocation log (nil when the phase
+	// checks no heap accesses), next to the bounding range
+	// [allocLo, allocLo+allocSpan) of its blocks, so a probe outside it
+	// — every probe, on allocation-free benchmarks like kmeans and
+	// ssca2 — costs one compare (inAllocRange). The logs live in
+	// phaseLogs, one cached pair per phase (built lazily on first
+	// entry), so flipping phases between transactions allocates nothing
+	// on the steady state.
+	alog      *capture.Tree
 	allocLo   mem.Addr
 	allocSpan uint64
 	phaseLogs []phaseLogSet
@@ -119,11 +116,7 @@ func (tx *Tx) init(th *Thread) {
 // operation — reuses the logs built on its first entry instead of
 // reallocating.
 type phaseLogSet struct {
-	alog capture.Log
-	tree *capture.Tree
-	arr  *capture.Array
-	fil  *capture.Filter
-	clog *capture.Tree
+	alog, clog *capture.Tree
 }
 
 // applyPhase points the descriptor at one compiled phase: the engine's
@@ -156,14 +149,9 @@ func (tx *Tx) applyPhase(idx int) {
 	pl := &tx.phaseLogs[idx]
 	tx.alog = nil
 	if tx.trackAlog {
-		tx.alogKind = cfg.LogKind
 		if pl.alog == nil {
-			pl.alog = capture.New(cfg.LogKind)
-			pl.tree, _ = pl.alog.(*capture.Tree)
-			pl.arr, _ = pl.alog.(*capture.Array)
-			pl.fil, _ = pl.alog.(*capture.Filter)
+			pl.alog = capture.NewTree()
 		}
-		tx.alogTree, tx.alogArr, tx.alogFil = pl.tree, pl.arr, pl.fil
 		tx.alog = pl.alog
 	}
 	tx.clog = nil

@@ -1,9 +1,6 @@
 package stm
 
-import (
-	"repro/internal/capture"
-	"repro/internal/mem"
-)
+import "repro/internal/mem"
 
 // This file is the log layer of the transaction: the read set with its
 // read-after-read filter, the write (lock) set, the undo log with its
@@ -221,21 +218,11 @@ func (tx *Tx) inAllocRange(a mem.Addr) bool {
 	return uint64(a-tx.allocLo) < tx.allocSpan
 }
 
-// alogContains is the is_captured() heap probe of the paper's Fig. 2,
-// devirtualized for the instrumented barrier chains. The specialized
-// perf engines inline the kind-specific probe instead (engine.go).
+// alogContains is the is_captured() heap probe of the paper's Fig. 2
+// for the interpreting chain; the perf engines spell the same two tests
+// out inline (engine.go).
 func (tx *Tx) alogContains(a mem.Addr) bool {
-	if !tx.inAllocRange(a) {
-		return false
-	}
-	switch tx.alogKind {
-	case capture.KindTree:
-		return tx.alogTree.Contains(a, 1)
-	case capture.KindArray:
-		return tx.alogArr.Contains(a, 1)
-	default:
-		return tx.alogFil.Contains(a, 1)
-	}
+	return tx.inAllocRange(a) && tx.alog.Contains(a, 1)
 }
 
 // StackAlloc allocates an n-word frame on the transaction-local stack.

@@ -3,8 +3,6 @@ package stm
 import (
 	"sync"
 	"testing"
-
-	"repro/internal/capture"
 )
 
 // phasedBaseline returns the canonical two-phase configuration the
@@ -16,7 +14,7 @@ func phasedBaseline() OptConfig {
 	cursor.SkipSharedChecks = true
 	cfg := Baseline()
 	cfg.Phases = []PhaseConfig{
-		{Kind: "publish", Cfg: RuntimeAll(capture.KindTree)},
+		{Kind: "publish", Cfg: RuntimeAll()},
 		{Kind: "cursor", Cfg: cursor},
 	}
 	return cfg

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/capture"
 	"repro/internal/mem"
 )
 
@@ -118,7 +117,7 @@ func serialEquivalent(t *testing.T, cfg OptConfig, seed int64, nops int) bool {
 func TestPropertyNestedRollback(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		rt := newRT(RuntimeAll(capture.KindTree))
+		rt := newRT(RuntimeAll())
 		th := rt.Thread(0)
 		base := rt.Space().AllocGlobal(8)
 
@@ -266,7 +265,7 @@ func TestPropertyWAWFilterNeverLosesUndo(t *testing.T) {
 // observer never sees a captured block's contents before the
 // publishing transaction commits.
 func TestPropertyCapturedWritesInvisibleUntilCommit(t *testing.T) {
-	rt := newRT(RuntimeAll(capture.KindTree))
+	rt := newRT(RuntimeAll())
 	head := rt.Space().AllocGlobal(1)
 	writer := rt.Thread(0)
 	reader := rt.Thread(1)

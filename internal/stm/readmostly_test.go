@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/mem"
 )
 
@@ -12,7 +11,7 @@ import (
 // runtime-capture base with the ReadMostly knob on, so the upgrade
 // target is the rw-stack-heap-tree specialization.
 func rmCfg() OptConfig {
-	cfg := RuntimeAll(capture.KindTree).Perf()
+	cfg := RuntimeAll().Perf()
 	cfg.ReadMostly = true
 	return cfg
 }

@@ -184,7 +184,7 @@ type Thread struct {
 	// Alloc on one would invalidate the other's line.
 	stack mem.Stack
 	alloc mem.Allocator
-	priv  capture.Log // thread-local/read-only annotations (Sec. 3.1.3)
+	priv  *capture.Tree // thread-local/read-only annotations (Sec. 3.1.3)
 	rng   uint64
 	tx    Tx
 

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/mem"
 )
 
@@ -18,10 +17,8 @@ func newRT(cfg OptConfig) *Runtime { return New(testMemCfg(), cfg) }
 // correctness matrix.
 func allConfigs() []OptConfig {
 	cfgs := []OptConfig{Baseline(), CountingConfig(), Compiler()}
-	for _, k := range []capture.Kind{capture.KindTree, capture.KindArray, capture.KindFilter} {
-		cfgs = append(cfgs, RuntimeAll(k), RuntimeWrite(k), RuntimeHeapWrite(k))
-	}
-	an := RuntimeAll(capture.KindTree)
+	cfgs = append(cfgs, RuntimeAll(), RuntimeWrite(), RuntimeHeapWrite())
+	an := RuntimeAll()
 	an.Annotations = true
 	an.Name = "runtime+annotations"
 	cfgs = append(cfgs, an)
@@ -95,7 +92,7 @@ func TestUserAbortRollsBack(t *testing.T) {
 }
 
 func TestAbortRollsBackAllocations(t *testing.T) {
-	rt := newRT(RuntimeAll(capture.KindTree))
+	rt := newRT(RuntimeAll())
 	th := rt.Thread(0)
 	th.Atomic(func(tx *Tx) {
 		p := tx.Alloc(4)
@@ -108,7 +105,7 @@ func TestAbortRollsBackAllocations(t *testing.T) {
 }
 
 func TestTxAllocFreeSameTx(t *testing.T) {
-	rt := newRT(RuntimeAll(capture.KindTree))
+	rt := newRT(RuntimeAll())
 	th := rt.Thread(0)
 	th.Atomic(func(tx *Tx) {
 		p := tx.Alloc(4)
@@ -147,34 +144,32 @@ func TestDeferredFreeOnCommitOnly(t *testing.T) {
 }
 
 func TestRuntimeCaptureElisionStats(t *testing.T) {
-	for _, k := range []capture.Kind{capture.KindTree, capture.KindArray, capture.KindFilter} {
-		t.Run(k.String(), func(t *testing.T) {
-			rt := newRT(RuntimeAll(k))
-			th := rt.Thread(0)
-			th.Atomic(func(tx *Tx) {
-				p := tx.Alloc(4)
-				tx.Store(p, 5, AccAuto) // captured heap write
-				_ = tx.Load(p, AccAuto) // captured heap read
-				f := tx.StackAlloc(2)
-				tx.Store(f, 6, AccAuto) // captured stack write
-				_ = tx.Load(f, AccAuto) // captured stack read
-			})
-			s := rt.Stats()
-			if s.WriteElHeap != 1 || s.ReadElHeap != 1 {
-				t.Errorf("heap elisions r=%d w=%d, want 1/1", s.ReadElHeap, s.WriteElHeap)
-			}
-			if s.WriteElStack != 1 || s.ReadElStack != 1 {
-				t.Errorf("stack elisions r=%d w=%d, want 1/1", s.ReadElStack, s.WriteElStack)
-			}
-			if s.ReadFull != 0 || s.WriteFull != 0 {
-				t.Errorf("full barriers r=%d w=%d, want 0/0", s.ReadFull, s.WriteFull)
-			}
+	t.Run("tree", func(t *testing.T) {
+		rt := newRT(RuntimeAll())
+		th := rt.Thread(0)
+		th.Atomic(func(tx *Tx) {
+			p := tx.Alloc(4)
+			tx.Store(p, 5, AccAuto) // captured heap write
+			_ = tx.Load(p, AccAuto) // captured heap read
+			f := tx.StackAlloc(2)
+			tx.Store(f, 6, AccAuto) // captured stack write
+			_ = tx.Load(f, AccAuto) // captured stack read
 		})
-	}
+		s := rt.Stats()
+		if s.WriteElHeap != 1 || s.ReadElHeap != 1 {
+			t.Errorf("heap elisions r=%d w=%d, want 1/1", s.ReadElHeap, s.WriteElHeap)
+		}
+		if s.WriteElStack != 1 || s.ReadElStack != 1 {
+			t.Errorf("stack elisions r=%d w=%d, want 1/1", s.ReadElStack, s.WriteElStack)
+		}
+		if s.ReadFull != 0 || s.WriteFull != 0 {
+			t.Errorf("full barriers r=%d w=%d, want 0/0", s.ReadFull, s.WriteFull)
+		}
+	})
 }
 
 func TestWriteOnlyConfigElidesOnlyWrites(t *testing.T) {
-	rt := newRT(RuntimeWrite(capture.KindTree))
+	rt := newRT(RuntimeWrite())
 	th := rt.Thread(0)
 	th.Atomic(func(tx *Tx) {
 		p := tx.Alloc(2)
@@ -191,7 +186,7 @@ func TestWriteOnlyConfigElidesOnlyWrites(t *testing.T) {
 }
 
 func TestHeapOnlyConfigIgnoresStack(t *testing.T) {
-	rt := newRT(RuntimeHeapWrite(capture.KindTree))
+	rt := newRT(RuntimeHeapWrite())
 	th := rt.Thread(0)
 	th.Atomic(func(tx *Tx) {
 		f := tx.StackAlloc(1)
@@ -402,7 +397,7 @@ func TestNestedPartialAbort(t *testing.T) {
 // elided (captured) writes inside the nested transaction must still be
 // undone by a partial abort.
 func TestNestedPartialAbortOfCapturedWrites(t *testing.T) {
-	for _, cfg := range []OptConfig{RuntimeAll(capture.KindTree), Compiler()} {
+	for _, cfg := range []OptConfig{RuntimeAll(), Compiler()} {
 		t.Run(cfg.Name, func(t *testing.T) {
 			rt := newRT(cfg)
 			th := rt.Thread(0)
@@ -422,7 +417,7 @@ func TestNestedPartialAbortOfCapturedWrites(t *testing.T) {
 }
 
 func TestNestedAllocPartialAbort(t *testing.T) {
-	rt := newRT(RuntimeAll(capture.KindTree))
+	rt := newRT(RuntimeAll())
 	th := rt.Thread(0)
 	th.Atomic(func(tx *Tx) {
 		outer := tx.Alloc(2)
@@ -527,7 +522,7 @@ func TestBankInvariant(t *testing.T) {
 // freed by a committed transaction is not recycled while another
 // thread is still inside a transaction that might read it.
 func TestFreedBlockReuseIsQuiescent(t *testing.T) {
-	rt := newRT(RuntimeAll(capture.KindTree))
+	rt := newRT(RuntimeAll())
 	thA := rt.Thread(0)
 	thB := rt.Thread(1)
 	p := thA.Alloc(4)

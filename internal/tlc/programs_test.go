@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/stm"
 )
 
@@ -31,9 +30,7 @@ func loadProgram(t *testing.T, name string) string {
 func TestPrograms(t *testing.T) {
 	cfgs := []stm.OptConfig{
 		stm.Baseline(),
-		stm.RuntimeAll(capture.KindTree),
-		stm.RuntimeAll(capture.KindArray),
-		stm.RuntimeAll(capture.KindFilter),
+		stm.RuntimeAll(),
 		stm.Compiler(),
 	}
 	for name, want := range programResults {
@@ -108,7 +105,7 @@ func TestProgramsSkipSharedExtension(t *testing.T) {
 	if c.Analysis.Shared == 0 {
 		t.Fatalf("no definitely-shared sites:\n%s", c.Report())
 	}
-	cfg := stm.RuntimeAll(capture.KindTree)
+	cfg := stm.RuntimeAll()
 	cfg.SkipSharedChecks = true
 	rt := stm.New(c.DefaultMemConfig(), cfg)
 	in := NewInterp(c, rt)

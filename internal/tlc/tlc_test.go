@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/stm"
 )
 
@@ -210,8 +209,7 @@ func TestListProgramAllConfigs(t *testing.T) {
 	c := mustCompile(t, listSrc)
 	cfgs := []stm.OptConfig{
 		stm.Baseline(),
-		stm.RuntimeAll(capture.KindTree),
-		stm.RuntimeAll(capture.KindArray),
+		stm.RuntimeAll(),
 		stm.Compiler(),
 	}
 	for _, cfg := range cfgs {
@@ -313,7 +311,7 @@ func TestStackArrayCapture(t *testing.T) {
 	}
 	// Under runtime capture analysis the same accesses are elided by
 	// the stack range check.
-	rt := stm.New(c.DefaultMemConfig(), stm.RuntimeAll(capture.KindTree))
+	rt := stm.New(c.DefaultMemConfig(), stm.RuntimeAll())
 	in := NewInterp(c, rt)
 	if _, err := in.Call(rt.Thread(0), "main"); err != nil {
 		t.Fatal(err)
@@ -520,7 +518,7 @@ fn main() int {
 	c := mustCompile(t, listSrc)
 	_ = c
 	c2 := mustCompile(t, src)
-	rt := stm.New(c2.DefaultMemConfig(), stm.RuntimeAll(capture.KindTree))
+	rt := stm.New(c2.DefaultMemConfig(), stm.RuntimeAll())
 	in := NewInterp(c2, rt)
 	if _, err := in.Call(rt.Thread(0), "main"); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/mem"
 	"repro/internal/prng"
 	"repro/internal/stm"
@@ -18,7 +17,7 @@ func newTestRT() *stm.Runtime {
 
 func newCaptureRT() *stm.Runtime {
 	return stm.New(mem.Config{GlobalWords: 1 << 8, HeapWords: 1 << 20, StackWords: 1 << 10, MaxThreads: 8},
-		stm.RuntimeAll(capture.KindTree))
+		stm.RuntimeAll())
 }
 
 func TestListBasic(t *testing.T) {

@@ -134,9 +134,6 @@ func PhaseRegimeSpecs() []tm.PhaseSpec { return harness.PhaseRegimeSpecs() }
 // Fig10Configs returns the profiles compared in Fig. 10 / Fig. 11(a).
 func Fig10Configs() []tm.Profile { return harness.Fig10Configs() }
 
-// Fig11bConfigs returns the profiles of Fig. 11(b).
-func Fig11bConfigs() []tm.Profile { return harness.Fig11bConfigs() }
-
 // Table1Configs returns the profiles of Table 1 / Table 2.
 func Table1Configs() []tm.Profile { return harness.Table1Configs() }
 

@@ -14,7 +14,6 @@
 //
 //	rt := tm.Open(
 //		tm.WithRuntimeCapture(tm.StackAndHeap, tm.StackAndHeap),
-//		tm.WithLogKind(tm.LogTree),
 //	)
 //
 // Typed references (Word, Float, Ptr) and the Struct field view

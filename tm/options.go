@@ -1,27 +1,21 @@
 package tm
 
 import (
-	"repro/internal/capture"
 	"repro/internal/mem"
 	"repro/internal/stm"
 )
 
-// LogKind selects the allocation-log implementation used by the
-// runtime capture analysis (Sec. 3.1.2 of the paper).
-type LogKind = capture.Kind
+// LogKind names the allocation log of the runtime capture analysis
+// (Sec. 3.1.2 of the paper). Its one value is LogTree, the precise log:
+// a granule-hashed table of ranges with an O(1) probe (it stands where
+// the paper has a search tree). The type, LogTree and the presets'
+// parameter exist only because the benchmark rig calls
+// RuntimeAll(LogTree) (benchmark/workloads.go); they go once it calls
+// RuntimeAll().
+type LogKind struct{}
 
-// The three allocation-log implementations the paper compares.
-const (
-	// LogTree is the precise log: a granule-hashed table of ranges with
-	// an O(1) probe (it stands where the paper has a search tree).
-	LogTree = capture.KindTree
-	// LogArray is the bounded unsorted range array (one cache line of
-	// ranges).
-	LogArray = capture.KindArray
-	// LogFilter is the hash-table address filter (1<<10 slots; false
-	// negatives possible, never false positives).
-	LogFilter = capture.KindFilter
-)
+// LogTree is the precise allocation log, the only one.
+var LogTree LogKind
 
 // Checks selects which runtime capture checks a barrier performs.
 type Checks struct {
@@ -107,12 +101,6 @@ func WithRuntimeCapture(read, write Checks) Option {
 // entirely, with no runtime check (the paper's Sec. 3.2).
 func WithCompilerElision() Option {
 	return func(s *settings) { s.cfg.Compiler = true }
-}
-
-// WithLogKind picks the allocation-log implementation used by runtime
-// capture analysis. The default is LogTree.
-func WithLogKind(k LogKind) Option {
-	return func(s *settings) { s.cfg.LogKind = k }
 }
 
 // WithAnnotations enables the thread-private data logs behind
@@ -323,23 +311,20 @@ func Counting() Profile { return NewProfile("counting", WithCounting()) }
 
 // RuntimeAll enables runtime capture analysis for both the
 // transaction-local stack and heap in both read and write barriers.
-func RuntimeAll(k LogKind) Profile {
-	return NewProfile("runtime-rw-stack-heap-"+k.String(),
-		WithRuntimeCapture(StackAndHeap, StackAndHeap), WithLogKind(k))
+func RuntimeAll(LogKind) Profile {
+	return NewProfile("runtime-rw-stack-heap-tree", WithRuntimeCapture(StackAndHeap, StackAndHeap))
 }
 
 // RuntimeWrite enables runtime capture analysis for stack and heap in
 // write barriers only.
-func RuntimeWrite(k LogKind) Profile {
-	return NewProfile("runtime-w-stack-heap-"+k.String(),
-		WithRuntimeCapture(NoChecks, StackAndHeap), WithLogKind(k))
+func RuntimeWrite(LogKind) Profile {
+	return NewProfile("runtime-w-stack-heap-tree", WithRuntimeCapture(NoChecks, StackAndHeap))
 }
 
 // RuntimeHeapWrite enables runtime capture analysis for heap accesses
 // in write barriers only (the configuration of the paper's Fig. 11b).
-func RuntimeHeapWrite(k LogKind) Profile {
-	return NewProfile("runtime-w-heap-"+k.String(),
-		WithRuntimeCapture(NoChecks, HeapOnly), WithLogKind(k))
+func RuntimeHeapWrite(LogKind) Profile {
+	return NewProfile("runtime-w-heap-tree", WithRuntimeCapture(NoChecks, HeapOnly))
 }
 
 // CompilerElision is static elision only, no runtime checks.

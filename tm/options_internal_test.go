@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/mem"
 	"repro/internal/stm"
 )
@@ -27,13 +26,11 @@ func TestPresetProfilesMatchEngineConstructors(t *testing.T) {
 	}{
 		{Baseline(), stm.Baseline()},
 		{Counting(), stm.CountingConfig()},
-		{RuntimeAll(LogTree), stm.RuntimeAll(capture.KindTree)},
-		{RuntimeAll(LogArray), stm.RuntimeAll(capture.KindArray)},
-		{RuntimeAll(LogFilter), stm.RuntimeAll(capture.KindFilter)},
-		{RuntimeWrite(LogTree), stm.RuntimeWrite(capture.KindTree)},
-		{RuntimeHeapWrite(LogFilter), stm.RuntimeHeapWrite(capture.KindFilter)},
+		{RuntimeAll(LogTree), stm.RuntimeAll()},
+		{RuntimeWrite(LogTree), stm.RuntimeWrite()},
+		{RuntimeHeapWrite(LogTree), stm.RuntimeHeapWrite()},
 		{CompilerElision(), stm.Compiler()},
-		{RuntimeAll(LogTree).Perf(), stm.RuntimeAll(capture.KindTree).Perf()},
+		{RuntimeAll(LogTree).Perf(), stm.RuntimeAll().Perf()},
 	}
 	for _, c := range cases {
 		got := buildCfg(t, c.profile.Options()...)
@@ -47,7 +44,6 @@ func TestOptionFieldMapping(t *testing.T) {
 	cfg := buildCfg(t,
 		WithName("x"),
 		WithRuntimeCapture(Checks{Stack: true}, Checks{Heap: true}),
-		WithLogKind(LogArray),
 		WithAnnotations(),
 		WithCounting(),
 		WithPerfMode(),
@@ -58,7 +54,6 @@ func TestOptionFieldMapping(t *testing.T) {
 		Name:             "x",
 		Read:             stm.BarrierOpt{Stack: true},
 		Write:            stm.BarrierOpt{Heap: true},
-		LogKind:          capture.KindArray,
 		Annotations:      true,
 		Counting:         true,
 		PerfMode:         true,
@@ -98,7 +93,6 @@ func TestWithPhasesBuildsFragmentsOverFinalBase(t *testing.T) {
 				WithMemory(MemConfig{GlobalWords: 1})), // ignored: memory is per-Runtime
 		),
 		WithPerfMode(), // after WithPhases: must still reach the fragments
-		WithLogKind(LogArray),
 	})
 	if len(cfg.Phases) != 2 {
 		t.Fatalf("phases = %d, want 2", len(cfg.Phases))
@@ -109,9 +103,6 @@ func TestWithPhasesBuildsFragmentsOverFinalBase(t *testing.T) {
 	}
 	if !pub.Cfg.PerfMode || !cur.Cfg.PerfMode {
 		t.Error("option after WithPhases did not reach the fragments")
-	}
-	if pub.Cfg.LogKind != capture.KindArray {
-		t.Errorf("publish fragment log kind = %v, want the base's array", pub.Cfg.LogKind)
 	}
 	if pub.Cfg.Read != (stm.BarrierOpt{Stack: true, Heap: true}) {
 		t.Errorf("publish fragment read checks = %+v", pub.Cfg.Read)
@@ -134,7 +125,7 @@ func TestPhasedOpenEndToEnd(t *testing.T) {
 	rt := Open(
 		WithPerfMode(),
 		WithPhases(
-			PhaseProfile(PhasePublish, WithRuntimeCapture(StackAndHeap, StackAndHeap), WithLogKind(LogTree)),
+			PhaseProfile(PhasePublish, WithRuntimeCapture(StackAndHeap, StackAndHeap)),
 			PhaseProfile(PhaseCursor, WithSkipSharedChecks()),
 		),
 		WithMemory(MemConfig{GlobalWords: 64, HeapWords: 1 << 16, StackWords: 1 << 8, MaxThreads: 2}),
