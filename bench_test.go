@@ -687,6 +687,41 @@ func BenchmarkCaptureProbeScattered(b *testing.B) {
 	}
 }
 
+// BenchmarkCaptureChurn prices the allocation log under a transaction
+// that frees and re-allocates one block over and over, as a hash-table
+// insert/remove pair does when the size class's free list hands the
+// same node back: per transaction, `pairs` times Insert the node, probe
+// a word it holds and one of its granule it does not, and Remove it,
+// then Clear. Per pair. A Remove that only tombstoned its slot made
+// each later Insert land one slot further down the chain, so the miss
+// walked a chain as long as the pairs so far.
+func BenchmarkCaptureChurn(b *testing.B) {
+	for _, pairs := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("pairs=%d", pairs), func(b *testing.B) {
+			const node = mem.Addr(1 << 12)
+			log := capture.NewTree()
+			hits := 0
+			for i := 0; i < b.N; {
+				log.Insert(node-40, node-8) // a block the transaction keeps
+				for j := 0; j < pairs && i < b.N; j, i = j+1, i+1 {
+					log.Insert(node, node+4)
+					if log.Contains(node+1, 1) {
+						hits++
+					}
+					if log.Contains(node+6, 1) {
+						hits++
+					}
+					log.Remove(node, node+4)
+				}
+				log.Clear()
+			}
+			if hits != b.N {
+				b.Fatalf("%d hits in %d pairs", hits, b.N)
+			}
+		})
+	}
+}
+
 // --- Ablations (engine design choices) ---
 
 // BenchmarkAblationSkipShared measures the paper's future-work

@@ -10,11 +10,11 @@
 // barriers it elided once merged transactions held a dozen ranges (see
 // the Tree type). The paper's two cheaper alternatives of Sec. 3.1.2,
 // a one-line range array (Fig. 6) and an address filter, are not
-// allocation logs here: on the benchmark rig the filter resolved on no
-// end-to-end metric against the tree and the array lost throughput and
-// tail latency on the contended cell (README, Measuring). The filter
-// is gone; Array remains as a standalone structure that no transaction
-// uses.
+// here: on the benchmark rig the filter resolved on no end-to-end
+// metric against the tree and the array lost throughput and tail
+// latency on the contended cell (README, Measuring). The STM keeps the
+// table behind two compares of its own (stm's nursery runs), so only
+// blocks a transaction did not allocate back to back reach it.
 //
 // Contains is conservative in the paper's sense and exact besides: it
 // never reports memory that is not recorded, which is the correctness

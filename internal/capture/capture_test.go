@@ -258,6 +258,30 @@ func TestTreeTombstoneChurnRehashes(t *testing.T) {
 	}
 }
 
+// A transaction that frees and re-allocates one block must not grow
+// its probe chains: Insert takes the tombstones Remove left, so the
+// table holds at most one slot per granule of the block and the dirty
+// list stays put.
+func TestTreeReinsertReusesTombstones(t *testing.T) {
+	tr := NewTree()
+	tr.Insert(5000, 5100) // a live neighbour in other granules
+	base := len(tr.dirty)
+	for i := 0; i < 1000; i++ {
+		tr.Insert(100, 140)
+		tr.Remove(100, 140)
+		if err := tr.checkInvariants(); err != nil {
+			t.Fatalf("pair %d: %v", i, err)
+		}
+		if got := len(tr.dirty) - base; got > 3 {
+			t.Fatalf("pair %d: %d slots on the dirty list for one 3-granule block", i, got)
+		}
+	}
+	if !tr.Contains(5000, 100) || tr.Contains(120, 1) || tr.Len() != 1 {
+		t.Fatalf("after the churn: neighbour %v, freed block %v, Len %d",
+			tr.Contains(5000, 100), tr.Contains(120, 1), tr.Len())
+	}
+}
+
 func TestTreeInsertOverlapPanics(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -408,27 +432,5 @@ func BenchmarkLogInsertClear(b *testing.B) {
 		if i%16 == 15 {
 			l.Clear()
 		}
-	}
-}
-
-func TestArrayOverflowConservative(t *testing.T) {
-	a := NewArray(2)
-	a.Insert(10, 20)
-	a.Insert(30, 40)
-	a.Insert(50, 60) // dropped
-	if a.Drops() != 1 {
-		t.Errorf("Drops = %d, want 1", a.Drops())
-	}
-	if a.Contains(55, 1) {
-		t.Error("contains dropped range (false positive)")
-	}
-	if !a.Contains(15, 1) || !a.Contains(35, 1) {
-		t.Error("lost tracked ranges")
-	}
-	a.Remove(50, 60) // dropped range: no-op
-	a.Remove(10, 20)
-	a.Insert(50, 60) // slot freed, now fits
-	if !a.Contains(55, 1) {
-		t.Error("slot not reusable after Remove")
 	}
 }

@@ -50,7 +50,7 @@ func (o *oracle) contains(addr mem.Addr, size int) bool {
 // The fuzz universe and block sizes are large enough that the precise
 // log grows past its initial table and enters ranges under hundreds of
 // granules; "near" addressing keeps small blocks adjacent so they also
-// share granules (and overflow the array).
+// share granules.
 const (
 	fuzzBase     = 64
 	fuzzUniverse = 1 << 16
@@ -59,36 +59,20 @@ const (
 	fuzzMaxOps   = 256
 )
 
-// rangeLog is what the harness drives: the tree and the array.
-type rangeLog interface {
-	Insert(start, end mem.Addr)
-	Remove(start, end mem.Addr)
-	Contains(addr mem.Addr, size int) bool
-	Clear()
-	Len() int
-}
-
 // fuzzLog interprets data as an op sequence over the fresh log l, five
-// bytes per op: opcode, two address bytes, two size bytes. No probe may
-// report unrecorded memory. A Tree must also agree with the oracle
-// exactly, and its table's invariants must hold after every mutation;
-// the array drops ranges on overflow, so it is held to the first
-// direction only.
-func fuzzLog(t *testing.T, l rangeLog, data []byte) {
+// bytes per op: opcode, two address bytes, two size bytes. Every probe
+// must agree with the oracle exactly, and the table's invariants must
+// hold after every mutation.
+func fuzzLog(t *testing.T, l *Tree, data []byte) {
 	t.Helper()
-	tree, precise := l.(*Tree)
 	var o oracle
 	check := func() {
-		if !precise {
-			return
-		}
-		if err := tree.checkInvariants(); err != nil {
+		if err := l.checkInvariants(); err != nil {
 			t.Fatalf("%v (live %v)", err, o.sorted())
 		}
 	}
 	probe := func(where string, addr mem.Addr, size int) {
-		got, want := l.Contains(addr, size), o.contains(addr, size)
-		if got && !want || precise && got != want {
+		if got, want := l.Contains(addr, size), o.contains(addr, size); got != want {
 			t.Fatalf("%s Contains(%d,%d) = %v, oracle says %v (live %v)",
 				where, addr, size, got, want, o.sorted())
 		}
@@ -163,14 +147,14 @@ func fuzzLog(t *testing.T, l rangeLog, data []byte) {
 		for a := r.start | 15; a < r.end; a += 16 {
 			probe("granule boundary", a, 2)
 		}
-		if precise && !l.Contains(r.start, int(r.end-r.start)) {
+		if !l.Contains(r.start, int(r.end-r.start)) {
 			t.Fatalf("epilogue false negative on [%d,%d)", r.start, r.end)
 		}
 	}
 	for a := mem.Addr(0); a < fuzzBase+fuzzUniverse+fuzzMaxSize; a += 131 {
 		probe("sweep", a, 1)
 	}
-	if want := len(o.ranges); precise && l.Len() != want {
+	if want := len(o.ranges); l.Len() != want {
 		t.Fatalf("Len = %d, oracle has %d ranges", l.Len(), want)
 	}
 	// Clear must empty the log: no probe may hit afterwards.
@@ -189,10 +173,11 @@ func (o *oracle) sorted() []oracleRange {
 	return rs
 }
 
-// seedCorpus feeds each target inputs that reach every op and every
+// seedCorpus feeds FuzzTree inputs that reach every op and every
 // shape the table distinguishes: dense near-inserts sharing granules,
 // multi-granule blocks, remove/probe interleavings, remove-reinsert,
-// clears, tombstone churn long enough to rehash, and short inputs.
+// clears, tombstone churn long enough to rehash, one block freed and
+// re-allocated over and over, and short inputs.
 func seedCorpus(f *testing.F) {
 	const near = 0x80
 	f.Add([]byte{})
@@ -219,6 +204,13 @@ func seedCorpus(f *testing.F) {
 		churn = append(churn, near|1, byte(i), 0, byte(i*7), 1, 3, 0, 0, byte(i), 1)
 	}
 	f.Add(churn)
+	// One block freed and re-allocated beside a live one, with no Clear:
+	// each Insert takes the tombstones the last Remove left.
+	reuse := []byte{0, 136, 0, 3, 1}
+	for i := 0; i < 40; i++ {
+		reuse = append(reuse, 0, 100, 0, 5, 1, 3, 1, 0, 1, 1)
+	}
+	f.Add(append(reuse, 7, 100, 0, 2, 1))
 	longer := make([]byte, 400)
 	for i := range longer {
 		longer[i] = byte(i*37 + 11)
@@ -233,15 +225,5 @@ func FuzzTree(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzLog(t, NewTree(), data)
-	})
-}
-
-// FuzzArray fuzzes the bounded range array at the paper's one-line
-// capacity: conservative only (it drops ranges on overflow), so just
-// the no-false-positive direction holds.
-func FuzzArray(f *testing.F) {
-	seedCorpus(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzLog(t, NewArray(4), data)
 	})
 }

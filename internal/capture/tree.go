@@ -35,13 +35,15 @@ type Tree struct {
 
 // slot is one table entry. g is the granule number plus one; 0 marks an
 // empty slot and tombstone a removed one, which keeps probe chains that
-// pass through it intact until the next Clear or rehash.
+// pass through it intact until place reuses it or the next Clear or
+// rehash empties it.
 type slot struct{ g, start, end mem.Addr }
 
 const (
 	granuleShift = 4 // 16-word granules
 	minSlots     = 64
 	tombstone    = ^mem.Addr(0)
+	noSlot       = ^uint64(0)
 	hashMul      = 0x9E3779B97F4A7C15
 )
 
@@ -100,16 +102,29 @@ func (t *Tree) Insert(start, end mem.Addr) {
 // place enters [start, end) under each granule it touches. Two ranges
 // that overlap share a word and so a granule, which is where the walk
 // to the first empty slot finds the other one.
+//
+// The entry takes the first tombstone of the walk when there is one,
+// which is already on the dirty list. Without that, a transaction that
+// frees and re-allocates one block places each new entry past the old
+// tombstones, and every probe of the granule walks them until the next
+// Clear or rehash.
 func (t *Tree) place(start, end mem.Addr) {
 	for g := granule(start); g <= granule(end-1); g++ {
-		i := t.home(g)
+		i, at := t.home(g), noSlot
 		for ; t.slots[i].g != 0; i = (i + 1) & t.mask {
-			if s := &t.slots[i]; s.g == g && start < s.end && s.start < end {
+			s := &t.slots[i]
+			if s.g == g && start < s.end && s.start < end {
 				panic(fmt.Sprintf("capture: Tree.Insert(%d, %d): overlaps [%d, %d)", start, end, s.start, s.end))
 			}
+			if s.g == tombstone && at == noSlot {
+				at = i
+			}
 		}
-		t.slots[i] = slot{g, start, end}
-		t.dirty = append(t.dirty, uint32(i))
+		if at == noSlot {
+			at = i
+			t.dirty = append(t.dirty, uint32(i))
+		}
+		t.slots[at] = slot{g, start, end}
 	}
 }
 

@@ -28,6 +28,11 @@
 //     quiescence (stm's enqueueLimbo): every thread that was inside a
 //     transaction at the free has finished it, so no zombie reader
 //     still holds the address.
+//   - A block a transaction allocates and frees again goes back to its
+//     own thread's free list, which no other thread allocates from, so
+//     stm may keep treating it as captured until the transaction ends:
+//     the only way to reach it again is to allocate it again on the
+//     same thread.
 //   - Publication goes through the runtime's orec and clock atomics,
 //     which order every plain store before them.
 //

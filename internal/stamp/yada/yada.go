@@ -215,10 +215,13 @@ func (b *B) refine(th *stm.Thread, r *prng.R, id uint64) {
 		// re-triangulation creates several). The link words are written
 		// twice (zero-init pattern, then the final link): redundant
 		// writes the baseline WAW filter absorbs. Together with the
-		// map nodes, the allocations per transaction exceed the range
-		// array's one-cache-line capacity — which is why yada is the
-		// benchmark where the array log removes fewer barriers than
-		// the tree (paper Fig. 9).
+		// map nodes, the allocations per transaction exceed the
+		// one-cache-line range array of the paper's Fig. 6, which is
+		// why yada is where that log removes fewer barriers than the
+		// tree (paper Fig. 9). Here the map nodes come back from the
+		// free list away from the elements carved after them, so about
+		// half of yada's blocks miss the STM's two nursery runs and go
+		// to the allocation log.
 		var childIDs [3]uint64
 		for c := 0; c < 3; c++ {
 			nid := tx.Load(b.nextID, stm.AccShared)

@@ -21,9 +21,10 @@ import (
 //   - the undo log: writeFull always logs before storing, annotated
 //     private writes log (without locking), and captured stores log at
 //     nesting depth > 1;
-//   - a block in the allocation log (captured stores at depth 1 —
-//     including compiler-elided ones, whose provenance confines them to
-//     captured memory);
+//   - a block this transaction allocated, in tx.allocs whether live
+//     or freed again (captured stores at depth 1 — including
+//     compiler-elided ones, whose provenance confines them to captured
+//     memory);
 //   - the transaction-local stack region [curSP, startSP) — curSP only
 //     decreases within an attempt, so the range also covers frames a
 //     partial abort popped.

@@ -43,9 +43,13 @@ import (
 //     and the probe method wrapping Tree.Contains costs 81 against the
 //     inliner's budget of 80.
 //
-// The flat functions depend on onTxStack, inAllocRange, storeCaptured,
-// Tree.Contains and Space.Load/Store/StorePlain being inlined; CI's
-// check job pins that (storeCaptured costs 78 of 80).
+// The flat functions depend on onTxStack, inNursery, inAllocRange,
+// storeCaptured, Tree.Contains and Space.Load/Store/StorePlain being
+// inlined; CI's check job pins that (storeCaptured costs 78 of 80). A
+// heap access tests the stack range, then the two nursery runs, then
+// the allocation log's bounding range, and probes the log only inside
+// that range: a transaction whose blocks all sit in runs never probes
+// it.
 
 // loadFn and storeFn are the barrier entry points an engine provides.
 // They receive the Tx explicitly so engines can be plain functions
@@ -198,14 +202,14 @@ func perfLoadStack(tx *Tx, a mem.Addr, _ Acc) uint64 {
 }
 
 func perfLoadStackHeap(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.onTxStack(a) || (tx.inAllocRange(a) && tx.alog.Contains(a, 1)) {
+	if tx.onTxStack(a) || tx.inNursery(a) || (tx.inAllocRange(a) && tx.alog.Contains(a, 1)) {
 		return tx.th.rt.space.Load(a)
 	}
 	return tx.readFull(a)
 }
 
 func perfLoadHeap(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.inAllocRange(a) && tx.alog.Contains(a, 1) {
+	if tx.inNursery(a) || (tx.inAllocRange(a) && tx.alog.Contains(a, 1)) {
 		return tx.th.rt.space.Load(a)
 	}
 	return tx.readFull(a)
@@ -236,7 +240,7 @@ func perfStoreStack(tx *Tx, a mem.Addr, val uint64, _ Acc) {
 }
 
 func perfStoreStackHeap(tx *Tx, a mem.Addr, val uint64, _ Acc) {
-	if tx.onTxStack(a) || (tx.inAllocRange(a) && tx.alog.Contains(a, 1)) {
+	if tx.onTxStack(a) || tx.inNursery(a) || (tx.inAllocRange(a) && tx.alog.Contains(a, 1)) {
 		tx.storeCaptured(a, val)
 		return
 	}
@@ -244,7 +248,7 @@ func perfStoreStackHeap(tx *Tx, a mem.Addr, val uint64, _ Acc) {
 }
 
 func perfStoreHeap(tx *Tx, a mem.Addr, val uint64, _ Acc) {
-	if tx.inAllocRange(a) && tx.alog.Contains(a, 1) {
+	if tx.inNursery(a) || (tx.inAllocRange(a) && tx.alog.Contains(a, 1)) {
 		tx.storeCaptured(a, val)
 		return
 	}

@@ -455,12 +455,15 @@ func TestLimboSnapshotsOnlyOddThreads(t *testing.T) {
 
 // TestAllocationLogPreciseAtTheEngine pins "precise" where elision is
 // decided, not only inside internal/capture: through random Tx.Alloc /
-// Tx.Free / nested commit / nested abort sequences, the probe the
-// engine consults answers true for every payload word of every live
-// block of the transaction and false for each block's header word
-// (addr-1), the word past its end (addr+size), and every word of a
-// block already freed or rolled back. The blocks span one word to many
-// granules, so ranges share granules, straddle them, and grow the table.
+// Tx.Free / nested commit / nested abort sequences, each nursery run is
+// tiled exactly by blocks of the transaction, every other block sits in
+// the allocation log exactly while it is live, and the capture test
+// answers true for every payload word of every live block, and false
+// for each block's header word (addr-1), the word past its end
+// (addr+size) and every word of a block freed or rolled back, except
+// where a run still holds the freed block or its header. The blocks
+// span one word to many granules, so table ranges share granules,
+// straddle them, and grow the table.
 func TestAllocationLogPreciseAtTheEngine(t *testing.T) {
 	counting := RuntimeAll()
 	counting.Counting = true
@@ -492,8 +495,8 @@ func TestAllocationLogPreciseAtTheEngine(t *testing.T) {
 					}
 					checkAllocLogPrecise(t, tx, nil)
 				})
-				if tx := &th.tx; tx.allocSpan != 0 || tx.alog.Len() != 0 || (tx.clog != nil && tx.clog.Len() != 0) {
-					t.Fatalf("round %d: allocation log or its range not empty after commit", round)
+				if tx := &th.tx; tx.nursery[0].span|tx.nursery[1].span != 0 || tx.allocSpan != 0 || tx.alog.Len() != 0 || (tx.clog != nil && tx.clog.Len() != 0) {
+					t.Fatalf("round %d: nursery runs, allocation log or its range not empty after commit", round)
 				}
 			}
 			recycledFarFromBump(t, th)
@@ -503,24 +506,35 @@ func TestAllocationLogPreciseAtTheEngine(t *testing.T) {
 }
 
 // recycledFarFromBump: Alloc pops a size class's free list before it
-// bumps, so one transaction can hold a recycled block far below its
-// fresh ones. The range test must pass both, and leave the blocks
-// between them, which the transaction did not allocate, to the probe.
+// bumps, so one transaction can hold recycled blocks far from its fresh
+// ones. The first two places start the two runs; the blocks that fit
+// neither go to the allocation log, whose range then spans blocks the
+// transaction did not allocate, which the probe must reject.
 func recycledFarFromBump(t *testing.T, th *Thread) {
 	t.Helper()
-	old := th.Alloc(4)
+	old4, spacer, old8 := th.Alloc(4), th.Alloc(4), th.Alloc(8)
 	var between []mem.Addr
 	for range 9 { // 9 × 1025 words: past the private bump span (8192)
 		between = append(between, th.Alloc(1024))
 	}
-	th.Free(old)
+	old16 := th.Alloc(16)
+	spacers := []mem.Addr{spacer, th.Alloc(16)} // keep the old blocks apart
+
+	th.Free(old4)
+	th.Free(old8)
+	th.Free(old16)
 	th.Atomic(func(tx *Tx) {
 		fresh := tx.Alloc(700) // a class the churn above never uses: bumped
-		if got := tx.Alloc(4); got != old {
-			t.Fatalf("Alloc(4) = %d, want the recycled block %d", got, old)
+		for _, old := range []mem.Addr{old4, old8, old16} {
+			if got := tx.Alloc(th.alloc.BlockSize(old)); got != old {
+				t.Fatalf("Alloc = %d, want the recycled block %d", got, old)
+			}
 		}
-		if fresh < old+9*1025 {
-			t.Fatalf("fresh block %d only %d words above the recycled one", fresh, fresh-old)
+		if fresh < old4+9*1025 {
+			t.Fatalf("fresh block %d only %d words above the recycled one", fresh, fresh-old4)
+		}
+		if tx.nursery[0].lo != fresh || tx.nursery[1].lo != old4 || tx.alog.Len() != 2 {
+			t.Fatalf("runs %+v and %d logged blocks, want runs at %d and %d and two logged", tx.nursery, tx.alog.Len(), fresh, old4)
 		}
 		checkAllocLogPrecise(t, tx, nil)
 		for _, b := range between {
@@ -529,8 +543,13 @@ func recycledFarFromBump(t *testing.T, th *Thread) {
 					b, tx.inAllocRange(b), tx.alogContains(b))
 			}
 		}
+		for _, b := range spacers {
+			if tx.alogContains(b) {
+				t.Fatalf("block %d next to a recycled one captured", b)
+			}
+		}
 	})
-	for _, b := range between {
+	for _, b := range append(between, spacers...) {
 		th.Free(b)
 	}
 }
@@ -572,21 +591,57 @@ func allocLogChurn(t *testing.T, tx *Tx, rng *rand.Rand, steps int) {
 	}
 }
 
-// checkAllocLogPrecise checks the probe against tx.allocs, plus gone:
-// records of blocks no longer in tx.allocs that must not be captured.
-// Every block the transaction allocated, freed and rolled back ones
-// included, must stay inside the range test's bounds: it only widens.
+// checkAllocLogPrecise checks the capture test against tx.allocs, plus
+// gone: records of blocks no longer in tx.allocs, rolled back, that
+// must not be captured.
 func checkAllocLogPrecise(t *testing.T, tx *Tx, gone []allocRec) {
 	t.Helper()
-	for _, a := range append(gone, tx.allocs...) {
-		if !tx.inAllocRange(a.addr) || !tx.inAllocRange(a.addr+mem.Addr(a.size)-1) {
-			t.Fatalf("block [%d,+%d) (dead=%v) outside the range [%d,+%d)", a.addr, a.size, a.dead, tx.allocLo, tx.allocSpan)
+	byAddr := map[mem.Addr]allocRec{}
+	logged := 0
+	for _, a := range tx.allocs {
+		byAddr[a.addr] = a
+		end := a.addr + mem.Addr(a.size) - 1
+		switch {
+		case tx.inNursery(a.addr):
+			if !tx.inNursery(end) || tx.alog.Contains(a.addr, 1) {
+				t.Fatalf("block [%d,+%d) (dead=%v) half in the runs %+v, or in both runs and allocation log", a.addr, a.size, a.dead, tx.nursery)
+			}
+		case !a.dead:
+			logged++
+			if !tx.alog.Contains(a.addr, a.size) || !tx.inAllocRange(a.addr) || !tx.inAllocRange(end) {
+				t.Fatalf("live block [%d,+%d) not in the allocation log or its range [%d,+%d)", a.addr, a.size, tx.allocLo, tx.allocSpan)
+			}
+		}
+	}
+	if tx.alog.Len() != logged {
+		t.Fatalf("allocation log holds %d blocks, want the %d live ones outside the runs", tx.alog.Len(), logged)
+	}
+	// A run is its first block's payload, then header and payload of
+	// each block after it, all of them this transaction's.
+	maybe := map[mem.Addr]bool{} // run words not in a live block
+	for _, r := range tx.nursery {
+		at, end := r.lo, r.lo+mem.Addr(r.span)
+		for first := true; at < end; first = false {
+			if !first {
+				maybe[at] = true // the header
+				at++
+			}
+			a, ok := byAddr[at]
+			if !ok || at+mem.Addr(a.size) > end {
+				t.Fatalf("run [%d,%d) holds word %d, which starts no block it took", r.lo, end, at)
+			}
+			if a.dead {
+				for w := at; w < at+mem.Addr(a.size); w++ {
+					maybe[w] = true
+				}
+			}
+			at += mem.Addr(a.size)
 		}
 	}
 	captured := func(a mem.Addr) bool {
 		got := tx.alogContains(a)
-		if tx.clog != nil && tx.clog.Contains(a, 1) != got {
-			t.Fatalf("word %d: allocation log says %v, counting log disagrees", a, got)
+		if tx.clog != nil && tx.clog.Contains(a, 1) != got && !maybe[a] {
+			t.Fatalf("word %d: capture test says %v, counting log disagrees", a, got)
 		}
 		return got
 	}
@@ -604,7 +659,8 @@ func checkAllocLogPrecise(t *testing.T, tx *Tx, gone []allocRec) {
 	}
 	for _, a := range append(gone, tx.allocs...) {
 		// Headers and the word after a block are never payload; a dead
-		// block's words are captured only where a later block reuses them.
+		// block's words are captured only where a later block reuses them
+		// or a run still holds them.
 		words := []mem.Addr{a.addr - 1, a.addr + mem.Addr(a.size)}
 		if a.dead {
 			for w := a.addr; w < a.addr+mem.Addr(a.size); w++ {
@@ -612,7 +668,7 @@ func checkAllocLogPrecise(t *testing.T, tx *Tx, gone []allocRec) {
 			}
 		}
 		for _, w := range words {
-			if !live[w] && captured(w) {
+			if !live[w] && !maybe[w] && captured(w) {
 				t.Fatalf("word %d by block [%d,+%d) (dead=%v) captured but not allocated", w, a.addr, a.size, a.dead)
 			}
 		}

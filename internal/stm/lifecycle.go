@@ -67,14 +67,19 @@ type Tx struct {
 	upNext     bool
 	selfBumps  uint64
 
-	// alog is runtime capture's allocation log (nil when the phase
-	// checks no heap accesses), next to the bounding range
-	// [allocLo, allocLo+allocSpan) of its blocks, so a probe outside it
-	// — every probe, on allocation-free benchmarks like kmeans and
-	// ssca2 — costs one compare (inAllocRange). The logs live in
+	// nursery and alog are runtime capture's record of the blocks this
+	// transaction allocated (both unused when the phase checks no heap
+	// accesses). The two nursery runs take the blocks allocated back to
+	// back — bump-carved ones, and the first recycled block — so their
+	// capture test is two compares (inNursery). Any other block goes to
+	// alog, the allocation log, next to the bounding range
+	// [allocLo, allocLo+allocSpan) of those blocks, so a probe outside
+	// it costs one compare more (inAllocRange) and a transaction whose
+	// blocks all fit in runs never probes the log. The logs live in
 	// phaseLogs, one cached pair per phase (built lazily on first
 	// entry), so flipping phases between transactions allocates nothing
 	// on the steady state.
+	nursery   [2]nurseryRun
 	alog      *capture.Tree
 	allocLo   mem.Addr
 	allocSpan uint64
@@ -345,6 +350,7 @@ func (tx *Tx) finish() {
 	if tx.alog != nil {
 		tx.alog.Clear()
 		tx.allocSpan = 0
+		tx.nursery[0].span, tx.nursery[1].span = 0, 0
 	}
 	if tx.clog != nil {
 		tx.clog.Clear()
@@ -387,6 +393,7 @@ func (tx *Tx) beginNested() {
 		alloc: len(tx.allocs),
 		free:  len(tx.frees),
 		sp:    tx.th.stack.SP(),
+		runs:  [2]uint64{tx.nursery[0].span, tx.nursery[1].span},
 	})
 	tx.depth++
 }
@@ -444,6 +451,9 @@ func (tx *Tx) abortNested() {
 			tx.th.alloc.Free(a.addr)
 		}
 	}
+	// The runs lose the scope's blocks (after the loop above, which
+	// tells run blocks from logged ones): they only grew since sp.
+	tx.nursery[0].span, tx.nursery[1].span = sp.runs[0], sp.runs[1]
 	tx.readset = tx.readset[:sp.read]
 	tx.writes = tx.writes[:sp.write]
 	tx.undo = tx.undo[:sp.undo]

@@ -39,6 +39,18 @@ type savepoint struct {
 	read, write, undo int
 	alloc, free       int
 	sp                mem.Addr
+	runs              [2]uint64 // the nursery runs' spans
+}
+
+// nurseryRun is a range [lo, lo+span) of blocks one transaction
+// allocated back to back: a run starts at a block's payload and grows
+// whenever the next block's header sits exactly at its end, so it holds
+// those blocks' payloads and the headers between them and nothing else.
+// lo is fixed while span > 0, so restoring a span undoes the growth
+// since a savepoint.
+type nurseryRun struct {
+	lo   mem.Addr
+	span uint64
 }
 
 const wawSlots = 256 // power of two
@@ -152,8 +164,8 @@ func (tx *Tx) prevOrecWord(w uint64) uint64 {
 // --- Transactional allocation (Sec. 3.1.2's extended allocator) ---
 
 // Alloc allocates n words inside the transaction and records the block
-// in the allocation log. The memory is captured: until commit it is
-// invisible to every other transaction.
+// in a nursery run or the allocation log. The memory is captured: until
+// commit it is invisible to every other transaction.
 func (tx *Tx) Alloc(n int) mem.Addr {
 	p := tx.th.alloc.Alloc(n)
 	size := tx.th.alloc.BlockSize(p)
@@ -188,22 +200,55 @@ func (tx *Tx) Free(p mem.Addr) {
 	tx.frees = append(tx.frees, p)
 }
 
+// insertIntoLogs records the block [p, p+size) for the heap capture
+// test, in a nursery run when one takes it and in the allocation log
+// otherwise. The classifier's log takes every block.
 func (tx *Tx) insertIntoLogs(p mem.Addr, size int) {
 	if tx.alog != nil {
-		tx.alog.Insert(p, p+mem.Addr(size))
-		lo, hi := p, p+mem.Addr(size)
-		if tx.allocSpan != 0 {
-			lo, hi = min(lo, tx.allocLo), max(hi, tx.allocLo+mem.Addr(tx.allocSpan))
+		if !tx.takeIntoRun(p, size) {
+			tx.alog.Insert(p, p+mem.Addr(size))
+			lo, hi := p, p+mem.Addr(size)
+			if tx.allocSpan != 0 {
+				lo, hi = min(lo, tx.allocLo), max(hi, tx.allocLo+mem.Addr(tx.allocSpan))
+			}
+			tx.allocLo, tx.allocSpan = lo, uint64(hi-lo)
 		}
-		tx.allocLo, tx.allocSpan = lo, uint64(hi-lo)
 	}
 	if tx.clog != nil {
 		tx.clog.Insert(p, p+mem.Addr(size))
 	}
 }
 
+// takeIntoRun covers the block [p, p+size) with a nursery run if one
+// can take it: the first empty run starts at it, a run whose end is
+// the block's header grows over it, and a run that already holds it —
+// a block this transaction freed and took back from its free list —
+// keeps it.
+func (tx *Tx) takeIntoRun(p mem.Addr, size int) bool {
+	for i := range tx.nursery {
+		r := &tx.nursery[i]
+		switch {
+		case r.span == 0:
+			r.lo, r.span = p, uint64(size)
+			return true
+		case r.lo+mem.Addr(r.span) == p-1:
+			r.span = uint64(p-r.lo) + uint64(size)
+			return true
+		case uint64(p-r.lo) < r.span:
+			return true
+		}
+	}
+	return false
+}
+
+// removeFromLogs drops a freed block from the logs. A live block is in
+// a run or in the allocation log, never both: a run only grows over
+// blocks allocated after it. A freed block stays in its run until the
+// transaction ends or its scope rolls back: it is on this thread's free
+// list, where no other thread can take it (see the mem package doc),
+// and taking it back in this transaction makes it captured anyway.
 func (tx *Tx) removeFromLogs(p mem.Addr, size int) {
-	if tx.alog != nil {
+	if tx.alog != nil && !tx.inNursery(p) {
 		tx.alog.Remove(p, p+mem.Addr(size))
 	}
 	if tx.clog != nil {
@@ -211,18 +256,25 @@ func (tx *Tx) removeFromLogs(p mem.Addr, size int) {
 	}
 }
 
-// inAllocRange guards every heap probe: a lies in the bounding range
-// of the blocks inserted into the allocation log since finish reset it.
-// Free and partial abort never narrow it, so false proves a uncaptured.
+// inNursery is the heap capture test's two compares: a lies in one of
+// the transaction's nursery runs.
+func (tx *Tx) inNursery(a mem.Addr) bool {
+	return uint64(a-tx.nursery[0].lo) < tx.nursery[0].span || uint64(a-tx.nursery[1].lo) < tx.nursery[1].span
+}
+
+// inAllocRange guards every allocation-log probe: a lies in the
+// bounding range of the blocks inserted into the log since finish reset
+// it. Free and partial abort never narrow it, so false proves a is in
+// no block of the log.
 func (tx *Tx) inAllocRange(a mem.Addr) bool {
 	return uint64(a-tx.allocLo) < tx.allocSpan
 }
 
 // alogContains is the is_captured() heap probe of the paper's Fig. 2
-// for the interpreting chain; the perf engines spell the same two tests
-// out inline (engine.go).
+// for the interpreting chain; the perf engines spell the same tests out
+// inline (engine.go).
 func (tx *Tx) alogContains(a mem.Addr) bool {
-	return tx.inAllocRange(a) && tx.alog.Contains(a, 1)
+	return tx.inNursery(a) || (tx.inAllocRange(a) && tx.alog.Contains(a, 1))
 }
 
 // StackAlloc allocates an n-word frame on the transaction-local stack.
