@@ -540,6 +540,62 @@ func BenchmarkBarrierReadMiss(b *testing.B) {
 			_ = sink
 		})
 	})
+	b.Run("tree-scattered-log", func(b *testing.B) {
+		perChain(b, tm.RuntimeAll(tm.LogTree), readScatteredMiss)
+	})
+}
+
+// readScatteredMiss reads a shared heap block that lies between blocks
+// the transaction allocated. Each transaction takes four 8-word blocks
+// off the free list: the first two start the nursery runs, and the
+// other two go to the allocation log. Those two lie on either side of
+// the shared block, so a bounding range of the logged blocks would
+// cover every shared word read, and more than a zone away from it, so
+// the zone summary does not. Two sets of four alternate, because a
+// transaction's frees reach the free list only at its commit.
+func readScatteredMiss(b *testing.B, p tm.Profile) {
+	_, th, _ := barrierRT(p)
+	// Address order: a0 b0 a1 b1 a2 b2 shared a3 b3, each block
+	// followed by a 1025-word pad.
+	var sets [2][4]tm.Struct
+	var shared tm.Struct
+	for i := 0; i < 4; i++ {
+		if i == 3 {
+			shared = th.Alloc(64)
+			th.Alloc(1024)
+		}
+		for s := range sets {
+			sets[s][i] = th.Alloc(8)
+			th.Alloc(1024)
+		}
+	}
+	// The free list pops the last block freed first: set a pops a0..a3.
+	for s := len(sets) - 1; s >= 0; s-- {
+		for i := 3; i >= 0; i-- {
+			th.Free(sets[s][i])
+		}
+	}
+	var cur [4]tm.Struct
+	txns := 0
+	var sink uint64
+	batched(b, th, func(tx *tm.Tx) tm.Struct {
+		for j := 3; j >= 0; j-- {
+			if !cur[j].IsNil() {
+				tx.Free(cur[j]) // deferred to commit, then freed in this order
+			}
+		}
+		for j := range cur {
+			cur[j] = tx.Alloc(8)
+			if want := sets[txns%2][j]; cur[j].Addr() != want.Addr() {
+				b.Fatalf("transaction %d took block %d, want %d", txns, cur[j].Addr(), want.Addr())
+			}
+		}
+		txns++
+		return shared
+	}, func(tx *tm.Tx, base tm.Struct, i int) {
+		sink += base.Word(i & 63).Load(tx)
+	})
+	_ = sink
 }
 
 // BenchmarkBarrierWriteElided measures captured writes (lock and undo

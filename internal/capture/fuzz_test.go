@@ -37,6 +37,16 @@ func (o *oracle) remove(i int) {
 	o.ranges = o.ranges[:len(o.ranges)-1]
 }
 
+// find returns the live range that holds addr, or the zero range.
+func (o *oracle) find(addr mem.Addr) oracleRange {
+	for _, r := range o.ranges {
+		if addr >= r.start && addr < r.end {
+			return r
+		}
+	}
+	return oracleRange{}
+}
+
 // contains reports whether [addr, addr+size) lies inside one live range.
 func (o *oracle) contains(addr mem.Addr, size int) bool {
 	for _, r := range o.ranges {
@@ -71,10 +81,22 @@ func fuzzLog(t *testing.T, l *Tree, data []byte) {
 			t.Fatalf("%v (live %v)", err, o.sorted())
 		}
 	}
+	// Find must return the oracle's range, and agree with Contains: a
+	// block holds [addr, addr+size) exactly when the range Find returns
+	// for addr reaches addr+size.
 	probe := func(where string, addr mem.Addr, size int) {
-		if got, want := l.Contains(addr, size), o.contains(addr, size); got != want {
+		got := l.Contains(addr, size)
+		if want := o.contains(addr, size); got != want {
 			t.Fatalf("%s Contains(%d,%d) = %v, oracle says %v (live %v)",
 				where, addr, size, got, want, o.sorted())
+		}
+		start, end := l.Find(addr)
+		if want := o.find(addr); (oracleRange{start, end}) != want {
+			t.Fatalf("%s Find(%d) = [%d,%d), oracle says %v (live %v)",
+				where, addr, start, end, want, o.sorted())
+		}
+		if fits := end != 0 && addr+mem.Addr(size) <= end; fits != got {
+			t.Fatalf("%s Find(%d) = [%d,%d) but Contains(%d,%d) = %v", where, addr, start, end, addr, size, got)
 		}
 	}
 	// The oracle and the invariant check are linear in the live ranges
@@ -219,8 +241,9 @@ func seedCorpus(f *testing.F) {
 }
 
 // FuzzTree fuzzes the precise log (the granule-hashed range table; the
-// target keeps the name CI's fuzz-smoke job runs): it must agree with
-// the oracle exactly, and its internal invariants must hold.
+// target keeps the name CI's fuzz-smoke job runs): Contains and Find
+// must agree with the oracle exactly, and its internal invariants must
+// hold.
 func FuzzTree(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -84,6 +84,24 @@ func (t *Tree) Contains(addr mem.Addr, size int) bool {
 	}
 }
 
+// Find returns the recorded range [start, end) that holds addr, or
+// end = 0 when none does. The runtime's heap capture test remembers
+// the range it returns, so the next access to the same block skips
+// the table. Contains keeps a walk of its own: written over Find it
+// would cost more than the inliner's budget of 80.
+func (t *Tree) Find(addr mem.Addr) (start, end mem.Addr) {
+	g := granule(addr)
+	for i := t.home(g); ; i = (i + 1) & t.mask {
+		s := &t.slots[i]
+		if s.g == g && s.start <= addr && addr < s.end {
+			return s.start, s.end
+		}
+		if s.g == 0 {
+			return 0, 0
+		}
+	}
+}
+
 // Insert records the range [start, end). Ranges inserted into one log
 // come from one allocator and are therefore disjoint; inserting an
 // overlapping range panics, as it would indicate allocator corruption.

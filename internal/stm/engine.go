@@ -18,8 +18,8 @@ import (
 //     the differentials compare against ("generic") and the engine of
 //     every instrumented profile ("counting").
 //   - the perf chain in this file: stats-free functions whose bodies
-//     contain only the checks the profile enables, with the allocation-
-//     log probe, (*capture.Tree).Contains, inlined into them.
+//     contain only the checks the profile enables, with the allocation
+//     log's filters inlined into them.
 //
 // Read-mostly is NOT a chain. It is a mode of the two slow paths every
 // chain bottoms out in (readFull skips the read-set append while the
@@ -43,13 +43,17 @@ import (
 //     and the probe method wrapping Tree.Contains costs 81 against the
 //     inliner's budget of 80.
 //
-// The flat functions depend on onTxStack, inNursery, inAllocRange,
-// storeCaptured, Tree.Contains and Space.Load/Store/StorePlain being
+// The flat functions depend on onTxStack, inNursery, inAllocZone,
+// inLastHit, storeCaptured and Space.Load/Store/StorePlain being
 // inlined; CI's check job pins that (storeCaptured costs 78 of 80). A
 // heap access tests the stack range, then the two nursery runs, then
-// the allocation log's bounding range, and probes the log only inside
-// that range: a transaction whose blocks all sit in runs never probes
-// it.
+// the allocation log's zone summary; inside a logged zone it tests the
+// block the last probe found and only then probes the log (probeAlog,
+// a call: the table lookup and the hit's update cost 101). The zone
+// test gets an if of its own so that its miss branches straight to the
+// full barrier; merged into one condition with the call, the compiler
+// materializes the condition as a bool and tests it again. A
+// transaction whose blocks all sit in runs never probes the log.
 
 // loadFn and storeFn are the barrier entry points an engine provides.
 // They receive the Tx explicitly so engines can be plain functions
@@ -202,15 +206,25 @@ func perfLoadStack(tx *Tx, a mem.Addr, _ Acc) uint64 {
 }
 
 func perfLoadStackHeap(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.onTxStack(a) || tx.inNursery(a) || (tx.inAllocRange(a) && tx.alog.Contains(a, 1)) {
+	if tx.onTxStack(a) || tx.inNursery(a) {
 		return tx.th.rt.space.Load(a)
+	}
+	if tx.inAllocZone(a) {
+		if tx.inLastHit(a) || tx.probeAlog(a) {
+			return tx.th.rt.space.Load(a)
+		}
 	}
 	return tx.readFull(a)
 }
 
 func perfLoadHeap(tx *Tx, a mem.Addr, _ Acc) uint64 {
-	if tx.inNursery(a) || (tx.inAllocRange(a) && tx.alog.Contains(a, 1)) {
+	if tx.inNursery(a) {
 		return tx.th.rt.space.Load(a)
+	}
+	if tx.inAllocZone(a) {
+		if tx.inLastHit(a) || tx.probeAlog(a) {
+			return tx.th.rt.space.Load(a)
+		}
 	}
 	return tx.readFull(a)
 }
@@ -240,17 +254,29 @@ func perfStoreStack(tx *Tx, a mem.Addr, val uint64, _ Acc) {
 }
 
 func perfStoreStackHeap(tx *Tx, a mem.Addr, val uint64, _ Acc) {
-	if tx.onTxStack(a) || tx.inNursery(a) || (tx.inAllocRange(a) && tx.alog.Contains(a, 1)) {
+	if tx.onTxStack(a) || tx.inNursery(a) {
 		tx.storeCaptured(a, val)
 		return
+	}
+	if tx.inAllocZone(a) {
+		if tx.inLastHit(a) || tx.probeAlog(a) {
+			tx.storeCaptured(a, val)
+			return
+		}
 	}
 	tx.writeFull(a, val)
 }
 
 func perfStoreHeap(tx *Tx, a mem.Addr, val uint64, _ Acc) {
-	if tx.inNursery(a) || (tx.inAllocRange(a) && tx.alog.Contains(a, 1)) {
+	if tx.inNursery(a) {
 		tx.storeCaptured(a, val)
 		return
+	}
+	if tx.inAllocZone(a) {
+		if tx.inLastHit(a) || tx.probeAlog(a) {
+			tx.storeCaptured(a, val)
+			return
+		}
 	}
 	tx.writeFull(a, val)
 }

@@ -495,8 +495,8 @@ func TestAllocationLogPreciseAtTheEngine(t *testing.T) {
 					}
 					checkAllocLogPrecise(t, tx, nil)
 				})
-				if tx := &th.tx; tx.nursery[0].span|tx.nursery[1].span != 0 || tx.allocSpan != 0 || tx.alog.Len() != 0 || (tx.clog != nil && tx.clog.Len() != 0) {
-					t.Fatalf("round %d: nursery runs, allocation log or its range not empty after commit", round)
+				if tx := &th.tx; tx.nursery[0].span|tx.nursery[1].span != 0 || tx.allocZones|tx.hitSpan != 0 || tx.alog.Len() != 0 || (tx.clog != nil && tx.clog.Len() != 0) {
+					t.Fatalf("round %d: nursery runs, allocation log, its zones or its last hit not empty after commit", round)
 				}
 			}
 			recycledFarFromBump(t, th)
@@ -508,8 +508,10 @@ func TestAllocationLogPreciseAtTheEngine(t *testing.T) {
 // recycledFarFromBump: Alloc pops a size class's free list before it
 // bumps, so one transaction can hold recycled blocks far from its fresh
 // ones. The first two places start the two runs; the blocks that fit
-// neither go to the allocation log, whose range then spans blocks the
-// transaction did not allocate, which the probe must reject.
+// neither go to the allocation log. Blocks the transaction did not
+// allocate lie between the logged ones: the probe must reject them, and
+// the zone guard must reject those more than a zone from either logged
+// block without a probe.
 func recycledFarFromBump(t *testing.T, th *Thread) {
 	t.Helper()
 	old4, spacer, old8 := th.Alloc(4), th.Alloc(4), th.Alloc(8)
@@ -537,10 +539,17 @@ func recycledFarFromBump(t *testing.T, th *Thread) {
 			t.Fatalf("runs %+v and %d logged blocks, want runs at %d and %d and two logged", tx.nursery, tx.alog.Len(), fresh, old4)
 		}
 		checkAllocLogPrecise(t, tx, nil)
-		for _, b := range between {
-			if !tx.inAllocRange(b) || tx.alogContains(b) {
-				t.Fatalf("block %d between them: in range %v, captured %v; want true, false",
-					b, tx.inAllocRange(b), tx.alogContains(b))
+		for i, b := range between {
+			if tx.alogContains(b) || tx.alogContains(b+1023) {
+				t.Fatalf("block %d between the logged ones captured", b)
+			}
+			// Each block is 1025 words with its header, so all but the
+			// first and last are more than a zone from old8 and old16,
+			// and the 18 zones the blocks span cannot share a bit.
+			for _, w := range []mem.Addr{b, b + 512, b + 1023} {
+				if i > 0 && i < len(between)-1 && tx.inAllocZone(w) {
+					t.Fatalf("word %d of block %d between the logged ones passes the zone guard", w, i)
+				}
 			}
 		}
 		for _, b := range spacers {
@@ -566,8 +575,9 @@ func allocLogChurn(t *testing.T, tx *Tx, rng *rand.Rand, steps int) {
 			}
 			tx.Alloc(n)
 		case op < 7 && len(tx.allocs) > 0:
-			// Immediate when the block is this depth's, deferred to
-			// commit (so still captured) when it is an outer depth's.
+			// Immediate when the block was allocated since the innermost
+			// savepoint, deferred to commit (so still captured) when an
+			// enclosing or committed sibling scope allocated it.
 			if a := tx.allocs[rng.Intn(len(tx.allocs))]; !a.dead && !slices.Contains(tx.frees, a.addr) {
 				tx.Free(a.addr)
 			}
@@ -608,8 +618,13 @@ func checkAllocLogPrecise(t *testing.T, tx *Tx, gone []allocRec) {
 			}
 		case !a.dead:
 			logged++
-			if !tx.alog.Contains(a.addr, a.size) || !tx.inAllocRange(a.addr) || !tx.inAllocRange(end) {
-				t.Fatalf("live block [%d,+%d) not in the allocation log or its range [%d,+%d)", a.addr, a.size, tx.allocLo, tx.allocSpan)
+			if !tx.alog.Contains(a.addr, a.size) {
+				t.Fatalf("live block [%d,+%d) not in the allocation log", a.addr, a.size)
+			}
+			for w := a.addr; w <= end; w++ {
+				if !tx.inAllocZone(w) {
+					t.Fatalf("word %d of live block [%d,+%d) outside the zones %#x", w, a.addr, a.size, tx.allocZones)
+				}
 			}
 		}
 	}

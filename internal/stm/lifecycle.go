@@ -72,18 +72,21 @@ type Tx struct {
 	// accesses). The two nursery runs take the blocks allocated back to
 	// back — bump-carved ones, and the first recycled block — so their
 	// capture test is two compares (inNursery). Any other block goes to
-	// alog, the allocation log, next to the bounding range
-	// [allocLo, allocLo+allocSpan) of those blocks, so a probe outside
-	// it costs one compare more (inAllocRange) and a transaction whose
-	// blocks all fit in runs never probes the log. The logs live in
-	// phaseLogs, one cached pair per phase (built lazily on first
-	// entry), so flipping phases between transactions allocates nothing
-	// on the steady state.
-	nursery   [2]nurseryRun
-	alog      *capture.Tree
-	allocLo   mem.Addr
-	allocSpan uint64
-	phaseLogs []phaseLogSet
+	// alog, the allocation log, and sets the bits of the 512-word zones
+	// it touches in allocZones. An address whose zone bit is clear costs
+	// one compare more (inAllocZone) and never probes the log, however
+	// far apart the logged blocks lie. In a set zone, [hitLo,
+	// hitLo+hitSpan), the block the last probe found, answers before the
+	// log (inLastHit). A transaction whose blocks all fit in runs never
+	// probes the log. The logs live in phaseLogs, one cached pair per
+	// phase (built lazily on first entry), so flipping phases between
+	// transactions allocates nothing on the steady state.
+	nursery    [2]nurseryRun
+	alog       *capture.Tree
+	allocZones uint64
+	hitLo      mem.Addr
+	hitSpan    uint64
+	phaseLogs  []phaseLogSet
 
 	waw [wawSlots]wawEntry
 
@@ -349,7 +352,7 @@ func (tx *Tx) finish() {
 	tx.saves = tx.saves[:0]
 	if tx.alog != nil {
 		tx.alog.Clear()
-		tx.allocSpan = 0
+		tx.allocZones, tx.hitSpan = 0, 0
 		tx.nursery[0].span, tx.nursery[1].span = 0, 0
 	}
 	if tx.clog != nil {

@@ -29,24 +29,25 @@ type blockState uint8
 
 const (
 	blockLive   blockState = iota
-	blockDead              // freed at its own depth: on the free list
+	blockDead              // freed in the scope that holds it: on the free list
 	blockUndone            // its scope rolled back
 )
 
 type modelBlock struct {
 	addr  mem.Addr
 	size  int
-	depth int
 	state blockState
 }
 
 // captureModel is one thread's view: mine are the current
-// transaction's allocations in order, foreign every other live block
-// the test knows of (earlier transactions, outside any transaction,
-// another thread), and deferred the foreign or outer blocks whose free
-// waits for commit.
+// transaction's allocations in order, scopes the length of mine at each
+// open savepoint, foreign every other live block the test knows of
+// (earlier transactions, outside any transaction, another thread), and
+// deferred the foreign or enclosing scopes' blocks whose free waits for
+// commit.
 type captureModel struct {
 	mine     []modelBlock
+	scopes   []int
 	foreign  []foreignBlock
 	deferred []mem.Addr
 }
@@ -88,12 +89,16 @@ func (m *captureModel) expect(w mem.Addr) (must, may bool) {
 }
 
 // probes lists the words checked after each step: both edges, the
-// header, the word past the end and two inner words of every block the
-// model knows.
+// header, the word past the end, two inner words and both sides of each
+// zone boundary inside every block the model knows.
 func (m *captureModel) probes(rng *rand.Rand) []mem.Addr {
 	var ws []mem.Addr
 	add := func(a mem.Addr, size int) {
-		ws = append(ws, a-1, a, a+mem.Addr(size)-1, a+mem.Addr(size), a+mem.Addr(size/2), a+mem.Addr(rng.Intn(size)))
+		end := a + mem.Addr(size)
+		ws = append(ws, a-1, a, end-1, end, a+mem.Addr(size/2), a+mem.Addr(rng.Intn(size)))
+		for z := (a>>zoneShift + 1) << zoneShift; z < end; z += 1 << zoneShift {
+			ws = append(ws, z-1, z)
+		}
 	}
 	for _, b := range m.mine {
 		add(b.addr, b.size)
@@ -116,7 +121,8 @@ func engineCaptures(tx *Tx, a mem.Addr) bool {
 }
 
 // TestHeapCaptureMatchesModel drives random sequences of Alloc (small
-// blocks, ones that force a span refill, jumbo and large blocks), Free,
+// blocks, ones that force a span refill, jumbo and large blocks, some
+// of the large ones 64 zones or more), Free,
 // nested commits and partial aborts, top-level commits and user aborts,
 // and blocks carved outside any transaction by this thread and another,
 // and checks the model after every step.
@@ -148,6 +154,9 @@ func checkCaptureModel(t *testing.T, seed int64, txns int) {
 		default:
 			if larges < 6 {
 				larges++
+				if rng.Intn(2) == 0 { // every bit of the zone summary
+					return 64<<zoneShift + rng.Intn(2048)
+				}
 				return 16385 + rng.Intn(2048) // large: never recycled
 			}
 			return 1 + rng.Intn(48)
@@ -162,8 +171,8 @@ func checkCaptureModel(t *testing.T, seed int64, txns int) {
 				t.Fatalf("%s: word %d: engine says %v, alogContains %v", where, w, got, !got)
 			}
 			if must && !got || got && !may {
-				t.Fatalf("%s: word %d captured=%v, model must=%v may=%v (runs %+v, table range [%d,+%d))",
-					where, w, got, must, may, tx.nursery, tx.allocLo, tx.allocSpan)
+				t.Fatalf("%s: word %d captured=%v, model must=%v may=%v (runs %+v, zones %#x, last hit [%d,+%d))",
+					where, w, got, must, may, tx.nursery, tx.allocZones, tx.hitLo, tx.hitSpan)
 			}
 		}
 	}
@@ -175,12 +184,13 @@ func checkCaptureModel(t *testing.T, seed int64, txns int) {
 			case op < 5:
 				n := size()
 				p := tx.Alloc(n)
-				m.mine = append(m.mine, modelBlock{p, tx.th.alloc.BlockSize(p), tx.Depth(), blockLive})
+				m.mine = append(m.mine, modelBlock{p, tx.th.alloc.BlockSize(p), blockLive})
 				check(tx, fmt.Sprintf("after Alloc(%d) = %d", n, p))
 			case op < 7 && len(m.mine)+len(m.foreign) > 0:
 				// Free a live block of this transaction or a foreign block
 				// of this thread, as the STM decides: at once when the
-				// block is this depth's, at commit otherwise.
+				// block was allocated since the innermost savepoint, at
+				// commit otherwise.
 				var p mem.Addr
 				mineOnly := true
 				if j := rng.Intn(len(m.mine) + len(m.foreign)); j < len(m.mine) {
@@ -198,7 +208,11 @@ func checkCaptureModel(t *testing.T, seed int64, txns int) {
 					continue // dead or undone
 				}
 				tx.Free(p)
-				if k >= 0 && m.mine[k].depth == tx.Depth() {
+				base := 0
+				if len(m.scopes) > 0 {
+					base = m.scopes[len(m.scopes)-1]
+				}
+				if k >= base {
 					m.mine[k].state = blockDead
 				} else {
 					m.deferred = append(m.deferred, p)
@@ -207,12 +221,14 @@ func checkCaptureModel(t *testing.T, seed int64, txns int) {
 			case op < 9 && tx.Depth() < 4:
 				abort := rng.Intn(2) == 0
 				mine, deferred := len(m.mine), len(m.deferred)
+				m.scopes = append(m.scopes, mine)
 				tx.th.Atomic(func(tx *Tx) {
 					body(tx, 1+rng.Intn(6))
 					if abort {
 						tx.UserAbort()
 					}
 				})
+				m.scopes = m.scopes[:len(m.scopes)-1]
 				if abort {
 					for j := mine; j < len(m.mine); j++ {
 						m.mine[j].state = blockUndone
@@ -266,8 +282,8 @@ func checkCaptureModel(t *testing.T, seed int64, txns int) {
 			}
 		}
 		m.mine, m.deferred = m.mine[:0], m.deferred[:0]
-		if tx := &th.tx; tx.nursery[0].span|tx.nursery[1].span != 0 || tx.allocSpan != 0 || tx.alog.Len() != 0 {
-			t.Fatalf("round %d: runs %+v, table range %d, %d table entries after the transaction", round, tx.nursery, tx.allocSpan, tx.alog.Len())
+		if tx := &th.tx; tx.nursery[0].span|tx.nursery[1].span != 0 || tx.allocZones|tx.hitSpan != 0 || tx.alog.Len() != 0 {
+			t.Fatalf("round %d: runs %+v, zones %#x, last hit %d, %d table entries after the transaction", round, tx.nursery, tx.allocZones, tx.hitSpan, tx.alog.Len())
 		}
 	}
 	rt.Validate()

@@ -438,6 +438,41 @@ func TestNestedAllocPartialAbort(t *testing.T) {
 	}
 }
 
+// TestSiblingFreeUndoneByPartialAbort: scope A allocates a block at
+// depth 2 and commits into the outer transaction; sibling scope B, at
+// the same depth, frees it and aborts. The outer transaction still
+// holds the block, so its next allocation of that size must not hand
+// it out again, and the block must keep its contents.
+func TestSiblingFreeUndoneByPartialAbort(t *testing.T) {
+	for name, cfg := range map[string]OptConfig{"baseline": Baseline(), "runtime-all-perf": RuntimeAll().Perf()} {
+		t.Run(name, func(t *testing.T) {
+			rt := newRT(cfg)
+			th := rt.Thread(0)
+			th.Atomic(func(tx *Tx) {
+				var p mem.Addr
+				th.Atomic(func(tx *Tx) {
+					p = tx.Alloc(4)
+					tx.Store(p, 42, AccFresh)
+				})
+				th.Atomic(func(tx *Tx) {
+					tx.Free(p)
+					tx.UserAbort()
+				})
+				if q := tx.Alloc(4); q == p {
+					t.Errorf("Alloc after the aborted free returned the outer transaction's block %d", p)
+				}
+				if got := tx.Load(p, AccFresh); got != 42 {
+					t.Errorf("outer block reads %d, want 42", got)
+				}
+			})
+			if live := th.alloc.Live(); live != 2 {
+				t.Errorf("live = %d, want 2", live)
+			}
+			rt.Validate()
+		})
+	}
+}
+
 func TestConflictRetries(t *testing.T) {
 	rt := newRT(Baseline())
 	a := rt.Space().AllocGlobal(1)
