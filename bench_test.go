@@ -19,6 +19,7 @@ import (
 	"repro/internal/stm"
 	"repro/tm"
 	"repro/tm/bench"
+	"repro/tm/serve"
 
 	_ "repro/internal/scenarios/tmkv"
 	_ "repro/internal/scenarios/tmmsg"
@@ -919,5 +920,46 @@ func BenchmarkRecover(b *testing.B) {
 			}
 			rt.Crash()
 		}
+	})
+}
+
+// BenchmarkSetup times tm.Open plus Setup, the part of an application
+// run the benchmark rig reports as setup_s, under the rig's capture
+// profile: one sub-benchmark per application of its stm-closed roster,
+// and srv-tmkv's preload sized for a kv-direct repetition (two callers,
+// 140 000 requests). The runtime is closed outside the timer.
+func BenchmarkSetup(b *testing.B) {
+	p := tm.RuntimeAll(tm.LogTree).Perf()
+	bench := func(name string, open func(b *testing.B) (*tm.Runtime, func(*tm.Runtime))) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rt, setup := open(b)
+				setup(rt)
+				b.StopTimer()
+				if err := rt.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+	for _, name := range []string{
+		"bayes", "genome", "intruder", "kmeans-high", "kmeans-low", "labyrinth",
+		"ssca2", "vacation-high", "vacation-low", "yada", "tmmsg-pub", "tmmsg-sub",
+	} {
+		bench(name, func(b *testing.B) (*tm.Runtime, func(*tm.Runtime)) {
+			w, err := tm.NewWorkload(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return tm.Open(append(p.Options(), tm.WithMemory(w.MemConfig()))...), w.Setup
+		})
+	}
+	bench("srv-tmkv", func(b *testing.B) (*tm.Runtime, func(*tm.Runtime)) {
+		be, err := serve.New("srv-tmkv")
+		if err != nil {
+			b.Fatal(err)
+		}
+		return tm.Open(append(p.Options(), tm.WithMemory(be.MemConfig(2, 140000)))...), be.Setup
 	})
 }

@@ -204,29 +204,37 @@ func (c Config) stageValue(tx *stm.Tx, id, version uint64) (mem.Addr, int) {
 }
 
 // Setup implements tm.Workload: it creates the store and preloads
-// PreloadPct of the key space single-threadedly.
+// PreloadPct of the key space single-threadedly, inside thread 0's
+// Exclusive scope.
 func (b *B) Setup(trt *tm.Runtime) {
-	rt := trt.Unwrap()
-	c := b.cfg
-	if c.Zipf {
-		b.dist = dist.NewZipf(c.Keys, c.Theta)
+	if b.cfg.Zipf {
+		b.dist = dist.NewZipf(b.cfg.Keys, b.cfg.Theta)
 	}
-	th := rt.Thread(0)
+	th := trt.Unwrap().Thread(0)
+	th.Exclusive(func() { b.store, b.preload = b.cfg.setup(th) })
+}
+
+// setup creates the store on th and preloads PreloadPct of the key
+// space, one transaction per key, returning the store and the number
+// of keys preloaded. The workload and the served backend share it.
+func (c Config) setup(th *stm.Thread) (Store, int) {
+	var s Store
 	th.Atomic(func(tx *stm.Tx) {
-		b.store = NewStore(tx, c.Keys/2, c.Keys*c.MaxBlocks/2)
+		s = NewStore(tx, c.Keys/2, c.Keys*c.MaxBlocks/2)
 	})
-	b.preload = c.Keys * c.PreloadPct / 100
-	for i := 0; i < b.preload; i++ {
+	preload := c.Keys * c.PreloadPct / 100
+	for i := 0; i < preload; i++ {
 		id := dist.RankToKey(i, c.Keys)
 		th.Atomic(func(tx *stm.Tx) {
-			kb := b.makeKey(tx, id)
-			stage, words := b.cfg.stageValue(tx, id, 1)
-			if !b.store.insert(tx, kb, c.KeyWords, stage, words) {
+			kb := dist.StackKey(tx, id, c.KeyWords)
+			stage, words := c.stageValue(tx, id, 1)
+			if !s.insert(tx, kb, c.KeyWords, stage, words) {
 				panic("tmkv: preload collision")
 			}
 			tx.Free(stage)
 		})
 	}
+	return s, preload
 }
 
 // pickKey draws a key id for one operation.

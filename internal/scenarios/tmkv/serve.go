@@ -10,7 +10,6 @@ package tmkv
 import (
 	"repro/internal/prng"
 	"repro/internal/scenarios/dist"
-	"repro/internal/stm"
 	"repro/internal/txlib"
 	"repro/tm"
 	"repro/tm/serve"
@@ -100,26 +99,11 @@ func (k *KVBackend) MemConfig(workers, totalRequests int) tm.MemConfig {
 }
 
 // Setup implements serve.Backend: create the store and preload
-// PreloadPct of the key space, exactly like the workload's Setup.
+// PreloadPct of the key space, exactly like the workload's Setup,
+// inside thread 0's Exclusive scope.
 func (k *KVBackend) Setup(trt *tm.Runtime) {
-	rt := trt.Unwrap()
-	c := k.cfg
-	th := rt.Thread(0)
-	th.Atomic(func(tx *stm.Tx) {
-		k.store = NewStore(tx, c.Keys/2, c.Keys*c.MaxBlocks/2)
-	})
-	preload := c.Keys * c.PreloadPct / 100
-	for i := 0; i < preload; i++ {
-		id := dist.RankToKey(i, c.Keys)
-		th.Atomic(func(tx *stm.Tx) {
-			kb := dist.StackKey(tx, id, c.KeyWords)
-			stage, words := c.stageValue(tx, id, 1)
-			if !k.store.insert(tx, kb, c.KeyWords, stage, words) {
-				panic("tmkv: preload collision")
-			}
-			tx.Free(stage)
-		})
-	}
+	th := trt.Unwrap().Thread(0)
+	th.Exclusive(func() { k.store, _ = k.cfg.setup(th) })
 }
 
 // ReplyWords implements serve.Backend.

@@ -244,23 +244,30 @@ func (b *B) publishBatch(th *stm.Thread, id uint64, n int) (published, drops uin
 }
 
 // Setup implements tm.Workload: it creates the broker and topics, then
-// preloads PreloadMsgs messages per topic single-threadedly using the
-// same batch-publish path as the timed phase.
+// preloads PreloadMsgs messages per topic single-threadedly, inside
+// thread 0's Exclusive scope.
 func (b *B) Setup(trt *tm.Runtime) {
-	rt := trt.Unwrap()
-	c := b.cfg
-	if c.Zipf {
-		b.dist = dist.NewZipf(c.Topics, c.Theta)
+	if b.cfg.Zipf {
+		b.dist = dist.NewZipf(b.cfg.Topics, b.cfg.Theta)
 	}
-	th := rt.Thread(0)
+	th := trt.Unwrap().Thread(0)
+	th.Exclusive(func() { b.broker, b.preloadPub, b.preloadDrops = b.cfg.setup(th) })
+}
+
+// setup creates the broker and topics on th, then preloads PreloadMsgs
+// messages per topic in batches of at most MaxBatch, through the same
+// publish path as the timed phase. It returns the broker and the
+// preload's committed publishes and ring drops. The workload and the
+// served backend share it.
+func (c Config) setup(th *stm.Thread) (br Broker, pub, drops uint64) {
 	th.Atomic(func(tx *stm.Tx) {
-		b.broker = NewBroker(tx, c.Topics)
+		br = NewBroker(tx, c.Topics)
 	})
 	for t := 0; t < c.Topics; t++ {
 		id := dist.RankToKey(t, c.Topics)
 		th.Atomic(func(tx *stm.Tx) {
-			kb := b.makeKey(tx, id)
-			if !b.broker.addTopic(tx, kb, c.KeyWords, c.RingCap, c.Groups) {
+			kb := dist.StackKey(tx, id, c.KeyWords)
+			if !br.addTopic(tx, kb, c.KeyWords, c.RingCap, c.Groups) {
 				panic("tmmsg: topic collision at setup")
 			}
 		})
@@ -269,19 +276,22 @@ func (b *B) Setup(trt *tm.Runtime) {
 	for t := 0; t < c.Topics; t++ {
 		id := dist.RankToKey(t, c.Topics)
 		for done := 0; done < c.PreloadMsgs; {
-			n := c.MaxBatch
-			if n > c.PreloadMsgs-done {
-				n = c.PreloadMsgs - done
-			}
-			pub, drops, ok := b.publishBatch(th, id, n)
-			if !ok {
-				panic("tmmsg: preload missed a topic")
-			}
-			b.preloadPub += pub
-			b.preloadDrops += drops
+			n := min(c.MaxBatch, c.PreloadMsgs-done)
+			var p, d uint64
+			th.Atomic(func(tx *stm.Tx) {
+				kb := dist.StackKey(tx, id, c.KeyWords)
+				tp, found := br.topic(tx, kb, c.KeyWords)
+				if !found {
+					panic("tmmsg: preload missed a topic")
+				}
+				p, d = publishN(tx, c, tp, id, n)
+			})
+			pub += p
+			drops += d
 			done += n
 		}
 	}
+	return br, pub, drops
 }
 
 // pickTopic draws a topic id for one operation.

@@ -13,7 +13,6 @@ package tmmsg
 import (
 	"repro/internal/prng"
 	"repro/internal/scenarios/dist"
-	"repro/internal/stm"
 	"repro/tm"
 	"repro/tm/serve"
 )
@@ -85,39 +84,11 @@ func (m *MsgBackend) MemConfig(workers, totalRequests int) tm.MemConfig {
 }
 
 // Setup implements serve.Backend: create the broker and topics, then
-// preload PreloadMsgs messages per topic, like the workload's Setup.
+// preload PreloadMsgs messages per topic, like the workload's Setup,
+// inside thread 0's Exclusive scope.
 func (m *MsgBackend) Setup(trt *tm.Runtime) {
-	rt := trt.Unwrap()
-	c := m.cfg
-	th := rt.Thread(0)
-	th.Atomic(func(tx *stm.Tx) {
-		m.broker = NewBroker(tx, c.Topics)
-	})
-	for t := 0; t < c.Topics; t++ {
-		id := dist.RankToKey(t, c.Topics)
-		th.Atomic(func(tx *stm.Tx) {
-			kb := dist.StackKey(tx, id, c.KeyWords)
-			if !m.broker.addTopic(tx, kb, c.KeyWords, c.RingCap, c.Groups) {
-				panic("tmmsg: topic collision at setup")
-			}
-		})
-	}
-	th.EnterPhase(tm.PhasePublish) // preload publishes are publish-shaped
-	for t := 0; t < c.Topics; t++ {
-		id := dist.RankToKey(t, c.Topics)
-		for done := 0; done < c.PreloadMsgs; {
-			n := min(c.MaxBatch, c.PreloadMsgs-done)
-			th.Atomic(func(tx *stm.Tx) {
-				kb := dist.StackKey(tx, id, c.KeyWords)
-				tp, found := m.broker.topic(tx, kb, c.KeyWords)
-				if !found {
-					panic("tmmsg: preload missed a topic")
-				}
-				publishN(tx, c, tp, id, n)
-			})
-			done += n
-		}
-	}
+	th := trt.Unwrap().Thread(0)
+	th.Exclusive(func() { m.broker, _, _ = m.cfg.setup(th) })
 }
 
 // ReplyWords implements serve.Backend.

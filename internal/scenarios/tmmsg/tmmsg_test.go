@@ -229,3 +229,27 @@ func TestCaptureRegimesSeparate(t *testing.T) {
 			s.ReadSkipShared, s.WriteSkipShared)
 	}
 }
+
+// TestScopedSetupKeepsChecksum: Setup inside thread 0's Exclusive
+// scope leaves the space the same setup leaves with barriers, for every
+// registered configuration and the served one, under the benchmark
+// rig's two perf profiles; and the scope runs no barrier.
+func TestScopedSetupKeepsChecksum(t *testing.T) {
+	for _, cfg := range []Config{Mixed(), PubHeavy(), SubHeavy(), LagHeavy(), ServeMix()} {
+		for _, p := range []tm.Profile{tm.Baseline().Perf(), tm.RuntimeAll(tm.LogTree).Perf()} {
+			t.Run(cfg.Name+"/"+p.Name(), func(t *testing.T) {
+				b := New(cfg)
+				rt := tm.Open(append(p.Options(), tm.WithMemory(b.MemConfig()))...)
+				b.Setup(rt)
+				ref := tm.Open(append(p.Options(), tm.WithMemory(b.MemConfig()))...)
+				cfg.setup(ref.Unwrap().Thread(0))
+				if c, r := rt.Unwrap().Clock(), ref.Unwrap().Clock(); c != 0 || r == 0 {
+					t.Fatalf("clocks %d scoped, %d with barriers: want 0 and more", c, r)
+				}
+				if got, want := rt.Unwrap().Space().Checksum(), ref.Unwrap().Space().Checksum(); got != want {
+					t.Fatalf("scoped Setup checksum %#x, want %#x", got, want)
+				}
+			})
+		}
+	}
+}

@@ -29,6 +29,37 @@ func TestAllBenchmarksRegistered(t *testing.T) {
 	}
 }
 
+// TestScopedSetupKeepsChecksum: every benchmark's Setup leaves the same
+// space inside thread 0's Exclusive scope, where the registry runs it,
+// as outside it, on fresh runtimes under the benchmark rig's two perf
+// profiles (the baseline's elides no store, the capture profile's
+// elides stack and heap stores).
+func TestScopedSetupKeepsChecksum(t *testing.T) {
+	for _, cfg := range []stm.OptConfig{stm.Baseline().Perf(), stm.RuntimeAll().Perf()} {
+		for _, name := range stamp.Names() {
+			t.Run(cfg.Name+"/"+name, func(t *testing.T) {
+				t.Parallel()
+				sum := func(scoped bool) uint64 {
+					b, err := stamp.New(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rt := stm.New(b.MemConfig(), cfg)
+					if scoped {
+						rt.Thread(0).Exclusive(func() { b.Setup(rt) })
+					} else {
+						b.Setup(rt)
+					}
+					return rt.Space().Checksum()
+				}
+				if got, want := sum(true), sum(false); got != want {
+					t.Fatalf("scoped Setup checksum %#x, want %#x", got, want)
+				}
+			})
+		}
+	}
+}
+
 // runOne sets up, runs, and validates one benchmark under one config.
 func runOne(t *testing.T, name string, cfg stm.OptConfig, threads int) *stm.Runtime {
 	t.Helper()

@@ -99,8 +99,11 @@ func (b *B) Setup(rt *stm.Runtime) {
 	b.applied = th.Alloc(1)
 
 	// Synthetic records: each variable biased by a hidden dependency
-	// on variable (i+1)%v so scores are non-trivial.
+	// on variable (i+1)%v so scores are non-trivial. The counts add up
+	// in Go memory and reach the space one store per word.
 	rec := make([]byte, v)
+	singles := make([]uint64, v)
+	counts := make([]uint64, v*v)
 	for n := 0; n < b.cfg.Records; n++ {
 		for i := 0; i < v; i++ {
 			rec[i] = byte(r.Intn(2))
@@ -112,15 +115,19 @@ func (b *B) Setup(rt *stm.Runtime) {
 		}
 		for i := 0; i < v; i++ {
 			if rec[i] == 1 {
-				s.Store(b.singles+mem.Addr(i), s.Load(b.singles+mem.Addr(i))+1)
+				singles[i]++
+				row := counts[i*v : (i+1)*v]
 				for j := 0; j < v; j++ {
-					if rec[j] == 1 {
-						c := b.counts + mem.Addr(i*v+j)
-						s.Store(c, s.Load(c)+1)
-					}
+					row[j] += uint64(rec[j])
 				}
 			}
 		}
+	}
+	for i, c := range singles {
+		s.Store(b.singles+mem.Addr(i), c)
+	}
+	for i, c := range counts {
+		s.Store(b.counts+mem.Addr(i), c)
 	}
 
 	th.Atomic(func(tx *stm.Tx) {

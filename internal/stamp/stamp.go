@@ -34,6 +34,9 @@ type Benchmark interface {
 	// MemConfig sizes the simulated address space for this workload.
 	MemConfig() mem.Config
 	// Setup populates initial data single-threadedly on rt's thread 0.
+	// Through the tm registry it runs inside thread 0's Exclusive
+	// scope (stm.Thread.Exclusive): uninstrumented, and creating a
+	// second thread panics.
 	Setup(rt *stm.Runtime)
 	// Run executes the timed parallel phase on nthreads workers.
 	Run(rt *stm.Runtime, nthreads int)
@@ -51,12 +54,16 @@ var registry []struct {
 }
 
 // tmWorkload adapts a Benchmark to the public tm.Workload interface by
-// unwrapping the engine runtime the port was written against.
+// unwrapping the engine runtime the port was written against. Setup
+// runs inside thread 0's Exclusive scope.
 type tmWorkload struct{ b Benchmark }
 
-func (w tmWorkload) Name() string                  { return w.b.Name() }
-func (w tmWorkload) MemConfig() tm.MemConfig       { return w.b.MemConfig() }
-func (w tmWorkload) Setup(rt *tm.Runtime)          { w.b.Setup(rt.Unwrap()) }
+func (w tmWorkload) Name() string            { return w.b.Name() }
+func (w tmWorkload) MemConfig() tm.MemConfig { return w.b.MemConfig() }
+func (w tmWorkload) Setup(rt *tm.Runtime) {
+	srt := rt.Unwrap()
+	srt.Thread(0).Exclusive(func() { w.b.Setup(srt) })
+}
 func (w tmWorkload) Run(rt *tm.Runtime, n int)     { w.b.Run(rt.Unwrap(), n) }
 func (w tmWorkload) Validate(rt *tm.Runtime) error { return w.b.Validate(rt.Unwrap()) }
 

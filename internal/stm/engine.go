@@ -27,6 +27,11 @@ import (
 // read-mostly engine is the full engine's own function pair plus
 // rm: true.
 //
+// Nor is the exclusive pair at the end of this file an engine: no
+// profile compiles to it. It replaces whatever pair the phase compiled
+// while a thread runs alone inside Thread.Exclusive (set-up code), and
+// never reaches readFull or writeFull.
+//
 // Why the perf chain is eight flat functions and not one closure or
 // one generic instantiation — measured on benchmark/run.sh's stm-closed
 // workload, 4 interleaved parent/change rounds, go1.24:
@@ -328,4 +333,37 @@ func withSkipShared(load loadFn, store storeFn) (loadFn, storeFn) {
 			}
 			store(tx, a, val, ac)
 		}
+}
+
+// --- The exclusive pair (Thread.Exclusive) ---
+
+// loadExclusive is the load of a thread no other thread can race: a
+// plain load, no orec, no read set.
+func loadExclusive(tx *Tx, a mem.Addr, _ Acc) uint64 { return tx.th.rt.space.Load(a) }
+
+// storeExclusive is the store of a thread no other thread can race. A
+// store the profile elides is stored as every engine stores it; any
+// other keeps its undo entry and takes no lock, like the annotated
+// private data of Sec. 3.1.3. The undo log so holds exactly what it
+// holds with barriers: an abort leaves the same words behind, and a
+// redo record carries the same words.
+func storeExclusive(tx *Tx, a mem.Addr, val uint64, ac Acc) {
+	if tx.storeElides(a, ac) {
+		tx.storeCaptured(a, val)
+		return
+	}
+	tx.logUndo(a)
+	tx.th.rt.space.StorePlain(a, val)
+}
+
+// storeElides is the interpreting chain's store decision (storeGeneric)
+// without its statistics: whether the profile proves a captured.
+func (tx *Tx) storeElides(a mem.Addr, ac Acc) bool {
+	switch {
+	case tx.compiler && StaticElide(ac.Prov):
+		return true
+	case tx.skipShared && ac.Prov == ProvShared:
+		return false
+	}
+	return tx.writeStack && tx.onTxStack(a) || tx.writeHeap && tx.alogContains(a)
 }

@@ -35,7 +35,8 @@ type Tx struct {
 
 	// load and store are the current phase's barrier entry points,
 	// compiled once per Runtime from the phase's optimization profile
-	// (engine.go) and assigned only by applyPhase. Tx.Load and Tx.Store
+	// (engine.go), or the exclusive pair inside Thread.Exclusive, and
+	// assigned only by applyPhase. Tx.Load and Tx.Store
 	// dispatch through them, so the perf engines never re-test the
 	// configuration booleans below.
 	load  loadFn
@@ -129,9 +130,10 @@ type phaseLogSet struct {
 
 // applyPhase points the descriptor at one compiled phase: the engine's
 // barrier pair plus the cached configuration decisions the instrumented
-// chains re-test per access. It must only run between transactions
-// (setPhase enforces this); the logs it selects are empty then, so no
-// captured range can leak across a switch.
+// chains re-test per access. Inside an Exclusive scope the exclusive
+// pair replaces the engine's. It must only run between transactions
+// (setPhase and Exclusive enforce this); the logs it selects are empty
+// then, so no captured range can leak across a switch.
 func (tx *Tx) applyPhase(idx int) {
 	ph := &tx.th.rt.phases[idx]
 	cfg := &ph.cfg
@@ -139,6 +141,9 @@ func (tx *Tx) applyPhase(idx int) {
 	tx.upNext = false
 	tx.load = ph.eng.load
 	tx.store = ph.eng.store
+	if tx.th.rt.excl == tx.th {
+		tx.load, tx.store = loadExclusive, storeExclusive
+	}
 	tx.trackAlog = cfg.Read.Heap || cfg.Write.Heap
 	tx.useWAW = !cfg.NoWAWFilter
 	tx.keepStats = !cfg.PerfMode

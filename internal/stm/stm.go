@@ -37,7 +37,9 @@
 // chain is the specialized stats-free fast path PerfMode profiles
 // compile to. Both end in the same readFull/writeFull, and read-mostly
 // is a mode of those two functions, not a chain. One engine is
-// compiled per phase (newEngine), once per Runtime.
+// compiled per phase (newEngine), once per Runtime. Set-up code runs
+// on neither: inside Thread.Exclusive a thread that is the runtime's
+// only thread uses the exclusive pair, which takes no orec.
 package stm
 
 import (
@@ -101,6 +103,11 @@ type Runtime struct {
 
 	mu      sync.Mutex
 	threads map[int]*Thread
+
+	// excl is the thread inside an Exclusive scope, nil outside one. It
+	// is written under mu by that thread only, so the thread itself may
+	// read it without mu (applyPhase).
+	excl *Thread
 }
 
 // New creates a runtime over a fresh address space. It panics if a
@@ -290,6 +297,9 @@ func (rt *Runtime) Thread(id int) *Thread {
 	if th, ok := rt.threads[id]; ok {
 		return th
 	}
+	if rt.excl != nil {
+		panic(fmt.Sprintf("stm: thread %d created inside thread %d's Exclusive scope", id, rt.excl.id))
+	}
 	th := &Thread{
 		rt:           rt,
 		id:           id,
@@ -313,10 +323,11 @@ func (rt *Runtime) Thread(id int) *Thread {
 }
 
 // ResetStats zeroes every thread's counters. The harness calls it
-// between a benchmark's (transactional, but untimed) setup phase and
-// the timed parallel phase, so reported statistics cover only the
-// latter — matching the paper, whose setup code ran uninstrumented.
-// Not safe to call while worker threads are running.
+// between a workload's setup and the timed parallel phase, so reported
+// statistics cover only the latter. Setup runs inside an Exclusive
+// scope, uninstrumented as the paper's setup code was, so what it
+// leaves behind is its commit counts, not barrier counts. Not safe to
+// call while worker threads are running.
 func (rt *Runtime) ResetStats() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -393,6 +404,52 @@ func (th *Thread) StackPush(n int) (frame mem.Addr, mark mem.Addr) {
 
 // StackPop releases the stack down to mark.
 func (th *Thread) StackPop(mark mem.Addr) { th.stack.Pop(mark) }
+
+// Exclusive runs fn with th as the only thread the runtime may have:
+// every word fn's transactions touch is captured, since no other
+// thread exists to reach it. The paper ran its setup code
+// uninstrumented; this is that, with the transaction semantics kept.
+// Inside the scope th's transactions use the exclusive barrier pair
+// (engine.go) whatever phase they run in: a load is a plain load, and a
+// store to memory the profile does not already capture takes an undo
+// entry and no lock — the rule of the paper's annotated private data
+// (Sec. 3.1.3), applied to every word. So nothing acquires an orec,
+// fills a read set or bumps the clock, while user aborts, partial
+// aborts, Restart, frees and the redo log work as before: rollback
+// runs from the undo log, and a durable commit with no orecs is
+// recorded from its undo log, allocations and stack like any other.
+//
+// Exclusive panics unless th is the only thread the runtime has
+// created, or when called inside a transaction; inside the scope,
+// Runtime.Thread panics for any id but th's. Threads created after the
+// scope returns see its writes: their creation takes the runtime's
+// mutex, which the scope's exit released. A nested call just runs fn.
+func (th *Thread) Exclusive(fn func()) {
+	rt := th.rt
+	if th.tx.active {
+		panic("stm: Exclusive inside a transaction")
+	}
+	rt.mu.Lock()
+	if rt.excl == th {
+		rt.mu.Unlock()
+		fn()
+		return
+	}
+	if n := len(rt.threads); n != 1 {
+		rt.mu.Unlock()
+		panic(fmt.Sprintf("stm: Exclusive on thread %d of a runtime with %d threads", th.id, n))
+	}
+	rt.excl = th
+	rt.mu.Unlock()
+	th.tx.applyPhase(th.phase)
+	defer func() {
+		rt.mu.Lock()
+		rt.excl = nil
+		rt.mu.Unlock()
+		th.tx.applyPhase(th.phase)
+	}()
+	fn()
+}
 
 // --- Annotation APIs (paper Fig. 7) ---
 

@@ -17,7 +17,10 @@ type Workload interface {
 	Name() string
 	// MemConfig sizes the simulated address space for this workload.
 	MemConfig() MemConfig
-	// Setup populates initial data single-threadedly on thread 0.
+	// Setup populates initial data single-threadedly on thread 0 and
+	// creates no other thread. The repository's workloads run it
+	// uninstrumented, inside a single-thread scope in which creating a
+	// second thread panics.
 	Setup(rt *Runtime)
 	// Run executes the timed parallel phase on nthreads workers.
 	Run(rt *Runtime, nthreads int)

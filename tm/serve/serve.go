@@ -40,7 +40,9 @@ type Backend interface {
 	// requests (MaxThreads must cover workers).
 	MemConfig(workers, totalRequests int) tm.MemConfig
 	// Setup builds the shared state single-threadedly on thread 0,
-	// before any worker runs.
+	// before any worker runs, and creates no other thread. The
+	// repository's backends run it uninstrumented, inside a
+	// single-thread scope in which creating a second thread panics.
 	Setup(rt *tm.Runtime)
 	// ReplyWords is the per-request reply block size, in words.
 	ReplyWords() int
