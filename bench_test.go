@@ -923,6 +923,12 @@ func BenchmarkRecover(b *testing.B) {
 	})
 }
 
+// rosterApps is the benchmark rig's stm-closed roster.
+var rosterApps = []string{
+	"bayes", "genome", "intruder", "kmeans-high", "kmeans-low", "labyrinth",
+	"ssca2", "vacation-high", "vacation-low", "yada", "tmmsg-pub", "tmmsg-sub",
+}
+
 // BenchmarkSetup times tm.Open plus Setup, the part of an application
 // run the benchmark rig reports as setup_s, under the rig's capture
 // profile: one sub-benchmark per application of its stm-closed roster,
@@ -943,10 +949,7 @@ func BenchmarkSetup(b *testing.B) {
 			}
 		})
 	}
-	for _, name := range []string{
-		"bayes", "genome", "intruder", "kmeans-high", "kmeans-low", "labyrinth",
-		"ssca2", "vacation-high", "vacation-low", "yada", "tmmsg-pub", "tmmsg-sub",
-	} {
+	for _, name := range rosterApps {
 		bench(name, func(b *testing.B) (*tm.Runtime, func(*tm.Runtime)) {
 			w, err := tm.NewWorkload(name)
 			if err != nil {
@@ -962,4 +965,36 @@ func BenchmarkSetup(b *testing.B) {
 		}
 		return tm.Open(append(p.Options(), tm.WithMemory(be.MemConfig(2, 140000)))...), be.Setup
 	})
+}
+
+// BenchmarkValidate times a workload's Validate, the post-run check the
+// benchmark rig runs after every timed Run, under the rig's capture
+// profile: one sub-benchmark per application of its stm-closed roster.
+// Open, Setup and a one-thread Run happen outside the timer, so the
+// state Validate walks, and its B/op, are the same on every iteration.
+func BenchmarkValidate(b *testing.B) {
+	p := tm.RuntimeAll(tm.LogTree).Perf()
+	for _, name := range rosterApps {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w, err := tm.NewWorkload(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rt := tm.Open(append(p.Options(), tm.WithMemory(w.MemConfig()))...)
+				w.Setup(rt)
+				w.Run(rt, 1)
+				b.StartTimer()
+				if err := w.Validate(rt); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := rt.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
 }

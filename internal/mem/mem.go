@@ -98,7 +98,7 @@ func DefaultConfig() Config {
 
 // Space is a simulated address space.
 type Space struct {
-	// words is the backing store (newWords): on unix an anonymous
+	// words is the backing store (NewWords): on unix an anonymous
 	// mapping outside the Go heap, unmapped once the Space is
 	// unreachable. It is an ordinary slice with its length, so every
 	// access is bounds checked. The loops over it (Checksum, ReadWords,
@@ -131,7 +131,7 @@ func NewSpace(cfg Config) *Space {
 		stackWords: cfg.StackWords,
 		maxThreads: cfg.MaxThreads,
 	}
-	s.words = newWords(s, total)
+	s.words = NewWords[uint64](s, total)
 	s.globalsNext.Store(1)
 	s.heapStart = s.globalsEnd
 	s.heapEnd = s.heapStart + Addr(cfg.HeapWords)

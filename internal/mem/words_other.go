@@ -2,5 +2,5 @@
 
 package mem
 
-// newWords keeps the space on the Go heap where there is no mmap.
-func newWords(_ *Space, n int) []uint64 { return make([]uint64, n) }
+// NewWords keeps the elements on the Go heap where there is no mmap.
+func NewWords[E, O any](_ *O, n int) []E { return make([]E, n) }

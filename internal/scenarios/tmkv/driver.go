@@ -386,9 +386,19 @@ func (b *B) opScan(th *stm.Thread, st *threadStats) {
 // against the index size, every object's stored checksum against its
 // block contents, and the dedup map's reference counts against the
 // references actually reachable from the index.
+//
+// It runs inside thread 0's Exclusive scope: Run has returned, so no
+// other thread transacts, and the walk reads the same words without
+// barriers.
 func (b *B) Validate(trt *tm.Runtime) error {
-	rt := trt.Unwrap()
-	th := rt.Thread(0)
+	th := trt.Unwrap().Thread(0)
+	var err error
+	th.Exclusive(func() { err = b.validate(th) })
+	return err
+}
+
+// validate is Validate's walk on th.
+func (b *B) validate(th *stm.Thread) error {
 	th.EnterPhase(tm.PhaseScan) // read-only verification walks
 
 	var inserts, deletes, badSum uint64

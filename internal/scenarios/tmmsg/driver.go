@@ -424,9 +424,19 @@ func (b *B) opLag(th *stm.Thread, st *threadStats) {
 // against its payload, and each consumer group's ledger — acked +
 // in-flight + skipped == cursor ≤ head, so consumed + in-flight +
 // skipped + remaining == published holds per (topic, group).
+//
+// It runs inside thread 0's Exclusive scope: Run has returned, so no
+// other thread transacts, and the walk reads the same words without
+// barriers.
 func (b *B) Validate(trt *tm.Runtime) error {
-	rt := trt.Unwrap()
-	th := rt.Thread(0)
+	th := trt.Unwrap().Thread(0)
+	var err error
+	th.Exclusive(func() { err = b.validate(th) })
+	return err
+}
+
+// validate is Validate's walk on th.
+func (b *B) validate(th *stm.Thread) error {
 	th.EnterPhase(tm.PhaseScan) // walking topics is read-mostly scan work
 	c := b.cfg
 

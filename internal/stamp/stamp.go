@@ -41,6 +41,8 @@ type Benchmark interface {
 	// Run executes the timed parallel phase on nthreads workers.
 	Run(rt *stm.Runtime, nthreads int)
 	// Validate checks post-run invariants (run after Run returns).
+	// Through the tm registry it runs inside thread 0's Exclusive
+	// scope too, with every worker quiescent.
 	Validate(rt *stm.Runtime) error
 }
 
@@ -55,17 +57,26 @@ var registry []struct {
 
 // tmWorkload adapts a Benchmark to the public tm.Workload interface by
 // unwrapping the engine runtime the port was written against. Setup
-// runs inside thread 0's Exclusive scope.
+// and Validate run inside thread 0's Exclusive scope: Setup before any
+// other thread exists, Validate after Run's workers have returned, so
+// both read and write the words they would with barriers, without them.
 type tmWorkload struct{ b Benchmark }
 
-func (w tmWorkload) Name() string            { return w.b.Name() }
-func (w tmWorkload) MemConfig() tm.MemConfig { return w.b.MemConfig() }
-func (w tmWorkload) Setup(rt *tm.Runtime) {
-	srt := rt.Unwrap()
-	srt.Thread(0).Exclusive(func() { w.b.Setup(srt) })
+func (w tmWorkload) Name() string              { return w.b.Name() }
+func (w tmWorkload) MemConfig() tm.MemConfig   { return w.b.MemConfig() }
+func (w tmWorkload) Setup(rt *tm.Runtime)      { exclusive(rt, w.b.Setup) }
+func (w tmWorkload) Run(rt *tm.Runtime, n int) { w.b.Run(rt.Unwrap(), n) }
+func (w tmWorkload) Validate(rt *tm.Runtime) (err error) {
+	exclusive(rt, func(srt *stm.Runtime) { err = w.b.Validate(srt) })
+	return err
 }
-func (w tmWorkload) Run(rt *tm.Runtime, n int)     { w.b.Run(rt.Unwrap(), n) }
-func (w tmWorkload) Validate(rt *tm.Runtime) error { return w.b.Validate(rt.Unwrap()) }
+
+// exclusive runs fn on rt's engine runtime inside thread 0's Exclusive
+// scope.
+func exclusive(rt *tm.Runtime, fn func(*stm.Runtime)) {
+	srt := rt.Unwrap()
+	srt.Thread(0).Exclusive(func() { fn(srt) })
+}
 
 // Register adds a benchmark factory to the registry and bridges it
 // into the public tm workload registry, carrying a one-line

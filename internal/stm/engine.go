@@ -29,8 +29,9 @@ import (
 //
 // Nor is the exclusive pair at the end of this file an engine: no
 // profile compiles to it. It replaces whatever pair the phase compiled
-// while a thread runs alone inside Thread.Exclusive (set-up code), and
-// never reaches readFull or writeFull.
+// while a thread is the only one transacting, inside Thread.Exclusive
+// (set-up and validation code), and never reaches readFull or
+// writeFull.
 //
 // Why the perf chain is eight flat functions and not one closure or
 // one generic instantiation — measured on benchmark/run.sh's stm-closed

@@ -48,15 +48,43 @@ func exclusivePair(th *Thread) bool {
 		&engine{load: loadExclusive, store: storeExclusive})
 }
 
-// TestExclusiveOnlyThread: the scope refuses a runtime with a second
-// thread and, while it runs, the creation of any thread but its own;
-// it refuses to start inside a transaction, nests, and ends with the
-// phase's own pair back, after a panic too.
-func TestExclusiveOnlyThread(t *testing.T) {
+// TestExclusiveQuiescentThreads: the scope runs beside created threads
+// that are quiescent, refuses to start while one is inside a
+// transaction, and panics at its exit when one ran a transaction inside
+// it. While it runs it refuses the creation of any new thread and a
+// second thread's scope; it refuses to start inside a transaction,
+// nests, and ends with the phase's own pair back, after a panic too.
+func TestExclusiveQuiescentThreads(t *testing.T) {
 	rt := newRT(Baseline())
-	th := rt.Thread(0)
-	rt.Thread(1)
-	mustPanic(t, "2 threads", func() { th.Exclusive(func() {}) })
+	th, other := rt.Thread(0), rt.Thread(1)
+	g := rt.Space().AllocGlobal(2)
+	other.Atomic(func(tx *Tx) { tx.Store(g, 1, AccShared) })
+	other.Atomic(func(tx *Tx) {
+		mustPanic(t, "Exclusive on thread 0 while thread 1 is inside a transaction", func() { th.Exclusive(func() {}) })
+	})
+	mustPanic(t, "thread 1 ran a transaction inside thread 0's Exclusive scope", func() {
+		th.Exclusive(func() {
+			other.Atomic(func(tx *Tx) { tx.Store(g+1, 2, AccShared) })
+		})
+	})
+	if exclusivePair(th) {
+		t.Fatal("a scope that panicked at its exit left the exclusive pair behind")
+	}
+	clock := rt.Clock()
+	th.Exclusive(func() {
+		if exclusivePair(other) {
+			t.Error("a quiescent sibling took the exclusive pair")
+		}
+		mustPanic(t, "Exclusive on thread 1 inside thread 0's Exclusive scope", func() { other.Exclusive(func() {}) })
+		th.Atomic(func(tx *Tx) { tx.Store(g, tx.Load(g, AccShared)+tx.Load(g+1, AccShared), AccShared) })
+	})
+	if rt.Clock() != clock || rt.Space().Load(g) != 3 {
+		t.Fatalf("clock %d, word %d after a scope beside a quiescent thread: want %d and 3", rt.Clock(), rt.Space().Load(g), clock)
+	}
+	other.Atomic(func(tx *Tx) { tx.Store(g, tx.Load(g, AccShared)+1, AccShared) })
+	if v := rt.Space().Load(g); v != 4 {
+		t.Fatalf("the sibling's transaction after the scope left %d, want 4", v)
+	}
 
 	rt = newRT(Baseline())
 	th = rt.Thread(0)
@@ -86,6 +114,56 @@ func TestExclusiveOnlyThread(t *testing.T) {
 	}
 	if rt.Thread(1) == nil {
 		t.Fatal("no thread created after the scope")
+	}
+}
+
+// TestExclusiveBesideARunningThread: while another goroutine keeps a
+// second thread transacting and switching phases, each scope on thread
+// 0 either panics naming that thread, at its entry or at its exit, or
+// runs; run under -race it also checks that the scope's precondition
+// checks and the phase switches read the runtime's shared fields
+// race-free.
+func TestExclusiveBesideARunningThread(t *testing.T) {
+	rt := newRT(phasedBaseline())
+	th, other := rt.Thread(0), rt.Thread(1)
+	g := rt.Space().AllocGlobal(2 * mem.LineWords)
+	mine, theirs := g, g+mem.LineWords // a cache line each
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			other.EnterPhase([]string{"publish", "cursor", ""}[i%3])
+			other.Atomic(func(tx *Tx) { tx.Store(theirs, tx.Load(theirs, AccShared)+1, AccShared) })
+		}
+	}()
+	ran := 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					return
+				}
+				if s, _ := r.(string); !strings.Contains(s, "thread 1") {
+					panic(r)
+				}
+			}()
+			th.Exclusive(func() {
+				th.Atomic(func(tx *Tx) { tx.Store(mine, tx.Load(mine, AccShared)+1, AccShared) })
+			})
+		}()
+		ran++
+	}
+	if got := rt.Space().Load(theirs); got != 2000 {
+		t.Fatalf("the running thread's counter reads %d, want 2000", got)
+	}
+	if got := rt.Space().Load(mine); got == 0 || got > uint64(ran) {
+		t.Fatalf("the scopes' counter reads %d after %d scopes", got, ran)
 	}
 }
 

@@ -141,7 +141,7 @@ func (tx *Tx) applyPhase(idx int) {
 	tx.upNext = false
 	tx.load = ph.eng.load
 	tx.store = ph.eng.store
-	if tx.th.rt.excl == tx.th {
+	if tx.th.rt.excl.Load() == tx.th {
 		tx.load, tx.store = loadExclusive, storeExclusive
 	}
 	tx.trackAlog = cfg.Read.Heap || cfg.Write.Heap

@@ -1,12 +1,15 @@
 package stm_test
 
 // The registered workloads and serve backends run Setup inside thread
-// 0's Exclusive scope. These tests prove, per workload, that the scope
-// ran no barrier, and that a durable Setup run in it recovers. That the
-// scope changes nothing Setup leaves in the space is checked where the
-// workloads live (internal/stamp/all, tmkv, tmmsg).
+// 0's Exclusive scope, and the workloads run Validate in it too. These
+// tests prove, per workload, that the scope ran no barrier, that a
+// durable Setup run in it recovers, and that a scoped Validate reaches
+// a barriered one's verdict. That the scope changes nothing Setup
+// leaves in the space is checked where the workloads live
+// (internal/stamp/all, tmkv, tmmsg).
 
 import (
+	"fmt"
 	"testing"
 
 	_ "repro/internal/scenarios/tmkv"
@@ -108,6 +111,93 @@ func TestScopedSetupDurableRecover(t *testing.T) {
 				defer rec.Close()
 				if got := rec.Unwrap().Space().Checksum(); got != sum {
 					t.Fatalf("recovered checksum %#x, want %#x", got, sum)
+				}
+			})
+		}
+	}
+}
+
+// validateThreads is the number of workers each workload's Run uses
+// before its Validate is checked: enough that thread 0 has a quiescent
+// sibling when Validate's scope starts.
+const validateThreads = 2
+
+// runWorkload opens a runtime for the named workload under p, runs its
+// Setup and a validateThreads-thread Run, and returns both.
+func runWorkload(t *testing.T, p tm.Profile, name string) (tm.Workload, *tm.Runtime) {
+	t.Helper()
+	w, err := tm.NewWorkload(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := tm.Open(append(p.Options(), tm.WithMemory(w.MemConfig()))...)
+	t.Cleanup(func() { rt.Close() })
+	w.Setup(rt)
+	w.Run(rt, validateThreads)
+	return w, rt
+}
+
+// barrierState is what any barrier leaves behind: the clock, every
+// orec, and the counted full barriers.
+type barrierState struct {
+	clock, orecs, readFull, writeFull uint64
+}
+
+func barriers(rt *tm.Runtime) barrierState {
+	s := rt.Snapshot().Stats
+	return barrierState{rt.Unwrap().Clock(), rt.Unwrap().OrecsSum(), s.ReadFull, s.WriteFull}
+}
+
+// TestScopedValidateRunsNoBarrier: after a two-thread Run of every
+// registered workload, Validate bumps no clock and acquires no orec
+// (every orec holds what it held) and, counted, runs no full read or
+// write barrier, so it logs no read either.
+func TestScopedValidateRunsNoBarrier(t *testing.T) {
+	for _, p := range []tm.Profile{tm.Counting(), tm.RuntimeAll(tm.LogTree).Perf()} {
+		for _, name := range tm.Workloads() {
+			t.Run(p.Name()+"/"+name, func(t *testing.T) {
+				t.Parallel()
+				w, rt := runWorkload(t, p, name)
+				before := barriers(rt)
+				if err := w.Validate(rt); err != nil {
+					t.Fatal(err)
+				}
+				if after := barriers(rt); after != before {
+					t.Errorf("Validate moved the barrier state from %+v to %+v", before, after)
+				}
+			})
+		}
+	}
+}
+
+// TestScopedValidateSameVerdict: after a two-thread Run of every
+// registered workload, Validate in its scope returns the verdict that
+// a barriered Validate returns, and leaves the same space. The
+// barriered pass runs first, on the state Run left, and the scoped
+// pass on the state the barriered one left; a scoped load or store
+// that moved a word the walk reads or writes shows as a different
+// verdict or checksum. (Validate only reads a workload's Go-side state,
+// so one instance can validate twice.)
+func TestScopedValidateSameVerdict(t *testing.T) {
+	for _, p := range rigProfiles() {
+		for _, name := range tm.Workloads() {
+			t.Run(p.Name()+"/"+name, func(t *testing.T) {
+				t.Parallel()
+				w, rt := runWorkload(t, p, name)
+				space := rt.Unwrap().Space()
+				verdict := func(scoped bool) (string, uint64) {
+					var err error
+					if scoped {
+						err = w.Validate(rt)
+					} else {
+						rt.Unwrap().Thread(0).Barriered(func() { err = w.Validate(rt) })
+					}
+					return fmt.Sprint(err), space.Checksum()
+				}
+				wantErr, wantSum := verdict(false)
+				if gotErr, gotSum := verdict(true); gotErr != wantErr || gotSum != wantSum {
+					t.Fatalf("scoped Validate: %s, checksum %#x; barriered: %s, checksum %#x",
+						gotErr, gotSum, wantErr, wantSum)
 				}
 			})
 		}

@@ -37,9 +37,10 @@
 // chain is the specialized stats-free fast path PerfMode profiles
 // compile to. Both end in the same readFull/writeFull, and read-mostly
 // is a mode of those two functions, not a chain. One engine is
-// compiled per phase (newEngine), once per Runtime. Set-up code runs
-// on neither: inside Thread.Exclusive a thread that is the runtime's
-// only thread uses the exclusive pair, which takes no orec.
+// compiled per phase (newEngine), once per Runtime. Set-up and
+// validation code run on neither: inside Thread.Exclusive, while no
+// other thread transacts, a thread uses the exclusive pair, which
+// takes no orec.
 package stm
 
 import (
@@ -63,6 +64,11 @@ const DefaultOrecBits = 18
 // a workload.
 type Runtime struct {
 	space *mem.Space
+	// orecs is the ownership-record table, 1<<DefaultOrecBits entries.
+	// Like the space it comes from mem.NewWords: on unix a mapping the
+	// kernel zeroes page by page as barriers first touch it, released
+	// once the Runtime is unreachable, so opening a runtime costs no
+	// 2 MiB clear and a run pays for the orecs its addresses map to.
 	orecs []atomic.Uint64
 
 	// clock is bumped by every writing commit and read by every begin.
@@ -105,9 +111,9 @@ type Runtime struct {
 	threads map[int]*Thread
 
 	// excl is the thread inside an Exclusive scope, nil outside one. It
-	// is written under mu by that thread only, so the thread itself may
-	// read it without mu (applyPhase).
-	excl *Thread
+	// is written under mu by that thread only; applyPhase reads it
+	// without mu, on whichever thread switches phase.
+	excl atomic.Pointer[Thread]
 }
 
 // New creates a runtime over a fresh address space. It panics if a
@@ -117,15 +123,16 @@ func New(mcfg mem.Config, cfg OptConfig) *Runtime {
 		panic(fmt.Sprintf("stm: MaxThreads %d exceeds the %d owners a lock word holds", mcfg.MaxThreads, 1<<ownerBits))
 	}
 	phases, phaseIdx := compilePhases(cfg)
-	return &Runtime{
+	rt := &Runtime{
 		space:    mem.NewSpace(mcfg),
-		orecs:    make([]atomic.Uint64, 1<<DefaultOrecBits),
 		cfg:      cfg,
 		phases:   phases,
 		phaseIdx: phaseIdx,
 		seqs:     make([]seqSlot, mcfg.MaxThreads),
 		threads:  make(map[int]*Thread),
 	}
+	rt.orecs = mem.NewWords[atomic.Uint64](rt, 1<<DefaultOrecBits)
+	return rt
 }
 
 // lineBytes is the cache-line size the runtime pads its per-thread and
@@ -297,8 +304,8 @@ func (rt *Runtime) Thread(id int) *Thread {
 	if th, ok := rt.threads[id]; ok {
 		return th
 	}
-	if rt.excl != nil {
-		panic(fmt.Sprintf("stm: thread %d created inside thread %d's Exclusive scope", id, rt.excl.id))
+	if owner := rt.excl.Load(); owner != nil {
+		panic(fmt.Sprintf("stm: thread %d created inside thread %d's Exclusive scope", id, owner.id))
 	}
 	th := &Thread{
 		rt:           rt,
@@ -405,10 +412,12 @@ func (th *Thread) StackPush(n int) (frame mem.Addr, mark mem.Addr) {
 // StackPop releases the stack down to mark.
 func (th *Thread) StackPop(mark mem.Addr) { th.stack.Pop(mark) }
 
-// Exclusive runs fn with th as the only thread the runtime may have:
-// every word fn's transactions touch is captured, since no other
-// thread exists to reach it. The paper ran its setup code
-// uninstrumented; this is that, with the transaction semantics kept.
+// Exclusive runs fn with th as the only thread of the runtime that
+// transacts: every word fn's transactions touch is captured, since no
+// other thread runs a transaction that could reach it. The paper ran
+// the code around its timed phase uninstrumented; this is that, with
+// the transaction semantics kept. Set-up runs in it before the workers
+// exist, and validation after they have joined.
 // Inside the scope th's transactions use the exclusive barrier pair
 // (engine.go) whatever phase they run in: a load is a plain load, and a
 // store to memory the profile does not already capture takes an undo
@@ -419,36 +428,57 @@ func (th *Thread) StackPop(mark mem.Addr) { th.stack.Pop(mark) }
 // runs from the undo log, and a durable commit with no orecs is
 // recorded from its undo log, allocations and stack like any other.
 //
-// Exclusive panics unless th is the only thread the runtime has
-// created, or when called inside a transaction; inside the scope,
-// Runtime.Thread panics for any id but th's. Threads created after the
-// scope returns see its writes: their creation takes the runtime's
-// mutex, which the scope's exit released. A nested call just runs fn.
+// Every other thread the runtime has created must be quiescent when
+// the scope starts (outside a transaction) and must start no
+// transaction before it ends. Exclusive checks both on the threads'
+// quiescence counters, and panics naming the first thread that fails
+// either; the exit check runs when fn returns, so it reports a race
+// after the fact rather than preventing it. The entry check's atomic
+// loads also order every other thread's last commit before the scope:
+// fn reads what those threads committed. Exclusive also panics when
+// called inside a transaction or inside another thread's scope, and
+// inside the scope Runtime.Thread panics for an id it has not created
+// yet. A thread that transacts after the scope must be ordered after
+// it, as threads created after it are by the runtime's mutex and
+// joined workers are by their join. A nested call just runs fn.
 func (th *Thread) Exclusive(fn func()) {
 	rt := th.rt
 	if th.tx.active {
 		panic("stm: Exclusive inside a transaction")
 	}
 	rt.mu.Lock()
-	if rt.excl == th {
+	switch owner := rt.excl.Load(); {
+	case owner == th:
 		rt.mu.Unlock()
 		fn()
 		return
-	}
-	if n := len(rt.threads); n != 1 {
+	case owner != nil:
 		rt.mu.Unlock()
-		panic(fmt.Sprintf("stm: Exclusive on thread %d of a runtime with %d threads", th.id, n))
+		panic(fmt.Sprintf("stm: Exclusive on thread %d inside thread %d's Exclusive scope", th.id, owner.id))
 	}
-	rt.excl = th
+	ids := *rt.created.Load() // fixed while the scope runs: Thread creates none
+	seen := make([]uint64, len(ids))
+	for i, id := range ids {
+		if seen[i] = rt.seqs[id].Load(); seen[i]%2 == 1 { // th is outside a transaction: its own is even
+			rt.mu.Unlock()
+			panic(fmt.Sprintf("stm: Exclusive on thread %d while thread %d is inside a transaction", th.id, id))
+		}
+	}
+	rt.excl.Store(th)
 	rt.mu.Unlock()
 	th.tx.applyPhase(th.phase)
 	defer func() {
 		rt.mu.Lock()
-		rt.excl = nil
+		rt.excl.Store(nil)
 		rt.mu.Unlock()
 		th.tx.applyPhase(th.phase)
 	}()
 	fn()
+	for i, id := range ids {
+		if int(id) != th.id && rt.seqs[id].Load() != seen[i] {
+			panic(fmt.Sprintf("stm: thread %d ran a transaction inside thread %d's Exclusive scope", id, th.id))
+		}
+	}
 }
 
 // --- Annotation APIs (paper Fig. 7) ---

@@ -25,6 +25,9 @@ type Workload interface {
 	// Run executes the timed parallel phase on nthreads workers.
 	Run(rt *Runtime, nthreads int)
 	// Validate checks post-run invariants (called after Run returns).
+	// The repository's workloads run it uninstrumented on thread 0,
+	// inside the same scope as Setup, while every other thread is
+	// quiescent.
 	Validate(rt *Runtime) error
 }
 
